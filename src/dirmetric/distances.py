@@ -23,7 +23,10 @@ qualify, so the map-pair distance is always finite on nonempty spaces.
 Search strategy: small problems are solved exactly by branch and bound
 over pairs (gh, d-correspondence) or by enumerating map pairs; larger
 ones fall back to seeded local search and report exact=False unless the
-best value meets a proven lower bound.  Infeasibility of the
+best value meets a proven lower bound.  The local search for gh and the
+map-pair distance moves one point of one map at a time and scores all
+candidate images of that point together in O(n*m); move order and
+tie-breaking are fixed for a given seed.  Infeasibility of the
 d-correspondence search is certified either by constraint propagation
 (a point whose reachability pattern admits no partner) or by exhausted
 branch and bound.
@@ -135,9 +138,9 @@ class VertexMap:
     @cached_property
     def is_dmap(self) -> bool:
         """True when every source edge lands in target reachability."""
-        im = self.images
-        reach = self.target.reach
-        return all(reach[im[s], im[d]] for (s, d, _) in self.source.space.edges)
+        src, dst, _ = self.source.space.edge_indices()
+        im = np.asarray(self.images, dtype=int)
+        return bool(self.target.reach[im[src], im[dst]].all())
 
     @cached_property
     def distortion(self) -> float:
@@ -267,10 +270,6 @@ def _pair_cost_matrix(dX: np.ndarray, dY: np.ndarray) -> np.ndarray:
     nX, nY = dX.shape[0], dY.shape[0]
     C = ext_abs_diff(dX[:, None, :, None], dY[None, :, None, :])
     return C.reshape(nX * nY, nX * nY)
-
-
-def _images_respect_direction(images, edges, reach_target) -> bool:
-    return all(reach_target[images[s], images[d]] for (s, d, _) in edges)
 
 
 def _bnb_correspondence(
@@ -418,21 +417,61 @@ def _greedy_map(dX: np.ndarray, dY: np.ndarray, rng: Optional[np.random.Generato
     return cost.argmin(axis=1)
 
 
-def _random_greedy_map(dS, dT, edgesS, reachT, rng) -> Optional[np.ndarray]:
+def _neighbours(n: int, edges):
+    """Out- and in-neighbour index arrays of each point, and its sorted neighbours.
+
+    edges are (src, dst, ...) arrays as from FiniteDSpace.edge_indices, or
+    None for no edges; the sorted lists ignore direction.
+    """
+    if edges is None:
+        src = dst = np.zeros(0, dtype=int)
+    else:
+        src, dst = edges[0], edges[1]
+    out = [dst[src == u] for u in range(n)]
+    inn = [src[dst == u] for u in range(n)]
+    adj = [sorted(set(o.tolist()) | set(i.tolist())) for o, i in zip(out, inn)]
+    return out, inn, adj
+
+
+def _legal_moves(u: int, images: np.ndarray, out, inn, reach: np.ndarray) -> np.ndarray:
+    """Mask of the images y for point u that keep every edge at u inside reach."""
+    return reach[:, images[out[u]]].all(axis=1) & reach[images[inn[u]], :].all(axis=0)
+
+
+def _move_scores(u: int, images: np.ndarray, other: np.ndarray, dS: np.ndarray, dT: np.ndarray, rest: float):
+    """Map-pair objective after moving point u of one map, for every image y.
+
+    The map sends S to T; its distortion matrix is D[a, b] =
+    |dS[a, b] - dT[images a, images b]| and its codistortion rows are
+    K[a, w] = |dS[a, other w] - dT[images a, w]|, other being the map back.
+    Moving u to y rewrites only row u and column u of D and row u of K, so
+    with rest the maximum of every other objective entry, the objective is
+    the maximum of rest and of those three slabs.  Returns the scores and
+    the (row, col, cross) slabs, one row per y.
+    """
+    diag = np.diagonal(dT)
+    t_row = dT[:, images]
+    t_row[:, u] = diag
+    t_col = dT[images, :].T
+    t_col[:, u] = diag
+    row = ext_abs_diff(dS[u, :][None, :], t_row)
+    col = ext_abs_diff(dS[:, u][None, :], t_col)
+    cross = ext_abs_diff(dS[u, other][None, :], dT)
+    scores = np.maximum(np.maximum(row.max(axis=1), col.max(axis=1)), np.maximum(cross.max(axis=1), rest))
+    return scores, row, col, cross
+
+
+def _random_greedy_map(dS, dT, neighbours, reachT, rng) -> Optional[np.ndarray]:
     """Random-order greedy assignment of a (direction-respecting) map.
 
     Points are placed one by one; each placement satisfies the reach
     constraints of edges whose other endpoint is already placed and
     minimizes (with a little seeded noise) the distortion against the
-    points placed so far.  Returns None on a dead end.
+    points placed so far.  neighbours comes from _neighbours on the source.
+    Returns None on a dead end.
     """
     nS, nT = dS.shape[0], dT.shape[0]
-    out_e: list[list[int]] = [[] for _ in range(nS)]
-    in_e: list[list[int]] = [[] for _ in range(nS)]
-    for (s, d, _) in edgesS:
-        out_e[s].append(d)
-        in_e[d].append(s)
-    adj = [sorted(set(out_e[u]) | set(in_e[u])) for u in range(nS)]
+    out_e, in_e, adj = neighbours
 
     # place points in randomized BFS order over the undirected edge graph:
     # every new point is then constrained only through placed neighbours,
@@ -455,14 +494,12 @@ def _random_greedy_map(dS, dT, edgesS, reachT, rng) -> Optional[np.ndarray]:
 
     images = np.full(nS, -1, dtype=int)
     for u in order:
-        mask = np.ones(nT, dtype=bool)
-        if reachT is not None:
-            for w in out_e[u]:
-                if images[w] >= 0:
-                    mask &= reachT[:, images[w]]
-            for w in in_e[u]:
-                if images[w] >= 0:
-                    mask &= reachT[images[w], :]
+        if reachT is None:
+            mask = np.ones(nT, dtype=bool)
+        else:
+            heads = images[out_e[u]]
+            tails = images[in_e[u]]
+            mask = reachT[:, heads[heads >= 0]].all(axis=1) & reachT[tails[tails >= 0], :].all(axis=0)
         cand = np.flatnonzero(mask)
         if cand.size == 0:
             return None
@@ -479,6 +516,58 @@ def _random_greedy_map(dS, dT, edgesS, reachT, rng) -> Optional[np.ndarray]:
     return images
 
 
+def _descend(f, g, dX, dY, nbX, nbY, reachX, reachY):
+    """Alternating pointwise descent of a map pair from (f, g), in place.
+
+    Sweeps the points of f, then those of g, moving each to its best image
+    as scored by _move_scores; with reach given, only to images allowed by
+    _legal_moves.  nbX and nbY come from _neighbours.  Returns the final
+    objective and the two maps.
+    """
+    # g: Y -> X is moved like f with both metrics transposed: its
+    # distortion matrix is then stored transposed and its codistortion
+    # column v is row v of K.T, a view that writes through to K
+    dXt, dYt = dX.T, dY.T
+    Df = ext_abs_diff(dX, dY[np.ix_(f, f)])
+    Dg = ext_abs_diff(dYt, dXt[np.ix_(g, g)])
+    K = ext_abs_diff(dX[:, g], dY[f, :])
+    val = max(float(Df.max()), float(Dg.max()), float(K.max()))
+    sides = (
+        (f, g, dX, dY, Df, K, Dg, nbX, reachY),
+        (g, f, dYt, dXt, Dg, K.T, Df, nbY, reachX),
+    )
+    for _ in range(60):
+        improved = False
+        for images, other, dS, dT, D, KS, D_other, (out, inn, _), reach in sides:
+            rest_other = float(D_other.max())
+            for u in range(images.size):
+                cur = int(images[u])
+                # entries are >= 0, so zeroed ones drop out of the max
+                D[u, :] = 0.0
+                D[:, u] = 0.0
+                KS[u, :] = 0.0
+                rest = max(rest_other, float(D.max()), float(KS.max()))
+                v, row, col, cross = _move_scores(u, images, other, dS, dT, rest)
+                ok = v < val - 1e-15
+                if reach is not None:
+                    ok &= _legal_moves(u, images, out, inn, reach)
+                ok[cur] = False
+                best_y, best_v = cur, val
+                for y in np.flatnonzero(ok).tolist():
+                    if v[y] < best_v - 1e-15:
+                        best_y, best_v = y, float(v[y])
+                images[u] = best_y
+                D[u, :] = row[best_y]
+                D[:, u] = col[best_y]
+                KS[u, :] = cross[best_y]
+                if best_v < val - 1e-15:
+                    val = best_v
+                    improved = True
+        if not improved:
+            break
+    return val, f, g
+
+
 def _local_search_map_pair(
     dX: np.ndarray,
     dY: np.ndarray,
@@ -492,57 +581,22 @@ def _local_search_map_pair(
     """Best map pair (f, g) by alternating pointwise descent.
 
     Objective: max of the two distortions and the codistortion.  With
-    reach/edge data given, moves are restricted to direction-respecting
-    maps (constant starting maps always are).  Deterministic for a fixed
-    budget.seed.
+    reach and edges (src, dst, ...) arrays given, moves are restricted to
+    direction-respecting maps (constant starting maps always are).
+
+    Each sweep visits the points of f, then those of g, and moves each to
+    its best image.  Moving one point changes one row and one column of
+    that map's distortion matrix and one row (or column) of the
+    codistortion matrix, so all candidate images of the point are scored
+    together in O(n*m) from slabs of those entries plus the maximum of
+    the unchanged rest.  Candidates are tried in index order and replace
+    the best so far only when they score lower by more than 1e-15, so the
+    move order and tie-breaking are fixed for a given budget.seed.
     """
     nX, nY = dX.shape[0], dY.shape[0]
     rng = np.random.default_rng(budget.seed)
-
-    def valid_move(images, u, y, edges, reach):
-        if edges is None:
-            return True
-        for (s, d, _) in edges:
-            if s == u and not reach[y, images[d] if d != u else y]:
-                return False
-            if d == u and s != u and not reach[images[s], y]:
-                return False
-        return True
-
-    def objective(f, g):
-        return max(
-            map_distortion(f, dX, dY),
-            map_distortion(g, dY, dX),
-            pair_codistortion(f, g, dX, dY),
-        )
-
-    def descend(f, g):
-        val = objective(f, g)
-        for _ in range(60):
-            improved = False
-            for images, other, n_opts, edges, reach, is_f in (
-                (f, g, nY, edgesX, reachY, True),
-                (g, f, nX, edgesY, reachX, False),
-            ):
-                for u in range(len(images)):
-                    cur = images[u]
-                    best_y, best_v = cur, val
-                    for y in range(n_opts):
-                        if y == cur:
-                            continue
-                        if not valid_move(images, u, y, edges, reach):
-                            continue
-                        images[u] = y
-                        v = objective(f, g)
-                        if v < best_v - 1e-15:
-                            best_y, best_v = y, v
-                    images[u] = best_y
-                    if best_v < val - 1e-15:
-                        val = best_v
-                        improved = True
-            if not improved:
-                break
-        return val, f, g
+    nbX = _neighbours(nX, edgesX)
+    nbY = _neighbours(nY, edgesY)
 
     restarts = max(budget.restarts, 1)
 
@@ -563,34 +617,31 @@ def _local_search_map_pair(
         add(pool_f, np.full(nX, cy, dtype=int))
     for cx in (ecc_x[0], ecc_x[-1]):
         add(pool_g, np.full(nY, cx, dtype=int))
-    if nX == nY:
-        ident = np.arange(nX)
-        if edgesX is None or _images_respect_direction(ident, edgesX, reachY):
-            add(pool_f, ident)
-        if edgesY is None or _images_respect_direction(ident, edgesY, reachX):
-            add(pool_g, ident)
-    f0 = _greedy_map(dX, dY, None)
-    if edgesX is None or _images_respect_direction(f0, edgesX, reachY):
-        add(pool_f, f0)
-    g0 = _greedy_map(dY, dX, None)
-    if edgesY is None or _images_respect_direction(g0, edgesY, reachX):
-        add(pool_g, g0)
+    for pool, edges, reach, profile in (
+        (pool_f, edgesX, reachY, _greedy_map(dX, dY, None)),
+        (pool_g, edgesY, reachX, _greedy_map(dY, dX, None)),
+    ):
+        for im in ([np.arange(nX)] if nX == nY else []) + [profile]:
+            if edges is None or reach[im[edges[0]], im[edges[1]]].all():
+                add(pool, im)
     tries = 0
     sample_f = nX * nX * nY <= 20_000_000  # randomized construction is O(n^2 m)
     sample_g = nY * nY * nX <= 20_000_000
     while (sample_f or sample_g) and (len(pool_f) < restarts or len(pool_g) < restarts) and tries < 4 * restarts:
         tries += 1
         if sample_f and len(pool_f) < restarts:
-            add(pool_f, _random_greedy_map(dX, dY, edgesX or (), reachY, rng))
+            add(pool_f, _random_greedy_map(dX, dY, nbX, reachY, rng))
         if sample_g and len(pool_g) < restarts:
-            add(pool_g, _random_greedy_map(dY, dX, edgesY or (), reachX, rng))
+            add(pool_g, _random_greedy_map(dY, dX, nbY, reachX, rng))
 
     # cross-pair the pools, keep the most promising pairs, polish those
-    scored = []
-    for fi, f in enumerate(pool_f):
-        for gi, g in enumerate(pool_g):
-            scored.append((objective(f, g), fi, gi))
-    scored.sort(key=lambda t: (t[0], t[1], t[2]))
+    dis_f = [map_distortion(f, dX, dY) for f in pool_f]
+    dis_g = [map_distortion(g, dY, dX) for g in pool_g]
+    scored = sorted(
+        (max(dis_f[fi], dis_g[gi], pair_codistortion(f, g, dX, dY)), fi, gi)
+        for fi, f in enumerate(pool_f)
+        for gi, g in enumerate(pool_g)
+    )
     polish = min(len(scored), max(6, restarts // 4))
     if (nX * nY) * max(nX, nY) ** 2 > 500_000_000:
         # pointwise descent would be too slow; report the best pool pair
@@ -599,9 +650,9 @@ def _local_search_map_pair(
 
     best_val, best_f, best_g = INFINITY, None, None
     for val0, fi, gi in scored[:polish]:
-        val, f, g = descend(list(pool_f[fi]), list(pool_g[gi]))
+        val, f, g = _descend(pool_f[fi].copy(), pool_g[gi].copy(), dX, dY, nbX, nbY, reachX, reachY)
         if val < best_val:
-            best_val, best_f, best_g = val, tuple(f), tuple(g)
+            best_val, best_f, best_g = val, tuple(int(v) for v in f), tuple(int(v) for v in g)
     return best_val, best_f, best_g
 
 
@@ -663,8 +714,8 @@ def distortion_distance(
         budget,
         reachX=X.reach,
         reachY=Y.reach,
-        edgesX=X.space.edges,
-        edgesY=Y.space.edges,
+        edgesX=X.space.edge_indices(),
+        edgesY=Y.space.edge_indices(),
     )
     value = 0.5 * val
     exact = value <= lower + 1e-12

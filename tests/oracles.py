@@ -72,3 +72,50 @@ def slow_map_distortion(images, dA, dB) -> float:
                 continue
             worst = max(worst, abs(a - b))
     return worst
+
+
+def slow_pair_objective(f, g, dX, dY) -> float:
+    """Map-pair objective: both distortions and the codistortion, by loops."""
+    codis = 0.0
+    for x in range(len(f)):
+        for y in range(len(g)):
+            a = dX[x, g[y]]
+            b = dY[f[x], y]
+            if a == INF and b == INF:
+                continue
+            codis = max(codis, abs(a - b))
+    return max(slow_map_distortion(f, dX, dY), slow_map_distortion(g, dY, dX), codis)
+
+
+def slow_descend(f, g, dX, dY, edgesX, edgesY, reachX, reachY):
+    """Pointwise map-pair descent re-scoring the whole objective per candidate.
+
+    Sweeps f's points then g's; each point tries every other image in index
+    order, skips images that send an edge at the point outside reach (when
+    reach is given), and keeps one only when it scores lower by more than
+    1e-15.  Returns (objective, f, g) with the maps as lists.
+    """
+    f, g = [int(v) for v in f], [int(v) for v in g]
+    val = slow_pair_objective(f, g, dX, dY)
+    for _ in range(60):
+        improved = False
+        for images, n_opts, edges, reach in ((f, len(g), edgesX, reachY), (g, len(f), edgesY, reachX)):
+            for u in range(len(images)):
+                cur = images[u]
+                best_y, best_v = cur, val
+                for y in range(n_opts):
+                    if y == cur:
+                        continue
+                    images[u] = y
+                    if reach is not None and not all(reach[images[s], images[d]] for (s, d, _) in edges if u in (s, d)):
+                        continue
+                    v = slow_pair_objective(f, g, dX, dY)
+                    if v < best_v - 1e-15:
+                        best_y, best_v = y, v
+                images[u] = best_y
+                if best_v < val - 1e-15:
+                    val = best_v
+                    improved = True
+        if not improved:
+            break
+    return val, f, g

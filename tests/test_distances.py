@@ -4,21 +4,24 @@ Claims covered: subset distances on a path, distortion helpers against a
 slow oracle, the branch-and-bound correspondence search against naive
 enumeration, frozen two-point values for all three distances, the
 INFINITY certificate for the two-arm interval against its reversal by
-both proof routes, d-isometry detection, and the frozen instance where
-the base-metric comparison exceeds the zigzag one.
+both proof routes, d-isometry detection, the frozen instance where
+the base-metric comparison exceeds the zigzag one, the map-pair local
+search's all-moves scores and descent against full re-scoring, and its frozen
+results on two pairs above the exhaustive caps.
 """
 
 import math
 
 import numpy as np
 import pytest
-from oracles import slow_map_distortion
+from oracles import slow_descend, slow_map_distortion
 
 from dirmetric import (
     INFINITY,
     Correspondence,
     DirectedMetricSpace,
     FiniteDSpace,
+    GridSpec,
     MapPair,
     SearchBudget,
     VertexMap,
@@ -26,8 +29,10 @@ from dirmetric import (
     dcorrespondence_distance,
     directed_hausdorff,
     directed_interval,
+    directed_square_grid,
     distortion_distance,
     distortion_relation,
+    ext_abs_diff,
     gh_distance,
     hausdorff,
     is_disometry,
@@ -38,6 +43,7 @@ from dirmetric import (
     source_sink_interval,
     verify_chain,
 )
+from dirmetric.distances import _descend, _legal_moves, _move_scores, _neighbours, _random_greedy_map
 from dirmetric.verify import naive_min_correspondence_distortion
 
 
@@ -350,3 +356,121 @@ def test_map_pair_objective_matches_components():
         map_distortion((0, 1), LONG.zz, SHORT.zz),
         pair_codistortion((0, 1), (0, 1), SHORT.zz, LONG.zz),
     )
+
+
+# ---------------------------------------------------------------------------
+# map-pair local search: scores of all moves at once, and frozen results
+
+
+def _rest_without(u, images, other, dS, dT):
+    """Largest objective entry not involving point u of the moved map."""
+    keep = np.arange(images.size) != u
+    moved = ext_abs_diff(dS, dT[np.ix_(images, images)])[np.ix_(keep, keep)]
+    cross = ext_abs_diff(dS[:, other], dT[images, :])[keep]
+    return max(map_distortion(other, dT, dS), float(moved.max()), float(cross.max()))
+
+
+@pytest.mark.parametrize("constrained", [False, True])
+def test_move_scores_equal_full_rescore(constrained):
+    rng = np.random.default_rng(47)
+    masked = 0
+    for _ in range(10):
+        X = dspace_random(rng, int(rng.integers(2, 8)))
+        Y = dspace_random(rng, int(rng.integers(2, 8)))
+        dX, dY = X.zz, Y.zz
+        nbX = _neighbours(X.n, X.space.edge_indices())
+        nbY = _neighbours(Y.n, Y.space.edge_indices())
+        if constrained:
+            f = _random_greedy_map(dX, dY, nbX, Y.reach, rng)
+            g = _random_greedy_map(dY, dX, nbY, X.reach, rng)
+            if f is None or g is None:
+                continue
+        else:
+            f = rng.integers(Y.n, size=X.n)
+            g = rng.integers(X.n, size=Y.n)
+        # g is scored like f with both metrics transposed
+        for images, other, dS, dT, space, (out, inn, _), reach in (
+            (f, g, dX, dY, X.space, nbX, Y.reach),
+            (g, f, dY.T, dX.T, Y.space, nbY, X.reach),
+        ):
+            for u in range(images.size):
+                rest = _rest_without(u, images, other, dS, dT)
+                scores, _, _, _ = _move_scores(u, images, other, dS, dT, rest)
+                legal = _legal_moves(u, images, out, inn, reach)
+                for y in range(dT.shape[0]):
+                    moved = images.copy()
+                    moved[u] = y
+                    pair = MapPair(moved, other) if images is f else MapPair(other, moved)
+                    assert scores[y] == pair.objective(dX, dY)
+                    brute = all(reach[moved[s], moved[d]] for (s, d, _) in space.edges if u in (s, d))
+                    assert legal[y] == brute
+                masked += int((~legal).sum())
+    assert masked > 0  # the edge constraints were exercised
+
+
+@pytest.mark.parametrize("constrained", [False, True])
+def test_descend_matches_full_rescoring_reference(constrained):
+    rng = np.random.default_rng(48)
+    moved = 0
+    for trial in range(8):
+        X = dspace_random(rng, int(rng.integers(2, 7)))
+        Y = dspace_random(rng, int(rng.integers(2, 7)))
+        dX, dY = X.zz, Y.zz
+        if trial % 2:
+            # the descent takes any matrices; asymmetric ones tell rows from columns
+            dX = dX + rng.uniform(0.0, 0.5, dX.shape)
+        nbX = _neighbours(X.n, X.space.edge_indices())
+        nbY = _neighbours(Y.n, Y.space.edge_indices())
+        reachX, reachY = (X.reach, Y.reach) if constrained else (None, None)
+        f0 = _random_greedy_map(dX, dY, nbX, reachY, rng)
+        g0 = _random_greedy_map(dY, dX, nbY, reachX, rng)
+        if f0 is None or g0 is None:
+            continue
+        val, f, g = _descend(f0.copy(), g0.copy(), dX, dY, nbX, nbY, reachX, reachY)
+        ref = slow_descend(f0, g0, dX, dY, X.space.edges, Y.space.edges, reachX, reachY)
+        assert (val, f.tolist(), g.tolist()) == ref
+        moved += int((f != f0).any() or (g != g0).any())
+    assert moved > 0
+
+
+# recorded before the local search scored moves in slabs; both pairs are
+# above the exhaustive caps, so these come from _local_search_map_pair
+SQUARE_GH_PAIRS = (
+    (0, 48), (1, 46), (1, 47), (2, 45), (2, 46), (3, 44), (4, 42), (5, 33), (5, 34), (5, 41), (6, 32),
+    (6, 39), (6, 40), (7, 38), (8, 36), (8, 37), (8, 44), (9, 36), (9, 42), (9, 43), (10, 19), (10, 26),
+    (10, 27), (11, 24), (11, 25), (11, 26), (12, 23), (12, 24), (12, 31), (13, 22), (13, 23), (13, 29),
+    (13, 30), (14, 21), (14, 28), (14, 35), (15, 12), (15, 13), (15, 20), (16, 10), (16, 18), (16, 19),
+    (17, 16), (17, 17), (18, 15), (18, 16), (19, 14), (19, 21), (20, 5), (20, 6), (20, 13), (21, 3),
+    (21, 4), (21, 5), (21, 11), (22, 2), (22, 3), (22, 9), (23, 0), (23, 1), (23, 2), (23, 8), (24, 0),
+    (24, 7),
+)
+SQUARE_DIS_MAPS = (
+    (7, 8, 10, 11, 19, 21, 22, 24, 25, 26, 28, 29, 31, 32, 34, 42, 43, 45, 46, 48, 42, 43, 45, 46, 48),
+    (0, 1, 1, 2, 3, 3, 4, 0, 1, 1, 2, 4, 4, 4, 5, 6, 7, 7, 9, 9, 9, 5, 6, 7, 7, 14, 14, 14, 10, 11, 12, 12,
+     14, 14, 14, 15, 16, 17, 17, 19, 19, 19, 21, 21, 22, 23, 24, 24, 24),
+)
+ARM_DIS_MAPS = (
+    (16, 16, 16, 16, 16, 16, 16, 16, 16, 15, 13, 12, 11, 10, 9, 8, 8),
+    (16, 16, 16, 16, 16, 16, 16, 16, 16, 15, 14, 13, 12, 11, 10, 9, 8),
+)
+
+
+def test_local_search_results_frozen():
+    square4 = DirectedMetricSpace.from_space(directed_square_grid(GridSpec(k=4)))
+    square6 = DirectedMetricSpace.from_space(directed_square_grid(GridSpec(k=6)))
+    arm = DirectedMetricSpace.from_space(source_sink_interval(8))
+    arm_r = DirectedMetricSpace.from_space(reverse(source_sink_interval(8)))
+
+    r = gh_distance(square4, square6)
+    assert (r.value, r.lower, r.method) == (0.20833333333333337, 0.04166666666666674, "local-search")
+    assert r.certificate.pairs == SQUARE_GH_PAIRS
+    r = distortion_distance(square4, square6)
+    assert (r.value, r.lower, r.method) == (0.25000000000000006, 0.04166666666666674, "local-search")
+    assert (r.certificate.forward, r.certificate.backward) == SQUARE_DIS_MAPS
+
+    r = gh_distance(arm, arm_r)
+    assert (r.value, r.lower, r.exact, r.method) == (0.0, 0.0, True, "local-search")
+    assert r.certificate.pairs == tuple((i, i) for i in range(arm.n))
+    r = distortion_distance(arm, arm_r)
+    assert (r.value, r.lower, r.method) == (0.5, 0.0, "local-search")
+    assert (r.certificate.forward, r.certificate.backward) == ARM_DIS_MAPS
