@@ -64,9 +64,6 @@ GEN_IDS = ("interval", "square", "source-sink", "torus", "open-book", "sncf", "h
 class RunConfig:
     """Everything one invocation needs; built once from parsed arguments."""
 
-    subcommand: str
-    inputs: tuple[str, ...] = ()
-    out: str | None = None
     budget: SearchBudget = field(default_factory=SearchBudget)
     tol: float = 1e-9
 
@@ -80,16 +77,7 @@ class RunConfig:
                 restarts=args.restarts,
                 seed=args.seed,
             )
-        inputs = tuple(
-            getattr(args, name) for name in ("space", "fileX", "fileY") if getattr(args, name, None)
-        )
-        return cls(
-            subcommand=args.subcommand,
-            inputs=inputs,
-            out=getattr(args, "out", None),
-            budget=budget,
-            tol=getattr(args, "tol", 1e-9),
-        )
+        return cls(budget=budget, tol=getattr(args, "tol", 1e-9))
 
 
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:

@@ -50,19 +50,20 @@ class SearchBudget:
 
     exhaustive_gh    : run exact correspondence search when |X|*|Y| is at most this
     exhaustive_cdis  : likewise for d-correspondences
-    map_pair_limit   : run exact map-pair search when |Y|^|X| * |X|^|Y| is at most this
     restarts         : local-search restarts in the non-exhaustive regime
     seed             : seeds every stochastic choice; fixed seed, fixed output
     """
 
     exhaustive_gh: int = 16
     exhaustive_cdis: int = 12
-    map_pair_limit: int = 10_000_000
     restarts: int = 32
     seed: int = 0
 
 
 DEFAULT_BUDGET = SearchBudget()
+
+#: Exact map-pair search runs when |Y|^|X| * |X|^|Y| is at most this.
+MAP_PAIR_LIMIT = 10_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +139,9 @@ class VertexMap:
     @cached_property
     def is_dmap(self) -> bool:
         """True when every source edge lands in target reachability."""
-        src, dst, _ = self.source.space.edge_indices()
+        space = self.source.space
         im = np.asarray(self.images, dtype=int)
-        return bool(self.target.reach[im[src], im[dst]].all())
+        return bool(self.target.reach[im[space.src], im[space.dst]].all())
 
     @cached_property
     def distortion(self) -> float:
@@ -180,11 +181,9 @@ class Correspondence:
         """True when related points have matching reachability patterns."""
         if not self.is_correspondence:
             return False
-        for x, y in self.pairs:
-            for x2, y2 in self.pairs:
-                if reach_source[x, x2] != reach_target[y, y2]:
-                    return False
-        return True
+        P = np.asarray(self.pairs, dtype=int).reshape(-1, 2)
+        xs, ys = P[:, 0], P[:, 1]
+        return bool((reach_source[np.ix_(xs, xs)] == reach_target[np.ix_(ys, ys)]).all())
 
     def distortion(self, dX: np.ndarray, dY: np.ndarray) -> float:
         return distortion_relation(self.pairs, dX, dY)
@@ -420,8 +419,8 @@ def _greedy_map(dX: np.ndarray, dY: np.ndarray, rng: Optional[np.random.Generato
 def _neighbours(n: int, edges):
     """Out- and in-neighbour index arrays of each point, and its sorted neighbours.
 
-    edges are (src, dst, ...) arrays as from FiniteDSpace.edge_indices, or
-    None for no edges; the sorted lists ignore direction.
+    edges are a space's (src, dst) arrays, or None for no edges; the
+    sorted lists ignore direction.
     """
     if edges is None:
         src = dst = np.zeros(0, dtype=int)
@@ -581,7 +580,7 @@ def _local_search_map_pair(
     """Best map pair (f, g) by alternating pointwise descent.
 
     Objective: max of the two distortions and the codistortion.  With
-    reach and edges (src, dst, ...) arrays given, moves are restricted to
+    reach and edges (src, dst) arrays given, moves are restricted to
     direction-respecting maps (constant starting maps always are).
 
     Each sweep visits the points of f, then those of g, and moves each to
@@ -635,13 +634,11 @@ def _local_search_map_pair(
             add(pool_g, _random_greedy_map(dY, dX, nbY, reachX, rng))
 
     # cross-pair the pools, keep the most promising pairs, polish those
-    dis_f = [map_distortion(f, dX, dY) for f in pool_f]
-    dis_g = [map_distortion(g, dY, dX) for g in pool_g]
-    scored = sorted(
-        (max(dis_f[fi], dis_g[gi], pair_codistortion(f, g, dX, dY)), fi, gi)
-        for fi, f in enumerate(pool_f)
-        for gi, g in enumerate(pool_g)
-    )
+    F, G = np.array(pool_f), np.array(pool_g)
+    cross = dX[:, G.T]
+    obj = np.array([_codistortions(f, cross, dY) for f in F])
+    obj = np.maximum(obj, np.maximum(_batch_map_distortion(dX, dY, F)[:, None], _batch_map_distortion(dY, dX, G)))
+    scored = sorted((v, i // len(G), i % len(G)) for i, v in enumerate(obj.ravel().tolist()))
     polish = min(len(scored), max(6, restarts // 4))
     if (nX * nY) * max(nX, nY) ** 2 > 500_000_000:
         # pointwise descent would be too slow; report the best pool pair
@@ -694,7 +691,7 @@ def distortion_distance(
 ) -> DistanceReport:
     """Half the best joint objective over direction-respecting map pairs.
 
-    Exhaustive enumeration when |Y|^|X| * |X|^|Y| <= budget.map_pair_limit,
+    Exhaustive enumeration when |Y|^|X| * |X|^|Y| <= MAP_PAIR_LIMIT,
     else seeded alternating local search over d-maps.
     """
     nX, nY = X.n, Y.n
@@ -703,7 +700,7 @@ def distortion_distance(
             return DistanceReport("dis", 0.0, True, 0.0, MapPair((), ()), "empty")
         return DistanceReport("dis", INFINITY, True, INFINITY, None, "empty")
     lower = 0.5 * _value_gap_lower(X.zz, Y.zz)
-    if nY**nX * nX**nY <= budget.map_pair_limit:
+    if nY**nX * nX**nY <= MAP_PAIR_LIMIT:
         val, f, g = _exhaustive_map_pair(X, Y)
         if f is None:
             return DistanceReport("dis", INFINITY, True, INFINITY, None, "exhaustive")
@@ -714,8 +711,8 @@ def distortion_distance(
         budget,
         reachX=X.reach,
         reachY=Y.reach,
-        edgesX=X.space.edge_indices(),
-        edgesY=Y.space.edge_indices(),
+        edgesX=(X.space.src, X.space.dst),
+        edgesY=(Y.space.src, Y.space.dst),
     )
     value = 0.5 * val
     exact = value <= lower + 1e-12
@@ -730,11 +727,7 @@ def _enumerate_dmaps(source: DirectedMetricSpace, target: DirectedMetricSpace) -
     # mixed-radix decode of 0..nT^nS - 1, one digit per source point
     weights = nT ** np.arange(nS - 1, -1, -1, dtype=np.int64)
     maps = (np.arange(count, dtype=np.int64)[:, None] // weights) % nT
-    mask = np.ones(count, dtype=bool)
-    reach = target.reach
-    for (s, d, _) in source.space.edges:
-        mask &= reach[maps[:, s], maps[:, d]]
-    return maps[mask]
+    return maps[target.reach[maps[:, source.space.src], maps[:, source.space.dst]].all(axis=1)]
 
 
 def _batch_map_distortion(dS: np.ndarray, dT: np.ndarray, maps: np.ndarray) -> np.ndarray:
@@ -746,6 +739,15 @@ def _batch_map_distortion(dS: np.ndarray, dT: np.ndarray, maps: np.ndarray) -> n
         imaged = dT[M[:, :, None], M[:, None, :]]
         out[i : i + chunk] = ext_abs_diff(dS[None, :, :], imaged).max(axis=(1, 2))
     return out
+
+
+def _codistortions(f: np.ndarray, cross: np.ndarray, dY: np.ndarray) -> np.ndarray:
+    """pair_codistortion(f, g, dX, dY) for every map g, one entry per g.
+
+    cross = dX[:, G.T] holds dX[x, g[y]] at [x, y, index of g], for the
+    maps g that are the rows of G.
+    """
+    return ext_abs_diff(cross, dY[f, :][:, :, None]).max(axis=(0, 1))
 
 
 def _exhaustive_map_pair(X: DirectedMetricSpace, Y: DirectedMetricSpace):
@@ -760,17 +762,14 @@ def _exhaustive_map_pair(X: DirectedMetricSpace, Y: DirectedMetricSpace):
     go = np.argsort(disG, kind="stable")
     F, disF = F[fo], disF[fo]
     G, disG = G[go], disG[go]
-    # dX indexed by every g at once: column block per g
     best = INFINITY
     best_f = best_g = None
-    gT = G.T  # (nY, kG)
-    cross = dX[:, gT]  # (nX, nY, kG) -> dX[x, g[y]]
+    cross = dX[:, G.T]
     for fi in range(F.shape[0]):
         if disF[fi] >= best:
             break
         f = F[fi]
-        codis = ext_abs_diff(cross, dY[f, :][:, :, None]).max(axis=(0, 1))  # per g
-        obj = np.maximum(np.maximum(codis, disG), disF[fi])
+        obj = np.maximum(np.maximum(_codistortions(f, cross, dY), disG), disF[fi])
         gi = int(np.argmin(obj))
         if obj[gi] < best:
             best = float(obj[gi])

@@ -36,24 +36,3 @@ def ext_abs_diff(a, b):
         return 0.0 if bool(both) else float(out)
     out[both] = 0.0
     return out
-
-
-def ext_close(a, b, tol: float = 1e-9):
-    """Elementwise equality up to tol, treating inf == inf as true."""
-    return ext_abs_diff(a, b) <= tol
-
-
-def ext_max(values) -> float:
-    """Supremum over an iterable of extended reals; empty sup is 0."""
-    vals = np.asarray(list(values) if not isinstance(values, np.ndarray) else values, dtype=float)
-    if vals.size == 0:
-        return 0.0
-    return float(np.max(vals))
-
-
-def ext_min(values) -> float:
-    """Infimum over an iterable of extended reals; empty inf is +inf."""
-    vals = np.asarray(list(values) if not isinstance(values, np.ndarray) else values, dtype=float)
-    if vals.size == 0:
-        return INFINITY
-    return float(np.min(vals))

@@ -105,7 +105,7 @@ def space_to_doc(space: FiniteDSpace) -> dict:
     return {
         "labels": list(space.labels),
         "base": base,
-        "edges": [[int(s), int(d), float(l)] for (s, d, l) in space.edges],
+        "edges": [list(e) for e in zip(space.src.tolist(), space.dst.tolist(), space.length.tolist())],
     }
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .extended import INFINITY
-from .spaces import Edge, FiniteDSpace, zigzag_from_edges
+from .spaces import Edge, FiniteDSpace, _edge_tuple, _glued_edges, zigzag_from_edges
 
 #: Lattice steps used by the directed square grid unless overridden.  Each
 #: step moves weakly up and to the right, so every edge increases both the
@@ -110,6 +110,24 @@ def directed_interval(k: int) -> FiniteDSpace:
     return FiniteDSpace(base=base, edges=edges, labels=labels)
 
 
+def _step_edges(spec: GridSpec, m: int):
+    """Step edges of the (k+1) x (k+1) lattice as (src, dst, length) arrays.
+
+    One edge from lattice point (i, j) along each step (a, b) that stays
+    inside the square, ordered by step, then i, then j; its length is the
+    Euclidean displacement.  Point (i, j) gets index (i mod m) * m + (j mod m):
+    m = k + 1 numbers the square grid, m = k glues opposite sides (torus).
+    """
+    k = spec.k
+    src, dst, length = [], [], []
+    for a, b in spec.steps:
+        i, j = (x.ravel() for x in np.meshgrid(np.arange(k + 1 - a), np.arange(k + 1 - b), indexing="ij"))
+        src.append(i % m * m + j % m)
+        dst.append((i + a) % m * m + (j + b) % m)
+        length.append(np.full(i.size, math.hypot(a, b) / k))
+    return np.concatenate(src), np.concatenate(dst), np.concatenate(length)
+
+
 def square_grid_graph(spec: GridSpec):
     """Coordinates and edges of the directed square grid, no base matrix.
 
@@ -120,14 +138,7 @@ def square_grid_graph(spec: GridSpec):
     k = spec.k
     ii, jj = np.meshgrid(np.arange(k + 1), np.arange(k + 1), indexing="ij")
     coords = np.column_stack([ii.ravel() / k, jj.ravel() / k]).astype(float)
-    edges: list[Edge] = []
-    for a, b in spec.steps:
-        length = math.hypot(a, b) / k
-        for i in range(k + 1 - a):
-            row = i * (k + 1)
-            nrow = (i + a) * (k + 1)
-            edges.extend((row + j, nrow + j + b, length) for j in range(k + 1 - b))
-    return coords, tuple(edges)
+    return coords, _edge_tuple(*_step_edges(spec, k + 1))
 
 
 def directed_square_grid(spec: GridSpec) -> FiniteDSpace:
@@ -198,17 +209,8 @@ def flat_torus_grid(spec: GridSpec) -> FiniteDSpace:
     ax = np.abs(np.subtract.outer(cx, cx))
     ay = np.abs(np.subtract.outer(cy, cy))
     base = np.hypot(np.minimum(ax, 1.0 - ax), np.minimum(ay, 1.0 - ay))
-    edges = set()
-    for a, b in spec.steps:
-        length = math.hypot(a, b) / k
-        for i in range(k + 1 - a):
-            for j in range(k + 1 - b):
-                src = (i % k) * k + (j % k)
-                dst = ((i + a) % k) * k + ((j + b) % k)
-                if src != dst:
-                    edges.add((src, dst, length))
     labels = tuple(_pt_label(x, y) for x, y in zip(cx, cy))
-    return FiniteDSpace(base=base, edges=tuple(sorted(edges)), labels=labels)
+    return FiniteDSpace(base=base, edges=_glued_edges(*_step_edges(spec, k)), labels=labels)
 
 
 def open_book(n: int, m: int) -> FiniteDSpace:

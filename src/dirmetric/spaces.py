@@ -18,13 +18,18 @@ Reachability is the reflexive-transitive closure of the edge relation
 and is the order-theoretic shadow of the space: a directed map between
 spaces must respect it (see the distances module).
 
+A space parses its edges once, on construction, into the read-only
+arrays src, dst and length; every computation here and in the other
+modules reads those arrays.  The tuple `edges` is kept as the normalised
+constructor argument and file-format view.
+
 All matrices handed out by this module are read-only numpy arrays.
 Operations never mutate their inputs; they build new spaces.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -81,10 +86,26 @@ def assert_extended_metric(d: np.ndarray, tol: float = DEFAULT_TOL, *, check_tri
             raise ValueError(f"triangle inequality violated by {defect:.3e}")
 
 
-def _as_readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float, copy=True)
+def _as_readonly(a, dtype=float) -> np.ndarray:
+    a = np.array(a, dtype=dtype, copy=True)
     a.setflags(write=False)
     return a
+
+
+def _edge_tuple(src, dst, length) -> tuple[Edge, ...]:
+    """Edge arrays as the (src, dst, length) tuple a FiniteDSpace takes."""
+    return tuple(zip(src.tolist(), dst.tolist(), length.tolist()))
+
+
+def _glued_edges(src, dst, length) -> tuple[Edge, ...]:
+    """Edges whose endpoints were glued: self-loops and repeats dropped, sorted."""
+    kept = src != dst
+    src, dst, length = src[kept], dst[kept], length[kept]
+    order = np.lexsort((length, dst, src))  # the order of the (src, dst, length) tuples
+    src, dst, length = src[order], dst[order], length[order]
+    new = np.ones(src.size, dtype=bool)
+    new[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1]) | (length[1:] != length[:-1])
+    return _edge_tuple(src[new], dst[new], length[new])
 
 
 @dataclass(frozen=True)
@@ -92,13 +113,23 @@ class FiniteDSpace:
     """Finite point set with a base metric and directed weighted edges.
 
     base   : (n, n) symmetric extended metric matrix
-    edges  : directed edges (src, dst, length), length >= base[src][dst] > 0
+    edges  : directed edges (src, dst, length), length >= base[src][dst] > 0,
+             normalised to a tuple of (int, int, float)
     labels : one name per point, unique; defaults to "0", "1", ...
+
+    Built on construction, read-only, edge i in position i:
+    src, dst : int arrays of edge endpoints
+    length   : float array of edge lengths
+    These arrays are the form every computation reads; `edges` is the
+    constructor argument and the view written to space files.
     """
 
     base: np.ndarray
     edges: tuple[Edge, ...] = ()
     labels: tuple[str, ...] = ()
+    src: np.ndarray = field(init=False, repr=False, compare=False)
+    dst: np.ndarray = field(init=False, repr=False, compare=False)
+    length: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         base = _as_readonly(self.base)
@@ -108,9 +139,11 @@ class FiniteDSpace:
 
         edges = tuple((int(s), int(d), float(l)) for (s, d, l) in self.edges)
         object.__setattr__(self, "edges", edges)
+        arr = np.array(edges, dtype=float).reshape(-1, 3)
+        src, dst, lens = _as_readonly(arr[:, 0], np.int64), _as_readonly(arr[:, 1], np.int64), _as_readonly(arr[:, 2])
+        for name, a in (("src", src), ("dst", dst), ("length", lens)):
+            object.__setattr__(self, name, a)
         if edges:
-            arr = np.array(edges, dtype=float)
-            src, dst, lens = arr[:, 0].astype(int), arr[:, 1].astype(int), arr[:, 2]
             if src.min() < 0 or src.max() >= n or dst.min() < 0 or dst.max() >= n:
                 raise ValueError("edge endpoint out of range")
             if (src == dst).any():
@@ -142,32 +175,15 @@ class FiniteDSpace:
         except ValueError:
             raise KeyError(f"no point labelled {label!r}") from None
 
-    def edge_indices(self):
-        """Edges as (src, dst, length) integer/float arrays."""
-        if not self.edges:
-            return np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0, dtype=float)
-        arr = np.array(self.edges, dtype=float)
-        return arr[:, 0].astype(int), arr[:, 1].astype(int), arr[:, 2]
 
-    def validate(self, tol: float = DEFAULT_TOL) -> None:
-        """Full validation including the O(n^3) triangle check."""
-        assert_extended_metric(self.base, tol, check_triangle=True)
-
-
-def _weight_csr(n: int, edges, *, reverse: bool = False) -> sp.csr_matrix:
+def _weight_csr(n: int, src: np.ndarray, dst: np.ndarray, length: np.ndarray) -> sp.csr_matrix:
     """Sparse weight matrix, parallel edges reduced to their minimum length."""
-    arr = np.asarray([(int(s), int(d), float(l)) for (s, d, l) in edges], dtype=float)
-    if arr.size == 0:
-        return sp.csr_matrix((n, n))
-    src = arr[:, 1 if reverse else 0].astype(np.int64)
-    dst = arr[:, 0 if reverse else 1].astype(np.int64)
-    lens = arr[:, 2]
     key = src * n + dst
-    order = np.lexsort((lens, key))
-    key, src, dst, lens = key[order], src[order], dst[order], lens[order]
+    order = np.lexsort((length, key))
+    key, src, dst, length = key[order], src[order], dst[order], length[order]
     first = np.ones(len(key), dtype=bool)
     first[1:] = key[1:] != key[:-1]
-    return sp.csr_matrix((lens[first], (src[first], dst[first])), shape=(n, n))
+    return sp.csr_matrix((length[first], (src[first], dst[first])), shape=(n, n))
 
 
 def zigzag_from_edges(n: int, edges, sources=None) -> np.ndarray:
@@ -178,7 +194,14 @@ def zigzag_from_edges(n: int, edges, sources=None) -> np.ndarray:
     requested source index.  Meant for large graphs (fine grids) where a
     dense base matrix would not fit.
     """
-    graph = _weight_csr(n, edges)
+    arr = np.array(edges, dtype=float).reshape(-1, 3)
+    graph = _weight_csr(n, arr[:, 0].astype(np.int64), arr[:, 1].astype(np.int64), arr[:, 2])
+    return _zigzag(graph, sources)
+
+
+def _zigzag(graph: sp.csr_matrix, sources=None) -> np.ndarray:
+    """zigzag_from_edges on a weight matrix from _weight_csr."""
+    n = graph.shape[0]
     if n == 0:
         return np.zeros((0, 0))
     if sources is None:
@@ -194,7 +217,7 @@ def zigzag_from_edges(n: int, edges, sources=None) -> np.ndarray:
 
 def compute_zigzag(space: FiniteDSpace) -> np.ndarray:
     """Full zigzag distance matrix of a space (extended metric, zz >= base)."""
-    return zigzag_from_edges(space.n, space.edges)
+    return _zigzag(_weight_csr(space.n, space.src, space.dst, space.length))
 
 
 def compute_reachability(space: FiniteDSpace) -> np.ndarray:
@@ -202,7 +225,7 @@ def compute_reachability(space: FiniteDSpace) -> np.ndarray:
     n = space.n
     reach = np.eye(n, dtype=bool)
     if space.edges:
-        hops = dijkstra(_weight_csr(n, space.edges), directed=True, unweighted=True)
+        hops = dijkstra(_weight_csr(n, space.src, space.dst, space.length), directed=True, unweighted=True)
         reach |= np.isfinite(hops)
     return reach
 
@@ -223,8 +246,7 @@ class DirectedMetricSpace:
 
     def __post_init__(self):
         object.__setattr__(self, "zz", _as_readonly(self.zz))
-        reach = np.array(self.reach, dtype=bool, copy=True)
-        reach.setflags(write=False)
+        reach = _as_readonly(self.reach, bool)
         object.__setattr__(self, "reach", reach)
         n = self.space.n
         if self.zz.shape != (n, n) or reach.shape != (n, n):
@@ -254,11 +276,7 @@ class DirectedMetricSpace:
 
 def reverse(space: FiniteDSpace) -> FiniteDSpace:
     """Same points and base metric, every edge direction flipped."""
-    return FiniteDSpace(
-        base=space.base,
-        edges=tuple((d, s, l) for (s, d, l) in space.edges),
-        labels=space.labels,
-    )
+    return FiniteDSpace(base=space.base, edges=_edge_tuple(space.dst, space.src, space.length), labels=space.labels)
 
 
 def disjoint_union(a: FiniteDSpace, b: FiniteDSpace) -> FiniteDSpace:
@@ -267,7 +285,7 @@ def disjoint_union(a: FiniteDSpace, b: FiniteDSpace) -> FiniteDSpace:
     base = np.full((na + nb, na + nb), INFINITY)
     base[:na, :na] = a.base
     base[na:, na:] = b.base
-    edges = tuple(a.edges) + tuple((s + na, d + na, l) for (s, d, l) in b.edges)
+    edges = _edge_tuple(np.r_[a.src, b.src + na], np.r_[a.dst, b.dst + na], np.r_[a.length, b.length])
     labels = tuple(f"0:{l}" for l in a.labels) + tuple(f"1:{l}" for l in b.labels)
     return FiniteDSpace(base=base, edges=edges, labels=labels)
 
@@ -281,15 +299,13 @@ def product(a: FiniteDSpace, b: FiniteDSpace) -> FiniteDSpace:
     """
     na, nb = a.n, b.n
     base = (a.base[:, None, :, None] + b.base[None, :, None, :]).reshape(na * nb, na * nb)
-    edges: list[Edge] = []
-    for (s, d, l) in a.edges:
-        edges.extend((s * nb + j, d * nb + j, l) for j in range(nb))
-    for i in range(na):
-        edges.extend((i * nb + s, i * nb + d, l) for (s, d, l) in b.edges)
-    for (sa, da, la) in a.edges:
-        edges.extend((sa * nb + sb, da * nb + db, la + lb) for (sb, db, lb) in b.edges)
+    # along a (edge-major, then j), along b (i-major, then edge), both at once
+    ia, jb = np.arange(na)[:, None] * nb, np.arange(nb)[None, :]
+    src = np.r_[(a.src[:, None] * nb + jb).ravel(), (ia + b.src).ravel(), (a.src[:, None] * nb + b.src).ravel()]
+    dst = np.r_[(a.dst[:, None] * nb + jb).ravel(), (ia + b.dst).ravel(), (a.dst[:, None] * nb + b.dst).ravel()]
+    length = np.r_[np.repeat(a.length, nb), np.tile(b.length, na), (a.length[:, None] + b.length).ravel()]
     labels = tuple(f"({la},{lb})" for la in a.labels for lb in b.labels)
-    return FiniteDSpace(base=base, edges=tuple(edges), labels=labels)
+    return FiniteDSpace(base=base, edges=_edge_tuple(src, dst, length), labels=labels)
 
 
 def quotient(space: FiniteDSpace, classes: Sequence[Iterable[int]], tol: float = DEFAULT_TOL) -> FiniteDSpace:
@@ -364,11 +380,8 @@ def quotient(space: FiniteDSpace, classes: Sequence[Iterable[int]], tol: float =
     new_of = np.empty(n, dtype=int)
     for qi, c in enumerate(merged):
         new_of[c] = qi
-    descended = sorted(
-        {(int(new_of[s]), int(new_of[d]), float(l)) for (s, d, l) in space.edges if new_of[s] != new_of[d]}
-    )
     labels = tuple(space.labels[r] for r in reps)
-    return FiniteDSpace(base=base_q, edges=tuple(descended), labels=labels)
+    return FiniteDSpace(base=base_q, edges=_glued_edges(new_of[space.src], new_of[space.dst], space.length), labels=labels)
 
 
 def diameter(d: np.ndarray) -> float:

@@ -51,6 +51,7 @@ from .gallery import (
 from .spaces import (
     DirectedMetricSpace,
     FiniteDSpace,
+    _edge_tuple,
     compute_zigzag,
     diameter,
     max_triangle_defect,
@@ -261,18 +262,17 @@ def check_construction_examples(seed: int, budget: SearchBudget):
 # checks: distances
 
 
-def check_chain_inequalities(seed: int, budget: SearchBudget, *, strict_base: bool = False):
+def check_chain_inequalities(seed: int, budget: SearchBudget):
     """gh <= dis <= cdis on 30 exhaustive pairs; base comparison reported.
 
-    The base-vs-zigzag comparison is tallied but only enforced with
-    strict_base: it can genuinely fail (edge lengths above the base gap
-    shift zigzag values without moving base values), so violations are
-    serialized for replay instead of failing the suite.
+    The base-vs-zigzag comparison is tallied, never enforced: it can
+    genuinely fail (edge lengths above the base gap shift zigzag values
+    without moving base values), so violations are serialized for replay
+    instead of failing the suite.
     """
     from .fileio import space_to_doc
 
     rng = _rng_for("chain_inequalities", seed)
-    checked = 0
     base_violations = []
     for _ in range(30):
         X, Y = random_pair(rng, 3)
@@ -293,12 +293,10 @@ def check_chain_inequalities(seed: int, budget: SearchBudget, *, strict_base: bo
                 "X": space_to_doc(X.space),
                 "Y": space_to_doc(Y.space),
             })
-        checked += 1
-    details = {"pairs": checked, "base_le_zigzag_violations": len(base_violations)}
+    details = {"pairs": 30, "base_le_zigzag_violations": len(base_violations)}
     if base_violations:
         details["base_le_zigzag_instances"] = base_violations
-    passed = checked == 30 and (not strict_base or not base_violations)
-    return passed, details
+    return True, details
 
 
 def check_gh_oracle_equivalence(seed: int, budget: SearchBudget):
@@ -328,7 +326,7 @@ def check_disometry_detection(seed: int, budget: SearchBudget):
         inv[sigma] = np.arange(n)
         relabelled = FiniteDSpace(
             base=s.base[np.ix_(sigma, sigma)],
-            edges=tuple((int(inv[a]), int(inv[b]), l) for (a, b, l) in s.edges),
+            edges=_edge_tuple(inv[s.src], inv[s.dst], s.length),
             labels=tuple(s.labels[j] for j in sigma),
         )
         X = DirectedMetricSpace.from_space(s)
@@ -346,7 +344,7 @@ def check_disometry_detection(seed: int, budget: SearchBudget):
         n = int(rng.integers(2, 5))
         s = random_space(rng, n, connected=True)
         inflated = FiniteDSpace(
-            base=s.base, edges=tuple((a, b, l + 0.1) for (a, b, l) in s.edges), labels=s.labels
+            base=s.base, edges=_edge_tuple(s.src, s.dst, s.length + 0.1), labels=s.labels
         )
         X = DirectedMetricSpace.from_space(s)
         Y = DirectedMetricSpace.from_space(inflated)

@@ -119,3 +119,15 @@ def slow_descend(f, g, dX, dY, edgesX, edgesY, reachX, reachY):
         if not improved:
             break
     return val, f, g
+
+
+def slow_is_dcorrespondence(pairs, reach_source, reach_target) -> bool:
+    """Every two related pairs (x, y), (x2, y2) agree: x reaches x2 iff y reaches y2.
+
+    Only the reachability condition; covering both sides is checked apart.
+    """
+    for x, y in pairs:
+        for x2, y2 in pairs:
+            if reach_source[x, x2] != reach_target[y, y2]:
+                return False
+    return True

@@ -4,7 +4,8 @@ Claims covered: subset distances on a path, distortion helpers against a
 slow oracle, the branch-and-bound correspondence search against naive
 enumeration, frozen two-point values for all three distances, the
 INFINITY certificate for the two-arm interval against its reversal by
-both proof routes, d-isometry detection, the frozen instance where
+both proof routes, finite cdis certificates checked as
+d-correspondences, d-isometry detection, the frozen instance where
 the base-metric comparison exceeds the zigzag one, the map-pair local
 search's all-moves scores and descent against full re-scoring, and its frozen
 results on two pairs above the exhaustive caps.
@@ -14,7 +15,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import slow_descend, slow_map_distortion
+from oracles import slow_descend, slow_is_dcorrespondence, slow_map_distortion
 
 from dirmetric import (
     INFINITY,
@@ -216,6 +217,34 @@ def test_reversal_pair_distance_zero():
         assert r.exact and r.value == 0.0
 
 
+def test_cdis_certificates_are_dcorrespondences():
+    # every finite cdis certificate, from branch and bound below the cap
+    # and from greedy completion above it, covers both sides and relates
+    # points with matching reachability; random covering relations agree
+    # with the pairwise loop reference
+    rng = np.random.default_rng(61)
+    methods = set()
+    for _ in range(40):
+        s = random_space(rng, int(rng.integers(1, 6)))
+        X = DirectedMetricSpace.from_space(s)
+        if rng.random() < 0.5:
+            Y = dspace_random(rng, int(rng.integers(1, 6)))
+        else:  # a relabelled, stretched copy: same reachability, cdis finite
+            sigma = rng.permutation(s.n)
+            inv = np.argsort(sigma)
+            stretched = s.length * rng.uniform(1.0, 1.3, s.length.size)
+            Y = dspace(s.base[np.ix_(sigma, sigma)], tuple(zip(inv[s.src].tolist(), inv[s.dst].tolist(), stretched)))
+        r = dcorrespondence_distance(X, Y)
+        if math.isfinite(r.value):
+            methods.add(r.method)
+            assert r.certificate.is_correspondence
+            assert r.certificate.is_dcorrespondence(X.reach, Y.reach)
+        pairs = [(x, int(rng.integers(Y.n))) for x in range(X.n)] + [(int(rng.integers(X.n)), y) for y in range(Y.n)]
+        c = Correspondence(X.n, Y.n, tuple(pairs))
+        assert c.is_dcorrespondence(X.reach, Y.reach) == slow_is_dcorrespondence(pairs, X.reach, Y.reach)
+    assert methods == {"branch-and-bound", "greedy"}
+
+
 # ---------------------------------------------------------------------------
 # two-arm interval vs its reversal
 
@@ -378,8 +407,8 @@ def test_move_scores_equal_full_rescore(constrained):
         X = dspace_random(rng, int(rng.integers(2, 8)))
         Y = dspace_random(rng, int(rng.integers(2, 8)))
         dX, dY = X.zz, Y.zz
-        nbX = _neighbours(X.n, X.space.edge_indices())
-        nbY = _neighbours(Y.n, Y.space.edge_indices())
+        nbX = _neighbours(X.n, (X.space.src, X.space.dst))
+        nbY = _neighbours(Y.n, (Y.space.src, Y.space.dst))
         if constrained:
             f = _random_greedy_map(dX, dY, nbX, Y.reach, rng)
             g = _random_greedy_map(dY, dX, nbY, X.reach, rng)
@@ -419,8 +448,8 @@ def test_descend_matches_full_rescoring_reference(constrained):
         if trial % 2:
             # the descent takes any matrices; asymmetric ones tell rows from columns
             dX = dX + rng.uniform(0.0, 0.5, dX.shape)
-        nbX = _neighbours(X.n, X.space.edge_indices())
-        nbY = _neighbours(Y.n, Y.space.edge_indices())
+        nbX = _neighbours(X.n, (X.space.src, X.space.dst))
+        nbY = _neighbours(Y.n, (Y.space.src, Y.space.dst))
         reachX, reachY = (X.reach, Y.reach) if constrained else (None, None)
         f0 = _random_greedy_map(dX, dY, nbX, reachY, rng)
         g0 = _random_greedy_map(dY, dX, nbY, reachX, rng)

@@ -3,10 +3,12 @@
 Claims covered: worst-case overhead ratios of step sets in closed form,
 unit-square oracle values against the grid graph, equality of the direct
 torus construction with the quotient route, spine distances of the open
-book family, hub-and-spoke and hollow-square frozen values, and metric
-ball behaviour.
+book family, hub-and-spoke and hollow-square frozen values, metric
+ball behaviour, and the exact bytes of small gallery, reversed, union,
+product and quotient space files.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -14,17 +16,23 @@ import pytest
 
 from dirmetric import (
     DEFAULT_STEPS,
+    FiniteDSpace,
     GridSpec,
     compute_reachability,
     compute_zigzag,
     directed_interval,
     directed_square_grid,
+    disjoint_union,
+    dump_report,
     flat_torus_grid,
     hollow_square,
     label_coords,
     metric_ball,
     open_book,
+    product,
     quotient,
+    random_space,
+    reverse,
     sncf_plane,
     source_sink_interval,
     square_grid_graph,
@@ -32,6 +40,7 @@ from dirmetric import (
     step_ratio,
     zigzag_from_edges,
 )
+from dirmetric.fileio import space_to_doc
 
 
 # ---------------------------------------------------------------------------
@@ -268,3 +277,69 @@ def test_label_coords_round_trip():
     assert label_coords("(-1,-1)") == (-1.0, -1.0)
     assert label_coords("a") is None
     assert label_coords("(1,2,3)") is None
+
+
+# ---------------------------------------------------------------------------
+# frozen space files: point order, edge order and every float of the
+# written file, recorded from the loop-built constructions
+
+
+def _frozen_cases():
+    rng = np.random.default_rng(5)
+    r3, r4 = random_space(rng, 3), random_space(rng, 4)
+    line = FiniteDSpace(
+        base=np.abs(np.subtract.outer(np.arange(4.0), np.arange(4.0))),
+        edges=((0, 2, 2.5), (1, 3, 2.5), (0, 3, 3.5), (1, 2, 1.2), (3, 2, 1.0)),
+    )
+    return {
+        "interval-3": directed_interval(3),
+        "square-3": directed_square_grid(GridSpec(k=3)),
+        "square-2-custom": directed_square_grid(GridSpec(k=2, steps=((0, 1), (1, 0), (3, 1), (1, 1)))),
+        "source-sink-2": source_sink_interval(2),
+        "torus-2": flat_torus_grid(GridSpec(k=2)),
+        "torus-4": flat_torus_grid(GridSpec(k=4)),
+        "torus-2-custom": flat_torus_grid(GridSpec(k=2, steps=((1, 0), (0, 2), (2, 1)))),
+        "torus-4-custom": flat_torus_grid(GridSpec(k=4, steps=((0, 1), (1, 0), (3, 1), (1, 2), (4, 4)))),
+        "open-book-3-2": open_book(3, 2),
+        "sncf": sncf_plane([(1, 0), (2, 0), (0, 1), (-1, -1)]),
+        "hollow-square-2": hollow_square(2),
+        "reverse-square-2": reverse(directed_square_grid(GridSpec(k=2))),
+        "reverse-random": reverse(r4),
+        "union": disjoint_union(directed_interval(2), source_sink_interval(1)),
+        "product": product(directed_interval(2), source_sink_interval(1)),
+        "product-random": product(r3, r4),
+        "quotient-square": quotient(directed_square_grid(GridSpec(k=2)), [[0, 6], [1, 7], [2, 8], [3], [4], [5]]),
+        "quotient-parallel": quotient(line, [[0, 1], [2, 3]]),
+        "quotient-random": quotient(product(r3, directed_interval(1)), [[0, 1], [2, 3], [4], [5]]),
+    }
+
+
+FROZEN_SPACE_SHA256 = {
+    "interval-3": "a3f83442290cf5042d60cfd332326d801567eccc9e50a6eca4abeda2cf8b5b82",
+    "square-3": "506e47832345129cb75e700820cda3c2ce8670b8103364aa632e2145be2ad32a",
+    "square-2-custom": "f08e1f328d4182c5fc0d07488c19b7d5d9ccf0f9162888165163a46717728156",
+    "source-sink-2": "f9411f63b899f79f2f3157e6bba91a10f7ffff866f50b60e67d28e582efc06e5",
+    "torus-2": "394501527a89a340f3b928363b3f6d744baa16cb92d7be4745e74da5eda19cc1",
+    "torus-4": "6bc649237c1f47855b542d54974564842b1a7c9b8e4be469c3f15424e47ba33f",
+    "torus-2-custom": "20b5a2cb01a23c91b04352cb34d7eb3d4a444f70ff389f3f6f953ca8cf1e9134",
+    "torus-4-custom": "a5b5036980d308658c036a504ab8f4de082927b4a56496ed17345430634070b9",
+    "open-book-3-2": "f49816830f6863ed39af4e4093a9067924b7d624d5e019bd40f2b413ae69d27a",
+    "sncf": "4c54b45e9636b1d81dc0fb872288193f4c1bf86dac98f354c8ea6fb1d1920408",
+    "hollow-square-2": "4349ce3c150162d52a6805bfc96c666354901d0863eab870e6fe72ff62c87433",
+    "reverse-square-2": "5d5a317e5816969bdce0e9455d71d93c29c7eefc9eb498832b23172f80977aea",
+    "reverse-random": "38d9af01746fa95af08d0152b00238ef3a8dff89e80314334bb2469d809f5f3b",
+    "union": "428eaf54e5bb2da0133b3fd4bbe653c633830df93b602cc01be23f2cc8167197",
+    "product": "807dd31d1c62cb211c63dd8988dd0af9111a9361bb037e10c4f0213c72d2b2ca",
+    "product-random": "ec90f6c549f83e787fd83caa808b49bebf5a2b6fbf553333226a18e0bff460be",
+    "quotient-square": "12db0a1c96792c5df12b38dcfcc3ee57f63a9985bf3c8cbb96582051eada1d3d",
+    "quotient-parallel": "8cb3027c3845fe10ee50141b2d86a2e50a403896b187106504d03c9f4a469c9a",
+    "quotient-random": "867c68aab1304d504cfa1b52e1f63992093f27dd3025d23f44c114abb5df1207",
+}
+
+
+def test_space_files_are_frozen():
+    got = {
+        name: hashlib.sha256(dump_report(space_to_doc(s)).encode()).hexdigest()
+        for name, s in _frozen_cases().items()
+    }
+    assert got == FROZEN_SPACE_SHA256
