@@ -679,11 +679,14 @@ def _min_correspondence_report(kind: str, dX: np.ndarray, dY: np.ndarray, budget
         cert = Correspondence(nX, nY, tuple(pairs)) if pairs is not None else None
         return DistanceReport(kind, 0.5 * val, True, 0.5 * val, cert, "branch-and-bound")
     val, f, g = _local_search_map_pair(dX, dY, budget)
-    pairs = tuple(sorted({(x, f[x]) for x in range(nX)} | {(g[y], y) for y in range(nY)}))
-    val = distortion_relation(pairs, dX, dY)  # the induced correspondence can only be better
+    cert = None  # no map pair of finite objective: the value is inf
+    if f is not None:
+        pairs = tuple(sorted({(x, f[x]) for x in range(nX)} | {(g[y], y) for y in range(nY)}))
+        val = distortion_relation(pairs, dX, dY)  # the induced correspondence can only be better
+        cert = Correspondence(nX, nY, pairs)
     value = 0.5 * val
     exact = value <= lower + 1e-12
-    return DistanceReport(kind, value, exact, value if exact else lower, Correspondence(nX, nY, pairs), "local-search")
+    return DistanceReport(kind, value, exact, value if exact else lower, cert, "local-search")
 
 
 def distortion_distance(

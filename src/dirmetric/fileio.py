@@ -11,8 +11,15 @@ unreachable pair.  CSV matrix files carry a label header row and use the
 same "inf" literal; reachability files hold 0/1 cells.
 
 Report JSON is canonical: keys sorted, two-space indent, non-finite
-floats replaced by the strings "inf" / "-inf", numpy scalars unwrapped.
-Identical inputs therefore produce byte-identical reports.
+floats replaced by the strings "inf" / "-inf" / "nan", numpy scalars
+unwrapped.  Identical inputs therefore produce byte-identical reports.
+
+Byte contract: ``dump_report(obj)`` equals
+``json.dumps(jsonable(obj), sort_keys=True, indent=2) + "\n"``, and space
+files are ``dump_report(space_to_doc(space))``.  CSV float cells are
+``repr(float)`` (so "inf" and "-inf"), integer and 0/1 cells ``str(int)``.
+The writers and the base-matrix reader work a list or an array at a time;
+the slower per-entry paths run only for input they cannot take whole.
 """
 
 from __future__ import annotations
@@ -21,7 +28,9 @@ import csv
 import io
 import json
 import math
+from collections import Counter
 from dataclasses import asdict, is_dataclass
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -87,21 +96,35 @@ def doc_to_space(doc: dict) -> FiniteDSpace:
     else:
         if not isinstance(base_doc, list):
             raise SpaceFormatError("\"base\" must be a list of rows")
-        n = len(base_doc)
-        base = np.empty((n, n))
-        for i, row in enumerate(base_doc):
-            if not (isinstance(row, list) and len(row) == n):
-                raise SpaceFormatError(f"base row {i}: expected {n} entries")
-            for j, v in enumerate(row):
-                base[i, j] = _num_in(v, f"base[{i}][{j}]")
+        base = _base_in(base_doc)
     try:
         return FiniteDSpace(base=base, edges=tuple(edges), labels=labels)
     except ValueError as exc:
         raise SpaceFormatError(str(exc)) from exc
 
 
+def _base_in(base_doc: list) -> np.ndarray:
+    n = len(base_doc)
+    if all(isinstance(row, list) and len(row) == n for row in base_doc):
+        # one numpy conversion when every cell is a plain number or "inf"
+        # (numpy parses the string "inf"); bool is its own type here
+        kinds = Counter(map(type, chain.from_iterable(base_doc)))
+        if kinds.keys() <= {int, float, str} and kinds[str] == sum(row.count("inf") for row in base_doc):
+            return np.array(base_doc, dtype=float).reshape(n, n)
+    # anything else gets the cell-by-cell check and its exact message
+    base = np.empty((n, n))
+    for i, row in enumerate(base_doc):
+        if not (isinstance(row, list) and len(row) == n):
+            raise SpaceFormatError(f"base row {i}: expected {n} entries")
+        for j, v in enumerate(row):
+            base[i, j] = _num_in(v, f"base[{i}][{j}]")
+    return base
+
+
 def space_to_doc(space: FiniteDSpace) -> dict:
-    base = [["inf" if math.isinf(v) else float(v) for v in row] for row in space.base]
+    base = space.base.tolist()
+    if np.isinf(space.base).any():
+        base = [["inf" if math.isinf(v) else v for v in row] for row in base]
     return {
         "labels": list(space.labels),
         "base": base,
@@ -134,14 +157,10 @@ def matrix_to_csv(matrix: np.ndarray, labels) -> str:
     """Matrix as CSV text: label header row, "inf" for unreachable pairs."""
     matrix = np.asarray(matrix)
     out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(labels)
-    integral = matrix.dtype.kind in "biu"
-    for row in matrix:
-        if integral:
-            w.writerow([int(v) for v in row])
-        else:
-            w.writerow(["inf" if math.isinf(v) else repr(float(v)) for v in row])
+    csv.writer(out, lineterminator="\n").writerow(labels)  # labels may hold commas
+    # int.__repr__ writes bools as 0/1; repr(inf) == "inf"
+    cell = int.__repr__ if matrix.dtype.kind in "biu" else repr
+    out.writelines(",".join(map(cell, row)) + "\n" for row in matrix.tolist())
     return out.getvalue()
 
 
@@ -180,6 +199,8 @@ def jsonable(obj: Any) -> Any:
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind in "biu" or (obj.dtype.kind == "f" and np.isfinite(obj).all()):
+            return obj.tolist()
         return [jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
@@ -197,5 +218,42 @@ def jsonable(obj: Any) -> Any:
     raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
 
 
+_PLAIN = {str, int, float, bool, type(None)}
+
+
+def _encode(obj: Any, pad: str) -> str:
+    """``json.dumps(jsonable(obj), sort_keys=True, indent=2)`` at depth ``pad``.
+
+    The indenting encoder is pure Python, so each list of scalars goes to
+    the C encoder in one call, with the indent folded into its item
+    separator.  allow_nan=False makes a non-finite float raise, and such
+    lists, like those holding numpy scalars, pass through jsonable first.
+    """
+    if is_dataclass(obj) and not isinstance(obj, type):
+        obj = asdict(obj)
+    if isinstance(obj, np.ndarray):
+        obj = jsonable(obj)
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = sorted({str(k): v for k, v in obj.items()}.items())
+        body = sep.join(f"{json.dumps(k)}: {_encode(v, inner)}" for k, v in items)
+        return "{\n" + inner + body + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if all(t in _PLAIN or issubclass(t, np.generic) for t in set(map(type, obj))):
+            try:
+                body = json.dumps(obj, separators=(sep, ": "), allow_nan=False)[1:-1]
+            except (TypeError, ValueError):
+                body = json.dumps(jsonable(obj), separators=(sep, ": "))[1:-1]
+        else:
+            body = sep.join(_encode(v, inner) for v in obj)
+        return "[\n" + inner + body + "\n" + pad + "]"
+    return json.dumps(jsonable(obj))
+
+
 def dump_report(obj: Any) -> str:
-    return json.dumps(jsonable(obj), sort_keys=True, indent=2) + "\n"
+    return _encode(obj, "") + "\n"

@@ -1,13 +1,22 @@
 """Slow reference implementations the tests compare the library against.
 
 Everything here is written in the most obvious way possible (label
-relaxation over explicit neighbour lists, recursive reachability) and
-shares no code with the shortest-path or search machinery under test.
+relaxation over explicit neighbour lists, recursive reachability, file
+formats one value at a time) and shares no code with the shortest-path,
+search or serialization machinery under test.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
+import math
+from dataclasses import asdict, is_dataclass
+
 import numpy as np
+
+from dirmetric import SpaceFormatError
 
 INF = float("inf")
 
@@ -131,3 +140,71 @@ def slow_is_dcorrespondence(pairs, reach_source, reach_target) -> bool:
             if reach_source[x, x2] != reach_target[y, y2]:
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# file formats, one value at a time
+
+
+def slow_jsonable(obj):
+    """Plain JSON values by recursion on every entry; non-finite floats
+    become "inf" / "-inf" / "nan", numpy scalars and arrays are unwrapped."""
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return slow_jsonable(asdict(obj))
+    if isinstance(obj, dict):
+        return {str(k): slow_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [slow_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [slow_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        v = float(obj)
+        if math.isnan(v):
+            return "nan"
+        if math.isinf(v):
+            return "inf" if v > 0 else "-inf"
+        return v
+    if obj is None or isinstance(obj, str):
+        return obj
+    raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
+
+
+def slow_dump_report(obj) -> str:
+    """The report bytes: the standard library's indenting encoder."""
+    return json.dumps(slow_jsonable(obj), sort_keys=True, indent=2) + "\n"
+
+
+def slow_base_cells(base_doc) -> np.ndarray:
+    """A space file's "base" rows read cell by cell, with the cell's message."""
+    n = len(base_doc)
+    base = np.empty((n, n))
+    for i, row in enumerate(base_doc):
+        if not (isinstance(row, list) and len(row) == n):
+            raise SpaceFormatError(f"base row {i}: expected {n} entries")
+        for j, v in enumerate(row):
+            if v == "inf":
+                base[i, j] = INF
+            elif isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise SpaceFormatError(f"base[{i}][{j}]: expected a number or \"inf\", got {v!r}")
+            else:
+                base[i, j] = float(v)
+    return base
+
+
+def slow_matrix_to_csv(matrix, labels) -> str:
+    """CSV through csv.writer cell by cell; writes -inf as "inf"."""
+    matrix = np.asarray(matrix)
+    out = io.StringIO()
+    w = csv.writer(out, lineterminator="\n")
+    w.writerow(labels)
+    integral = matrix.dtype.kind in "biu"
+    for row in matrix:
+        if integral:
+            w.writerow([int(v) for v in row])
+        else:
+            w.writerow(["inf" if math.isinf(v) else repr(float(v)) for v in row])
+    return out.getvalue()

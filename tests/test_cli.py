@@ -6,6 +6,7 @@ to the reported value, error paths exit 1, failed suites would exit 2,
 and repeated seeded runs are byte-identical.
 """
 
+import hashlib
 import json
 import math
 
@@ -168,6 +169,19 @@ def test_dist_gh_certificate_reevaluates_from_file(capsys, tmp_path):
     assert 0.5 * distortion_relation(pairs, X.zz, Y.zz) == pytest.approx(rep["value"], abs=1e-9)
 
 
+@pytest.mark.parametrize("kind", ["gh", "dis", "cdis"])
+def test_dist_without_a_finite_map_pair_reports_inf(capsys, tmp_path, kind):
+    iv = tmp_path / "i4.json"
+    run(capsys, "gen", "interval", "--k", "4", "--out", str(iv))
+    halves = tmp_path / "halves.json"
+    halves.write_text(json.dumps({"labels": ["a", "b", "c", "d"], "edges": [[0, 1, 1.0], [2, 3, 1.0]]}))
+    code, out, err = run(capsys, "dist", kind, str(iv), str(halves))
+    assert code == 0 and "Traceback" not in err
+    rep = json.loads(out)
+    assert rep["value"] == "inf" and rep["lower"] == "inf" and rep["exact"] is True
+    assert rep["certificate"] is None
+
+
 def test_dist_hausdorff_subsets_by_label_and_index(capsys, tmp_path):
     fx, _ = write_two_arm(tmp_path, k=2)
     subs = tmp_path / "subs.json"
@@ -233,6 +247,42 @@ def test_ball_unknown_center_exits_one(capsys, tmp_path):
     fx, _ = write_two_arm(tmp_path)
     code, _, err = run(capsys, "ball", fx, "--center", "nowhere", "--radius", "1")
     assert code == 1 and "nowhere" in err
+
+
+# ---------------------------------------------------------------------------
+# frozen output bytes
+
+
+FROZEN_OUTPUT_SHA256 = {
+    "torus.json": "6bc649237c1f47855b542d54974564842b1a7c9b8e4be469c3f15424e47ba33f",
+    "zz.csv": "170d72d4afd8e859ceeecde398de2bdb4b800bd120b5bfb3b310398ccf684a3c",
+    "zz.reach.csv": "0cbdb97e0939a9de953bd12996ececd9c14deee0ca2aab9cdb9486f5802771bd",
+    "open-book zigzag stdout": "699152bddeac8a6f6ddfb96d05b1bb99d0512e34d0f44d02ccaa55a1927cf3ea",
+    "ball.csv": "283d632c1c6b03283b51e9ed321540c1db6efb1924296a3df383b9c877399090",
+    "ball.svg": "cea46ada62a6caed3de49d0e8147a05b691585081a5df0e9997ca514fa55dbdb",
+    "gh stdout": "64cda75d76ee98825a594cb875a24f2d17437f2a60cd3f85695212b461770401",
+}
+
+
+def test_cli_output_bytes_are_frozen(capsys, tmp_path):
+    def path(name):
+        return str(tmp_path / name)
+
+    run(capsys, "gen", "torus", "--k", "4", "--out", path("torus.json"))
+    run(capsys, "zigzag", path("torus.json"), "--out", path("zz.csv"))
+    run(capsys, "ball", path("torus.json"), "--center", "(0.5,0.5)", "--radius", "0.25", "--out", path("ball.csv"))
+    run(capsys, "gen", "open-book", "--n", "3", "--m", "3", "--out", path("book.json"))
+    stdout = {"open-book zigzag stdout": run(capsys, "zigzag", path("book.json"))[1]}
+    run(capsys, "gen", "interval", "--k", "4", "--out", path("i4.json"))
+    run(capsys, "gen", "source-sink", "--k", "2", "--out", path("ss2.json"))
+    stdout["gh stdout"] = run(capsys, "dist", "gh", path("i4.json"), path("ss2.json"))[1]
+    got = {
+        name: hashlib.sha256(
+            stdout[name].encode() if name in stdout else (tmp_path / name).read_bytes()
+        ).hexdigest()
+        for name in FROZEN_OUTPUT_SHA256
+    }
+    assert got == FROZEN_OUTPUT_SHA256
 
 
 # ---------------------------------------------------------------------------

@@ -347,6 +347,19 @@ def test_frozen_pair_where_base_comparison_exceeds_zigzag():
     assert rep.gh_base.value == pytest.approx(0.25)
 
 
+def test_local_search_without_a_finite_map_pair_reports_inf():
+    # a connected space against one with two components: every map pair
+    # has infinite objective, above the exhaustive caps as below them
+    X = DirectedMetricSpace.from_space(directed_interval(4))
+    Y = dspace([[0.0, 1.0, INFINITY, INFINITY], [1.0, 0.0, INFINITY, INFINITY],
+                [INFINITY, INFINITY, 0.0, 1.0], [INFINITY, INFINITY, 1.0, 0.0]],
+               ((0, 1, 1.0), (2, 3, 1.0)))
+    rep = verify_chain(X, Y)
+    for r in (rep.gh, rep.gh_base):
+        assert r.method == "local-search"
+        assert (r.value, r.lower, r.exact, r.certificate) == (INFINITY, INFINITY, True, None)
+
+
 # ---------------------------------------------------------------------------
 # determinism and budget handling
 

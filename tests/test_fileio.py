@@ -3,14 +3,20 @@
 Claims covered: JSON round trips with and without an explicit base,
 "inf" handling in both formats, labels containing commas surviving CSV,
 defaulted base being the edge shortest-path metric, format errors with
-useful messages, and byte-stable report serialization.
+useful messages, byte-stable report serialization, and the whole-array
+readers and writers matching the cell-by-cell references in oracles.py.
 """
 
 import json
 import math
+from dataclasses import dataclass
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import slow_base_cells, slow_dump_report, slow_jsonable, slow_matrix_to_csv
 
 from dirmetric import (
     INFINITY,
@@ -23,7 +29,7 @@ from dirmetric import (
     matrix_to_csv,
     save_space,
 )
-from dirmetric.fileio import doc_to_space, jsonable, space_to_doc
+from dirmetric.fileio import _base_in, doc_to_space, jsonable, space_to_doc
 
 TWO = FiniteDSpace(base=[[0.0, 1.0], [1.0, 0.0]], edges=((0, 1, 1.5),))
 
@@ -98,6 +104,37 @@ def test_validation_errors_become_format_errors():
         doc_to_space({"base": [[0.0, 1.0], [1.0, 0.0]], "edges": [[0, 1, 0.2]]})
 
 
+BASE_CELLS = st.one_of(
+    st.integers(-(10**20), 10**20),
+    st.floats(),
+    st.just("inf"),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda n: st.lists(st.lists(BASE_CELLS, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_base_parse_matches_cell_loop(base_doc):
+    assert _base_in(base_doc).tobytes() == slow_base_cells(base_doc).tobytes()
+
+
+@pytest.mark.parametrize("base_doc", [
+    [[0.0, True], [1.0, 0.0]],
+    [[0.0, 1.0], [None, 0.0]],
+    [[0.0, [1.0]], [1.0, 0.0]],
+    [[0.0, "Infinity"], [1.0, 0.0]],
+    [[0.0, 1.0], [1.0]],
+    [[0.0, 1.0], "ab"],
+    [[0.0, "x"], [1.0]],
+    [[0], [0]],
+])
+def test_malformed_base_messages_match_cell_loop(base_doc):
+    with pytest.raises(SpaceFormatError) as ref:
+        slow_base_cells(base_doc)
+    with pytest.raises(SpaceFormatError) as got:
+        doc_to_space({"base": base_doc, "edges": []})
+    assert str(got.value) == str(ref.value)
+
+
 def test_space_doc_uses_inf_strings():
     doc = space_to_doc(disjoint_union(TWO, TWO))
     assert doc["base"][0][2] == "inf"
@@ -121,6 +158,27 @@ def test_matrix_csv_round_trip_with_inf_and_commas():
 def test_integer_matrix_written_as_ints():
     text = matrix_to_csv(np.eye(2, dtype=int), ("a", "b"))
     assert text.splitlines()[1] == "1,0"
+
+
+def test_matrix_csv_keeps_the_sign_of_negative_infinity():
+    m = np.array([[0.0, -INFINITY], [INFINITY, -0.0]])
+    text = matrix_to_csv(m, ("a", "b"))
+    assert text.splitlines()[1:] == ["0.0,-inf", "inf,-0.0"]
+    assert np.array_equal(csv_to_matrix(text)[1], m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=5),
+               elements=st.floats(allow_nan=False).filter(lambda v: v != -INFINITY)),
+    hnp.arrays(np.float32, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=5),
+               elements=st.floats(width=32, allow_nan=False).filter(lambda v: v != -INFINITY)),
+    hnp.arrays(np.int64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=5)),
+    hnp.arrays(np.bool_, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=5)),
+))
+def test_matrix_csv_matches_cell_writer(m):
+    labels = tuple(f"({i},0)" for i in range(m.shape[1]))
+    assert matrix_to_csv(m, labels) == slow_matrix_to_csv(m, labels)
 
 
 def test_csv_errors():
@@ -159,3 +217,48 @@ def test_dump_report_is_canonical():
     assert a.endswith("\n")
     parsed = json.loads(a)
     assert parsed["a"] == ["inf", 2.0]
+
+
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**30), 10**30),
+    st.floats(),
+    st.sampled_from([0.0, -0.0, INFINITY, -INFINITY, math.nan]),
+    st.text(),
+    st.sampled_from(['quote " and \\ backslash', "tab\tnew\nline", "\u00e9t\u00e9 \u2192 \U0001f600", "\x00"]),
+    st.floats(allow_nan=True).map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+)
+ARRAYS = st.one_of(
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4)),
+    hnp.arrays(np.float32, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4)),
+    hnp.arrays(np.int64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4)),
+    hnp.arrays(np.bool_, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4)),
+)
+
+
+@dataclass
+class Box:
+    item: object
+
+
+DOCS = st.recursive(
+    st.one_of(SCALARS, ARRAYS),
+    lambda inner: st.one_of(
+        st.builds(Box, inner),
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(st.one_of(st.text(max_size=5), st.integers(-3, 3)), inner, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(DOCS)
+def test_dump_report_matches_indenting_encoder(doc):
+    assert dump_report(doc) == slow_dump_report(doc)
+    assert json.dumps(jsonable(doc), sort_keys=True) == json.dumps(slow_jsonable(doc), sort_keys=True)
