@@ -84,17 +84,20 @@ def _add_budget_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget-exhaustive-gh", type=int, default=16, metavar="N",
                    help="exhaustive correspondence search up to |X|*|Y| = N (default 16)")
     p.add_argument("--budget-exhaustive-cdis", type=int, default=12, metavar="N",
-                   help="exhaustive d-correspondence search up to |X|*|Y| = N (default 12)")
+                   help="no node cap on the cdis search up to |X|*|Y| = N (default 12)")
     p.add_argument("--restarts", type=int, default=32,
-                   help="local search restarts above the exhaustive caps (default 32)")
-    p.add_argument("--seed", type=int, default=0, help="seed for all randomized search (default 0)")
+                   help="gh and dis local search restarts above the exhaustive caps (default 32)")
+    p.add_argument("--seed", type=int, default=0, help="seed for all randomized search; cdis has none (default 0)")
 
 
 def _parse_steps(text: str):
     try:
-        return tuple(tuple(int(v) for v in part.split(",")) for part in text.split(";") if part)
+        steps = tuple(tuple(int(v) for v in part.split(",")) for part in text.split(";") if part)
     except ValueError:
         raise ValueError(f"bad --steps value {text!r}; expected e.g. '1,0;0,1;1,1'") from None
+    if any(len(s) != 2 for s in steps):
+        raise ValueError("each --steps entry needs exactly two integers")
+    return steps
 
 
 def _parse_points(text: str):

@@ -20,16 +20,21 @@ A direction-respecting vertex map (d-map) sends every edge of the source
 into the reachability relation of the target.  Constant maps always
 qualify, so the map-pair distance is always finite on nonempty spaces.
 
-Search strategy: small problems are solved exactly by branch and bound
-over pairs (gh, d-correspondence) or by enumerating map pairs; larger
-ones fall back to seeded local search and report exact=False unless the
-best value meets a proven lower bound.  The local search for gh and the
-map-pair distance moves one point of one map at a time and scores all
-candidate images of that point together in O(n*m); move order and
-tie-breaking are fixed for a given seed.  Infeasibility of the
-d-correspondence search is certified either by constraint propagation
-(a point whose reachability pattern admits no partner) or by exhausted
-branch and bound.
+Search strategy: small problems are solved exactly, gh by branch and
+bound over pairs and the map-pair distance by enumerating map pairs;
+larger ones fall back to seeded local search and report exact=False
+unless the best value meets a proven lower bound.  The local search moves
+one point of one map at a time and scores all candidate images of that
+point together in O(n*m); move order and tie-breaking are fixed for a
+given seed.  The d-correspondence distance runs one search at every
+size.  Constraint propagation first drops pairs that fit in no
+d-correspondence, which proves infeasibility when a point is left
+without partner.  A branch and bound on the threshold then bisects the
+sorted distinct costs between the surviving pairs: each threshold t is
+decided by depth-first search for a covering set of pairwise compatible
+pairs of pairwise cost at most t, branching on the uncovered row or
+column with the fewest live pairs and forward-checking each choice.  An
+infeasible t proves a lower bound; a feasible one gives a certificate.
 """
 
 from __future__ import annotations
@@ -49,8 +54,8 @@ class SearchBudget:
     """Caps deciding when searches are exhaustive, and search effort.
 
     exhaustive_gh    : run exact correspondence search when |X|*|Y| is at most this
-    exhaustive_cdis  : likewise for d-correspondences
-    restarts         : local-search restarts in the non-exhaustive regime
+    exhaustive_cdis  : no node cap on the d-correspondence search up to this |X|*|Y|
+    restarts         : local-search restarts (gh, dis) in the non-exhaustive regime
     seed             : seeds every stochastic choice; fixed seed, fixed output
     """
 
@@ -64,6 +69,8 @@ DEFAULT_BUDGET = SearchBudget()
 
 #: Exact map-pair search runs when |Y|^|X| * |X|^|Y| is at most this.
 MAP_PAIR_LIMIT = 10_000_000
+#: Search nodes of the d-correspondence threshold search above budget.exhaustive_cdis.
+CDIS_NODE_LIMIT = 20_000
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +269,7 @@ def _value_gap_lower(dX: np.ndarray, dY: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# correspondence search (exact branch and bound + local-search fallback)
+# correspondence searches: exact branch and bound for gh, threshold search for cdis
 
 
 def _pair_cost_matrix(dX: np.ndarray, dY: np.ndarray) -> np.ndarray:
@@ -271,32 +278,15 @@ def _pair_cost_matrix(dX: np.ndarray, dY: np.ndarray) -> np.ndarray:
     return C.reshape(nX * nY, nX * nY)
 
 
-def _bnb_correspondence(
-    dX: np.ndarray,
-    dY: np.ndarray,
-    compat: Optional[np.ndarray],
-    seeds: list[list[tuple[int, int]]],
-):
-    """Exact minimum-distortion correspondence via branch and bound.
-
-    With compat given, only pairwise-compatible pair sets are admitted
-    (the d-correspondence search); returns (inf, None) if none covers
-    both sides.  Seeds are known correspondences used as incumbents.
-    """
+def _bnb_correspondence(dX: np.ndarray, dY: np.ndarray):
+    """Exact minimum-distortion correspondence via branch and bound."""
     nX, nY = dX.shape[0], dY.shape[0]
-    mn = nX * nY
+    m = nX * nY
     C = _pair_cost_matrix(dX, dY)
-    allowed = np.ones(mn, dtype=bool)
-    if compat is not None:
-        allowed = _arc_consistent_candidates(compat, nX, nY)
-        if not _all_covered(allowed, nX, nY):
-            return INFINITY, None
-    order = np.flatnonzero(allowed)
-    m = order.size
 
-    # how many allowed pairs of each row/column sit at or after position i
-    row_of = order // nY
-    col_of = order % nY
+    # how many pairs of each row/column sit at or after position i
+    row_of = np.arange(m) // nY
+    col_of = np.arange(m) % nY
     row_suffix = np.zeros((m + 1, nX), dtype=int)
     col_suffix = np.zeros((m + 1, nY), dtype=int)
     for i in range(m - 1, -1, -1):
@@ -305,14 +295,13 @@ def _bnb_correspondence(
         row_suffix[i, row_of[i]] += 1
         col_suffix[i, col_of[i]] += 1
 
+    # incumbents: the identity when nX == nY, and every x to 0 with 0 to every y
+    incumbents = [[x * nY for x in range(nX)] + list(range(1, nY))]
+    if nX == nY:
+        incumbents.insert(0, [x * nY + x for x in range(nX)])
     best_val = INFINITY
     best: Optional[list[int]] = None
-    for seed in seeds:
-        ps = [x * nY + y for (x, y) in seed]
-        if not ps or not allowed[ps].all():
-            continue
-        if compat is not None and not all(compat[p, q] for p in ps for q in ps):
-            continue
+    for ps in incumbents:
         val = float(np.max(C[np.ix_(ps, ps)]))
         if val < best_val:
             best_val, best = val, ps
@@ -335,32 +324,24 @@ def _bnb_correspondence(
             return
         if not covered_ok(i, rows_have == 0, cols_have == 0):
             return
-        p = order[i]
-        # include p
-        ok = compat is None or all(compat[p, q] for q in chosen)
-        if ok:
-            add = float(np.max(C[p, chosen])) if chosen else 0.0
-            new_partial = max(partial, add)
-            if new_partial < best_val:
-                chosen.append(p)
-                rows_have[row_of[i]] += 1
-                cols_have[col_of[i]] += 1
-                rec(i + 1, new_partial)
-                chosen.pop()
-                rows_have[row_of[i]] -= 1
-                cols_have[col_of[i]] -= 1
-        # exclude p
+        # include pair i
+        add = float(np.max(C[i, chosen])) if chosen else 0.0
+        new_partial = max(partial, add)
+        if new_partial < best_val:
+            chosen.append(i)
+            rows_have[row_of[i]] += 1
+            cols_have[col_of[i]] += 1
+            rec(i + 1, new_partial)
+            chosen.pop()
+            rows_have[row_of[i]] -= 1
+            cols_have[col_of[i]] -= 1
+        # exclude pair i
         rec(i + 1, partial)
 
     rec(0, 0.0)
     if best is None:
         return INFINITY, None
     return best_val, sorted((int(p // nY), int(p % nY)) for p in best)
-
-
-def _all_covered(cand: np.ndarray, nX: int, nY: int) -> bool:
-    grid = cand.reshape(nX, nY)
-    return bool(grid.any(axis=1).all() and grid.any(axis=0).all())
 
 
 def _arc_consistent_candidates(compat: np.ndarray, nX: int, nY: int) -> np.ndarray:
@@ -389,16 +370,6 @@ def _reach_compat_matrix(reachX: np.ndarray, reachY: np.ndarray) -> np.ndarray:
     fwd = reachX[:, None, :, None] == reachY[None, :, None, :]
     bwd = reachX.T[:, None, :, None] == reachY.T[None, :, None, :]
     return (fwd & bwd).reshape(nX * nY, nX * nY)
-
-
-def _default_seeds(nX: int, nY: int) -> list[list[tuple[int, int]]]:
-    seeds: list[list[tuple[int, int]]] = []
-    if nX == nY and nX > 0:
-        seeds.append([(i, i) for i in range(nX)])
-    if nX and nY:
-        # product-with-a-point correspondences
-        seeds.append([(x, 0) for x in range(nX)] + [(0, y) for y in range(1, nY)])
-    return seeds
 
 
 def _greedy_map(dX: np.ndarray, dY: np.ndarray, rng: Optional[np.random.Generator]) -> np.ndarray:
@@ -675,7 +646,7 @@ def _min_correspondence_report(kind: str, dX: np.ndarray, dY: np.ndarray, budget
         return DistanceReport(kind, INFINITY, True, INFINITY, None, "empty")
     lower = 0.5 * _value_gap_lower(dX, dY)
     if nX * nY <= budget.exhaustive_gh:
-        val, pairs = _bnb_correspondence(dX, dY, None, _default_seeds(nX, nY))
+        val, pairs = _bnb_correspondence(dX, dY)
         cert = Correspondence(nX, nY, tuple(pairs)) if pairs is not None else None
         return DistanceReport(kind, 0.5 * val, True, 0.5 * val, cert, "branch-and-bound")
     val, f, g = _local_search_map_pair(dX, dY, budget)
@@ -786,9 +757,11 @@ def dcorrespondence_distance(
     """Half the least distortion of a reachability-compatible correspondence.
 
     INFINITY with exact=True when constraint propagation or exhausted
-    search proves that no d-correspondence exists.  Exhaustive search
-    when |X|*|Y| <= budget.exhaustive_cdis; beyond that, greedy
-    completion gives an upper bound (exact=False) when it succeeds.
+    search proves that no d-correspondence of finite distortion exists.
+    The threshold search has no node cap when |X|*|Y| <=
+    budget.exhaustive_cdis; above it, CDIS_NODE_LIMIT nodes, after which
+    the best certificate and the proven lower bound are reported, exact
+    only if the two meet.
     """
     nX, nY = X.n, Y.n
     if nX == 0 or nY == 0:
@@ -798,55 +771,72 @@ def dcorrespondence_distance(
     dX, dY = X.zz, Y.zz
     compat = _reach_compat_matrix(X.reach, Y.reach)
     cand = _arc_consistent_candidates(compat, nX, nY)
-    lower = 0.5 * _value_gap_lower(dX, dY)
-    if not _all_covered(cand, nX, nY):
+    grid = cand.reshape(nX, nY)
+    if not (grid.any(axis=1).all() and grid.any(axis=0).all()):
         return DistanceReport("cdis", INFINITY, True, INFINITY, None, "propagation")
-    if nX * nY <= budget.exhaustive_cdis:
-        val, pairs = _bnb_correspondence(dX, dY, compat, [])
-        if pairs is None:
-            return DistanceReport("cdis", INFINITY, True, INFINITY, None, "branch-and-bound")
-        return DistanceReport("cdis", 0.5 * val, True, 0.5 * val, Correspondence(nX, nY, tuple(pairs)), "branch-and-bound")
-    pairs = _greedy_dcorrespondence(dX, dY, compat, cand, budget)
-    if pairs is None:
-        return DistanceReport("cdis", INFINITY, False, lower, None, "greedy")
-    val = distortion_relation(pairs, dX, dY)
-    value = 0.5 * val
-    exact = value <= lower + 1e-12
-    return DistanceReport("cdis", value, exact, value if exact else lower, Correspondence(nX, nY, tuple(pairs)), "greedy")
+    limit = INFINITY if nX * nY <= budget.exhaustive_cdis else CDIS_NODE_LIMIT
+    lower, val, pairs = _threshold_dcorrespondence(dX, dY, compat, cand, _value_gap_lower(dX, dY), limit)
+    cert = Correspondence(nX, nY, tuple(pairs)) if pairs is not None else None
+    return DistanceReport("cdis", 0.5 * val, lower == val, 0.5 * lower, cert, "branch-and-bound")
 
 
-def _greedy_dcorrespondence(dX, dY, compat, cand, budget: SearchBudget):
-    """Greedy covering by compatible pairs, a few seeded randomized tries."""
-    nX, nY = dX.shape[0], dY.shape[0]
-    C = None
-    order0 = np.flatnonzero(cand)
-    rng = np.random.default_rng(budget.seed)
-    for attempt in range(max(4, min(budget.restarts, 16))):
-        chosen: list[int] = []
-        rows = np.zeros(nX, dtype=bool)
-        cols = np.zeros(nY, dtype=bool)
-        ok = True
-        while not (rows.all() and cols.all()):
-            usable = [
-                p
-                for p in order0
-                if (not rows[p // nY] or not cols[p % nY]) and all(compat[p, q] for q in chosen)
-            ]
-            if not usable:
-                ok = False
-                break
-            if C is None:
-                C = _pair_cost_matrix(dX, dY)
-            scores = [max((float(np.max(C[p, chosen])) if chosen else 0.0), 0.0) for p in usable]
-            best = float(np.min(scores))
-            ties = [p for p, s in zip(usable, scores) if s <= best + 1e-15]
-            p = int(ties[0] if attempt == 0 else ties[int(rng.integers(len(ties)))])
+def _threshold_dcorrespondence(dX, dY, compat, cand, floor: float, node_limit: float):
+    """Least-distortion d-correspondence by bisection on the threshold.
+
+    Only pairs in cand are used; floor is a proven lower bound.  Returns
+    (lower, value, pairs) in distortion units; value is inf and pairs None
+    when no certificate of finite distortion was found, and lower == value
+    unless more than node_limit search nodes (inf: no cap) were needed.
+    """
+    nY = dY.shape[0]
+    P = np.flatnonzero(cand)
+    xs, ys = P // nY, P % nY
+    C = ext_abs_diff(dX[np.ix_(xs, xs)], dY[np.ix_(ys, ys)])
+    compat = compat[np.ix_(P, P)]
+    T = np.append(np.unique(C[np.isfinite(C)]), INFINITY)  # a distortion is one of these
+    nodes_left = node_limit
+    chosen: list[int] = []
+
+    def cover(A, live, rows, cols) -> bool:
+        # live: pairs allowed by A next to every chosen pair; changed in place
+        nonlocal nodes_left
+        if rows.all() and cols.all():
+            return True
+        nodes_left -= 1
+        if nodes_left < 0:
+            return False
+        row_live = np.where(rows, P.size + 1, np.bincount(xs[live], minlength=rows.size))
+        col_live = np.where(cols, P.size + 1, np.bincount(ys[live], minlength=cols.size))
+        if row_live.min() <= col_live.min():
+            line = live & (xs == row_live.argmin())
+        else:
+            line = live & (ys == col_live.argmin())
+        for p in np.flatnonzero(line).tolist():
             chosen.append(p)
-            rows[p // nY] = True
-            cols[p % nY] = True
-        if ok:
-            return sorted((int(p // nY), int(p % nY)) for p in chosen)
-    return None
+            r, c = rows.copy(), cols.copy()
+            r[xs[p]] = c[ys[p]] = True
+            if cover(A, live & A[p], r, c):
+                return True
+            chosen.pop()
+            live[p] = False  # every cover with p was just ruled out
+        return False
+
+    # T[lo] <= optimum <= T[hi]; the largest finite value goes first, for
+    # an early certificate or a proof that none of finite distortion exists
+    lo, hi, best = int(np.searchsorted(T, floor)), T.size - 1, None
+    while lo < hi:
+        mid = (lo + hi) // 2 if best is not None else hi - 1
+        A = compat & (C <= T[mid])
+        chosen.clear()
+        if cover(A, np.diagonal(A).copy(), np.zeros(dX.shape[0], dtype=bool), np.zeros(nY, dtype=bool)):
+            best = list(chosen)
+            hi = int(np.searchsorted(T, C[np.ix_(best, best)].max()))
+        elif nodes_left < 0:
+            break
+        else:
+            lo = mid + 1
+    pairs = None if best is None else sorted((int(xs[p]), int(ys[p])) for p in best)
+    return float(T[lo]), float(T[hi]), pairs
 
 
 def is_disometry(f: VertexMap, tol: float = DEFAULT_TOL) -> bool:

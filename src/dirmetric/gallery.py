@@ -144,8 +144,11 @@ def square_grid_graph(spec: GridSpec):
 def directed_square_grid(spec: GridSpec) -> FiniteDSpace:
     """Unit square sampled at (k+1)^2 points, Euclidean base, monotone edges."""
     coords, edges = square_grid_graph(spec)
-    diff = coords[:, None, :] - coords[None, :, :]
-    base = np.sqrt((diff * diff).sum(axis=2))
+    # sqrt(dx^2 + dy^2) in place: no (n, n, 2) difference array
+    x, y = coords.T
+    base = np.square(np.subtract.outer(x, x))
+    base += np.square(np.subtract.outer(y, y))
+    np.sqrt(base, out=base)
     labels = tuple(_pt_label(x, y) for x, y in coords)
     return FiniteDSpace(base=base, edges=edges, labels=labels)
 

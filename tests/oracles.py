@@ -142,6 +142,33 @@ def slow_is_dcorrespondence(pairs, reach_source, reach_target) -> bool:
     return True
 
 
+def slow_min_dcorrespondence(dX, dY, reach_source, reach_target) -> float:
+    """Least distortion over all d-correspondences, by enumerating relations.
+
+    Walks every subset of the pair grid, keeps those covering both sides
+    that pass slow_is_dcorrespondence, and scores each with a double loop
+    (|inf - inf| = 0).  inf when none exists.  |X|*|Y| <= 12 only.
+    """
+    nX, nY = len(dX), len(dY)
+    grid = [(x, y) for x in range(nX) for y in range(nY)]
+    assert len(grid) <= 12, "2^(|X||Y|) relations; keep |X|*|Y| <= 12"
+    best = INF
+    for mask in range(1, 1 << len(grid)):
+        pairs = [grid[i] for i in range(len(grid)) if mask >> i & 1]
+        if {x for x, _ in pairs} != set(range(nX)) or {y for _, y in pairs} != set(range(nY)):
+            continue
+        if not slow_is_dcorrespondence(pairs, reach_source, reach_target):
+            continue
+        worst = 0.0
+        for x, y in pairs:
+            for x2, y2 in pairs:
+                a, b = dX[x, x2], dY[y, y2]
+                if not (a == INF and b == INF):
+                    worst = max(worst, abs(a - b))
+        best = min(best, worst)
+    return best
+
+
 # ---------------------------------------------------------------------------
 # file formats, one value at a time
 

@@ -74,8 +74,9 @@ def test_gen_rejects_bad_arguments(capsys):
     assert code == 1
     code, _, err = run(capsys, "gen", "sncf")
     assert code == 1 and "--points" in err
-    code, _, _ = run(capsys, "gen", "square", "--steps", "1,0;oops")
-    assert code == 1
+    for steps in ("1,0;oops", "1,0,5", "1"):
+        code, _, err = run(capsys, "gen", "square", "--steps", steps)
+        assert code == 1 and "--steps" in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +142,20 @@ def test_dist_cdis_two_arm_reversal_is_infinite(capsys, tmp_path):
     rep = json.loads(out)
     assert rep["value"] == "inf" and rep["exact"] is True
     assert rep["method"] == "propagation"
+
+
+def test_dist_cdis_open_book_3_v_4_is_proven_infinite(capsys, tmp_path):
+    # no point pattern is ruled out by propagation; the threshold search
+    # proves that no d-correspondence of finite distortion exists
+    paths = []
+    for n in (3, 4):
+        paths.append(str(tmp_path / f"book{n}.json"))
+        run(capsys, "gen", "open-book", "--n", str(n), "--m", "3", "--out", paths[-1])
+    code, out, _ = run(capsys, "dist", "cdis", *paths)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["value"] == "inf" and rep["exact"] is True
+    assert rep["method"] == "branch-and-bound" and rep["certificate"] is None
 
 
 def test_dist_dis_two_arm_reversal_certificate_reevaluates(capsys, tmp_path):

@@ -5,17 +5,23 @@ slow oracle, the branch-and-bound correspondence search against naive
 enumeration, frozen two-point values for all three distances, the
 INFINITY certificate for the two-arm interval against its reversal by
 both proof routes, finite cdis certificates checked as
-d-correspondences, d-isometry detection, the frozen instance where
-the base-metric comparison exceeds the zigzag one, the map-pair local
-search's all-moves scores and descent against full re-scoring, and its frozen
-results on two pairs above the exhaustive caps.
+d-correspondences, the cdis threshold search against enumeration of
+d-correspondences (seeded and as a property) and, with every pair
+allowed, of correspondences, its bracket under a forced node cap, its
+exact value on a 12-point copy above the exhaustive cap, d-isometry
+detection, the frozen instance where the base-metric comparison exceeds
+the zigzag one, the map-pair local search's all-moves scores and descent
+against full re-scoring, and its frozen results on two pairs above the
+exhaustive caps.
 """
 
 import math
 
 import numpy as np
 import pytest
-from oracles import slow_descend, slow_is_dcorrespondence, slow_map_distortion
+from conftest import small_spaces
+from hypothesis import assume, given, settings
+from oracles import slow_descend, slow_is_dcorrespondence, slow_map_distortion, slow_min_dcorrespondence
 
 from dirmetric import (
     INFINITY,
@@ -44,7 +50,16 @@ from dirmetric import (
     source_sink_interval,
     verify_chain,
 )
-from dirmetric.distances import _descend, _legal_moves, _move_scores, _neighbours, _random_greedy_map
+from dirmetric import distances
+from dirmetric.distances import (
+    _descend,
+    _legal_moves,
+    _move_scores,
+    _neighbours,
+    _random_greedy_map,
+    _reach_compat_matrix,
+    _threshold_dcorrespondence,
+)
 from dirmetric.verify import naive_min_correspondence_distortion
 
 
@@ -217,32 +232,113 @@ def test_reversal_pair_distance_zero():
         assert r.exact and r.value == 0.0
 
 
+def stretched_copy(rng, s):
+    """s relabelled by a random permutation, edges stretched by up to 30%.
+
+    Same reachability up to the relabelling, so cdis is finite.  Returns
+    the analyzed copy and the relabelling as (x, its copy) pairs.
+    """
+    sigma = rng.permutation(s.n)
+    inv = np.argsort(sigma)
+    stretched = s.length * rng.uniform(1.0, 1.3, s.length.size)
+    Y = dspace(s.base[np.ix_(sigma, sigma)], tuple(zip(inv[s.src].tolist(), inv[s.dst].tolist(), stretched)))
+    return Y, [(x, int(inv[x])) for x in range(s.n)]
+
+
 def test_cdis_certificates_are_dcorrespondences():
-    # every finite cdis certificate, from branch and bound below the cap
-    # and from greedy completion above it, covers both sides and relates
-    # points with matching reachability; random covering relations agree
-    # with the pairwise loop reference
+    # every finite cdis certificate, below the exhaustive cap and above it
+    # (under the node cap), covers both sides and relates points with
+    # matching reachability; random covering relations agree with the
+    # pairwise loop reference
     rng = np.random.default_rng(61)
-    methods = set()
+    above_cap = 0
     for _ in range(40):
         s = random_space(rng, int(rng.integers(1, 6)))
         X = DirectedMetricSpace.from_space(s)
         if rng.random() < 0.5:
             Y = dspace_random(rng, int(rng.integers(1, 6)))
-        else:  # a relabelled, stretched copy: same reachability, cdis finite
-            sigma = rng.permutation(s.n)
-            inv = np.argsort(sigma)
-            stretched = s.length * rng.uniform(1.0, 1.3, s.length.size)
-            Y = dspace(s.base[np.ix_(sigma, sigma)], tuple(zip(inv[s.src].tolist(), inv[s.dst].tolist(), stretched)))
+        else:
+            Y, _ = stretched_copy(rng, s)
         r = dcorrespondence_distance(X, Y)
+        assert r.exact and r.method in ("propagation", "branch-and-bound")
         if math.isfinite(r.value):
-            methods.add(r.method)
+            above_cap += X.n * Y.n > SearchBudget().exhaustive_cdis
             assert r.certificate.is_correspondence
             assert r.certificate.is_dcorrespondence(X.reach, Y.reach)
+            assert 0.5 * r.certificate.distortion(X.zz, Y.zz) == r.value
         pairs = [(x, int(rng.integers(Y.n))) for x in range(X.n)] + [(int(rng.integers(X.n)), y) for y in range(Y.n)]
         c = Correspondence(X.n, Y.n, tuple(pairs))
         assert c.is_dcorrespondence(X.reach, Y.reach) == slow_is_dcorrespondence(pairs, X.reach, Y.reach)
-    assert methods == {"branch-and-bound", "greedy"}
+    assert above_cap >= 5
+
+
+def test_threshold_search_equals_enumeration():
+    # 240 seeded pairs with |X|*|Y| <= 12, a third of them disconnected
+    # and half of them stretched copies (finite cdis): the search equals
+    # enumeration of d-correspondences, and with every pair compatible
+    # it equals enumeration of all correspondences (the gh problem)
+    rng = np.random.default_rng(71)
+    finite = 0
+    for i in range(240):
+        nX = int(rng.integers(1, 5))
+        s = random_space(rng, nX, connected=bool(rng.random() < 0.67))
+        X = DirectedMetricSpace.from_space(s)
+        if i % 2 and nX * nX <= 12:
+            Y, _ = stretched_copy(rng, s)
+        else:
+            Y = dspace_random(rng, int(rng.integers(1, min(6, 12 // nX) + 1)))
+        r = dcorrespondence_distance(X, Y)
+        slow = slow_min_dcorrespondence(X.zz, Y.zz, X.reach, Y.reach)
+        assert r.exact and r.value == 0.5 * slow, (i, r, slow)
+        finite += math.isfinite(slow)
+        mn = X.n * Y.n
+        every = np.ones(mn, dtype=bool)
+        lower, value, pairs = _threshold_dcorrespondence(X.zz, Y.zz, np.ones((mn, mn), dtype=bool), every, 0.0, INFINITY)
+        assert lower == value == naive_min_correspondence_distortion(X.zz, Y.zz)
+        if pairs is not None:
+            assert distortion_relation(pairs, X.zz, Y.zz) == value
+    assert finite >= 100
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_spaces(), small_spaces())
+def test_threshold_search_equals_enumeration_property(X, Y):
+    assume(X.n * Y.n <= 12)
+    r = dcorrespondence_distance(X, Y)
+    assert r.exact and r.value == 0.5 * slow_min_dcorrespondence(X.zz, Y.zz, X.reach, Y.reach)
+    if r.certificate is not None:
+        assert r.certificate.is_dcorrespondence(X.reach, Y.reach)
+
+
+def test_capped_cdis_search_reports_an_honest_bracket(monkeypatch):
+    # a node cap far too small to finish: the report keeps its proven
+    # lower bound below a certificate that re-scores and is a
+    # d-correspondence
+    monkeypatch.setattr(distances, "CDIS_NODE_LIMIT", 25)
+    rng = np.random.default_rng(83)
+    capped = 0
+    for n in (8, 9, 10, 11, 12):
+        s = random_space(rng, n)
+        X = DirectedMetricSpace.from_space(s)
+        Y, _ = stretched_copy(rng, s)
+        r = dcorrespondence_distance(X, Y)
+        assert r.lower <= r.value and r.method == "branch-and-bound"
+        assert r.certificate.is_dcorrespondence(X.reach, Y.reach)
+        assert 0.5 * r.certificate.distortion(X.zz, Y.zz) == r.value
+        capped += not r.exact
+    assert capped >= 3
+
+
+def test_cdis_of_a_stretched_relabelled_copy_is_exact():
+    # 12 points, above the exhaustive cap: exact, and at most half the
+    # distortion of the relabelling, which is itself a d-correspondence
+    rng = np.random.default_rng(5)
+    s = random_space(rng, 12)
+    X = DirectedMetricSpace.from_space(s)
+    Y, relabelling = stretched_copy(rng, s)
+    r = dcorrespondence_distance(X, Y)
+    assert r.exact and r.method == "branch-and-bound"
+    assert r.value <= 0.5 * distortion_relation(relabelling, X.zz, Y.zz)
 
 
 # ---------------------------------------------------------------------------
@@ -250,18 +346,16 @@ def test_cdis_certificates_are_dcorrespondences():
 
 
 def test_two_arm_interval_no_compatible_correspondence_both_routes():
-    from dirmetric.distances import _bnb_correspondence, _reach_compat_matrix
-
     s = source_sink_interval(2)
     X = DirectedMetricSpace.from_space(s)
     Xr = DirectedMetricSpace.from_space(reverse(s))
     by_propagation = dcorrespondence_distance(X, Xr)
     assert math.isinf(by_propagation.value) and by_propagation.exact
     assert by_propagation.method == "propagation"
-    # same conclusion from the search engine, skipping the propagation step
+    # same conclusion from the threshold search, skipping the propagation step
     compat = _reach_compat_matrix(X.reach, Xr.reach)
-    val, pairs = _bnb_correspondence(X.zz, Xr.zz, compat, [])
-    assert math.isinf(val) and pairs is None
+    every = np.ones(X.n * Xr.n, dtype=bool)
+    assert _threshold_dcorrespondence(X.zz, Xr.zz, compat, every, 0.0, INFINITY) == (INFINITY, INFINITY, None)
 
 
 def test_two_arm_interval_map_distance_half():
