@@ -23,8 +23,9 @@ qualify, so the map-pair distance is always finite on nonempty spaces.
 Search strategy: small problems are solved exactly, gh by branch and
 bound over pairs and the map-pair distance by enumerating map pairs;
 larger ones fall back to seeded local search and report exact=False
-unless the best value meets a proven lower bound.  The local search moves
-one point of one map at a time and scores all candidate images of that
+unless the best value meets a proven lower bound.  That is one map-pair
+search for both, run for gh with no edges to respect.  It moves one
+point of one map at a time and scores all candidate images of that
 point together in O(n*m); move order and tie-breaking are fixed for a
 given seed.  The d-correspondence distance runs one search at every
 size.  Constraint propagation first drops pairs that fit in no
@@ -71,6 +72,8 @@ DEFAULT_BUDGET = SearchBudget()
 MAP_PAIR_LIMIT = 10_000_000
 #: Search nodes of the d-correspondence threshold search above budget.exhaustive_cdis.
 CDIS_NODE_LIMIT = 20_000
+#: Largest |X|*|Y| the d-correspondence search takes; its pair tables hold (|X|*|Y|)^2 entries.
+CDIS_PAIR_LIMIT = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +375,7 @@ def _reach_compat_matrix(reachX: np.ndarray, reachY: np.ndarray) -> np.ndarray:
     return (fwd & bwd).reshape(nX * nY, nX * nY)
 
 
-def _greedy_map(dX: np.ndarray, dY: np.ndarray, rng: Optional[np.random.Generator]) -> np.ndarray:
+def _greedy_map(dX: np.ndarray, dY: np.ndarray) -> np.ndarray:
     """A map X -> Y matching rows with similar distance profiles."""
     nX, nY = dX.shape[0], dY.shape[0]
     qs = np.linspace(0.0, 1.0, 8)
@@ -382,21 +385,16 @@ def _greedy_map(dX: np.ndarray, dY: np.ndarray, rng: Optional[np.random.Generato
     px = np.nan_to_num(px, nan=0.0)
     py = np.nan_to_num(py, nan=0.0)
     cost = np.abs(px[:, None, :] - py[None, :, :]).max(axis=2)
-    if rng is not None:
-        cost = cost + rng.uniform(0.0, 1e-6 + cost.max() * 0.05, size=cost.shape)
     return cost.argmin(axis=1)
 
 
 def _neighbours(n: int, edges):
     """Out- and in-neighbour index arrays of each point, and its sorted neighbours.
 
-    edges are a space's (src, dst) arrays, or None for no edges; the
-    sorted lists ignore direction.
+    edges are a space's (src, dst) arrays, empty under gh, which has no
+    edges to respect; the sorted lists ignore direction.
     """
-    if edges is None:
-        src = dst = np.zeros(0, dtype=int)
-    else:
-        src, dst = edges[0], edges[1]
+    src, dst = edges
     out = [dst[src == u] for u in range(n)]
     inn = [src[dst == u] for u in range(n)]
     adj = [sorted(set(o.tolist()) | set(i.tolist())) for o, i in zip(out, inn)]
@@ -404,8 +402,13 @@ def _neighbours(n: int, edges):
 
 
 def _legal_moves(u: int, images: np.ndarray, out, inn, reach: np.ndarray) -> np.ndarray:
-    """Mask of the images y for point u that keep every edge at u inside reach."""
-    return reach[:, images[out[u]]].all(axis=1) & reach[images[inn[u]], :].all(axis=0)
+    """Mask of the images y for point u that keep every edge at u inside reach.
+
+    Edges to unplaced points (image -1) are skipped.  Under gh there are
+    no edges, so every image is legal.
+    """
+    heads, tails = images[out[u]], images[inn[u]]
+    return reach[:, heads[heads >= 0]].all(axis=1) & reach[tails[tails >= 0], :].all(axis=0)
 
 
 def _move_scores(u: int, images: np.ndarray, other: np.ndarray, dS: np.ndarray, dT: np.ndarray, rest: float):
@@ -432,7 +435,7 @@ def _move_scores(u: int, images: np.ndarray, other: np.ndarray, dS: np.ndarray, 
 
 
 def _random_greedy_map(dS, dT, neighbours, reachT, rng) -> Optional[np.ndarray]:
-    """Random-order greedy assignment of a (direction-respecting) map.
+    """Random-order greedy assignment of a direction-respecting map.
 
     Points are placed one by one; each placement satisfies the reach
     constraints of edges whose other endpoint is already placed and
@@ -440,7 +443,7 @@ def _random_greedy_map(dS, dT, neighbours, reachT, rng) -> Optional[np.ndarray]:
     points placed so far.  neighbours comes from _neighbours on the source.
     Returns None on a dead end.
     """
-    nS, nT = dS.shape[0], dT.shape[0]
+    nS = dS.shape[0]
     out_e, in_e, adj = neighbours
 
     # place points in randomized BFS order over the undirected edge graph:
@@ -464,13 +467,7 @@ def _random_greedy_map(dS, dT, neighbours, reachT, rng) -> Optional[np.ndarray]:
 
     images = np.full(nS, -1, dtype=int)
     for u in order:
-        if reachT is None:
-            mask = np.ones(nT, dtype=bool)
-        else:
-            heads = images[out_e[u]]
-            tails = images[in_e[u]]
-            mask = reachT[:, heads[heads >= 0]].all(axis=1) & reachT[tails[tails >= 0], :].all(axis=0)
-        cand = np.flatnonzero(mask)
+        cand = np.flatnonzero(_legal_moves(u, images, out_e, in_e, reachT))
         if cand.size == 0:
             return None
         placed = np.flatnonzero(images >= 0)
@@ -489,10 +486,9 @@ def _random_greedy_map(dS, dT, neighbours, reachT, rng) -> Optional[np.ndarray]:
 def _descend(f, g, dX, dY, nbX, nbY, reachX, reachY):
     """Alternating pointwise descent of a map pair from (f, g), in place.
 
-    Sweeps the points of f, then those of g, moving each to its best image
-    as scored by _move_scores; with reach given, only to images allowed by
-    _legal_moves.  nbX and nbY come from _neighbours.  Returns the final
-    objective and the two maps.
+    Sweeps the points of f, then those of g, moving each to the best image
+    _move_scores finds among those _legal_moves allows.  nbX and nbY come
+    from _neighbours.  Returns the final objective and the two maps.
     """
     # g: Y -> X is moved like f with both metrics transposed: its
     # distortion matrix is then stored transposed and its codistortion
@@ -518,9 +514,7 @@ def _descend(f, g, dX, dY, nbX, nbY, reachX, reachY):
                 KS[u, :] = 0.0
                 rest = max(rest_other, float(D.max()), float(KS.max()))
                 v, row, col, cross = _move_scores(u, images, other, dS, dT, rest)
-                ok = v < val - 1e-15
-                if reach is not None:
-                    ok &= _legal_moves(u, images, out, inn, reach)
+                ok = (v < val - 1e-15) & _legal_moves(u, images, out, inn, reach)
                 ok[cur] = False
                 best_y, best_v = cur, val
                 for y in np.flatnonzero(ok).tolist():
@@ -543,16 +537,16 @@ def _local_search_map_pair(
     dY: np.ndarray,
     budget: SearchBudget,
     *,
-    reachX: Optional[np.ndarray] = None,
-    reachY: Optional[np.ndarray] = None,
-    edgesX=None,
-    edgesY=None,
+    reachX: np.ndarray,
+    reachY: np.ndarray,
+    edgesX,
+    edgesY,
 ):
     """Best map pair (f, g) by alternating pointwise descent.
 
-    Objective: max of the two distortions and the codistortion.  With
-    reach and edges (src, dst) arrays given, moves are restricted to
-    direction-respecting maps (constant starting maps always are).
+    Objective: max of the two distortions and the codistortion.  Moves
+    keep the edges edgesX, edgesY ((src, dst) arrays) inside reachY,
+    reachX; constant starting maps always do.  gh passes no edges.
 
     Each sweep visits the points of f, then those of g, and moves each to
     its best image.  Moving one point changes one row and one column of
@@ -578,7 +572,7 @@ def _local_search_map_pair(
             pool.append(np.asarray(key, dtype=int))
 
     # constant maps are always direction respecting; identity and greedy
-    # profile maps join the pool when they are (or nothing is constrained)
+    # profile maps join the pool when they are
     pool_f: list[np.ndarray] = []
     pool_g: list[np.ndarray] = []
     ecc_x = np.argsort(np.where(np.isfinite(dX), dX, 0.0).max(axis=1), kind="stable")
@@ -588,11 +582,11 @@ def _local_search_map_pair(
     for cx in (ecc_x[0], ecc_x[-1]):
         add(pool_g, np.full(nY, cx, dtype=int))
     for pool, edges, reach, profile in (
-        (pool_f, edgesX, reachY, _greedy_map(dX, dY, None)),
-        (pool_g, edgesY, reachX, _greedy_map(dY, dX, None)),
+        (pool_f, edgesX, reachY, _greedy_map(dX, dY)),
+        (pool_g, edgesY, reachX, _greedy_map(dY, dX)),
     ):
         for im in ([np.arange(nX)] if nX == nY else []) + [profile]:
-            if edges is None or reach[im[edges[0]], im[edges[1]]].all():
+            if reach[im[edges[0]], im[edges[1]]].all():
                 add(pool, im)
     tries = 0
     sample_f = nX * nX * nY <= 20_000_000  # randomized construction is O(n^2 m)
@@ -649,7 +643,10 @@ def _min_correspondence_report(kind: str, dX: np.ndarray, dY: np.ndarray, budget
         val, pairs = _bnb_correspondence(dX, dY)
         cert = Correspondence(nX, nY, tuple(pairs)) if pairs is not None else None
         return DistanceReport(kind, 0.5 * val, True, 0.5 * val, cert, "branch-and-bound")
-    val, f, g = _local_search_map_pair(dX, dY, budget)
+    no_edges = (np.zeros(0, dtype=int),) * 2
+    val, f, g = _local_search_map_pair(
+        dX, dY, budget, reachX=np.ones((nX, nX), bool), reachY=np.ones((nY, nY), bool), edgesX=no_edges, edgesY=no_edges
+    )
     cert = None  # no map pair of finite objective: the value is inf
     if f is not None:
         pairs = tuple(sorted({(x, f[x]) for x in range(nX)} | {(g[y], y) for y in range(nY)}))
@@ -761,13 +758,15 @@ def dcorrespondence_distance(
     The threshold search has no node cap when |X|*|Y| <=
     budget.exhaustive_cdis; above it, CDIS_NODE_LIMIT nodes, after which
     the best certificate and the proven lower bound are reported, exact
-    only if the two meet.
+    only if the two meet.  Raises ValueError when |X|*|Y| > CDIS_PAIR_LIMIT.
     """
     nX, nY = X.n, Y.n
     if nX == 0 or nY == 0:
         if nX == 0 and nY == 0:
             return DistanceReport("cdis", 0.0, True, 0.0, Correspondence(0, 0, ()), "empty")
         return DistanceReport("cdis", INFINITY, True, INFINITY, None, "empty")
+    if nX * nY > CDIS_PAIR_LIMIT:
+        raise ValueError(f"cdis takes at most {CDIS_PAIR_LIMIT} point pairs, got |X|*|Y| = {nX}*{nY} = {nX * nY}")
     dX, dY = X.zz, Y.zz
     compat = _reach_compat_matrix(X.reach, Y.reach)
     cand = _arc_consistent_candidates(compat, nX, nY)

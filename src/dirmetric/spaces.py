@@ -34,7 +34,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .extended import INFINITY, ext_abs_diff
 
@@ -100,12 +100,9 @@ def _edge_tuple(src, dst, length) -> tuple[Edge, ...]:
 def _glued_edges(src, dst, length) -> tuple[Edge, ...]:
     """Edges whose endpoints were glued: self-loops and repeats dropped, sorted."""
     kept = src != dst
-    src, dst, length = src[kept], dst[kept], length[kept]
-    order = np.lexsort((length, dst, src))  # the order of the (src, dst, length) tuples
-    src, dst, length = src[order], dst[order], length[order]
-    new = np.ones(src.size, dtype=bool)
-    new[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1]) | (length[1:] != length[:-1])
-    return _edge_tuple(src[new], dst[new], length[new])
+    # unique rows come out in the order of the (src, dst, length) tuples
+    src, dst, length = np.unique(np.column_stack((src[kept], dst[kept], length[kept])), axis=0).T
+    return _edge_tuple(src.astype(np.int64), dst.astype(np.int64), length)
 
 
 @dataclass(frozen=True)
@@ -137,9 +134,12 @@ class FiniteDSpace:
         n = base.shape[0] if base.ndim == 2 else -1
         assert_extended_metric(base, check_triangle=(n <= TRIANGLE_CHECK_MAX))
 
+        arr = np.array(self.edges, dtype=float).reshape(-1, 3)
+        whole = (np.isfinite(arr[:, :2]) & (arr[:, :2] == np.floor(arr[:, :2]))).all(axis=1)
+        if not whole.all():
+            raise ValueError(f"edge {tuple(arr[np.argmin(whole)].tolist())} has a non-integer endpoint")
         edges = tuple((int(s), int(d), float(l)) for (s, d, l) in self.edges)
         object.__setattr__(self, "edges", edges)
-        arr = np.array(edges, dtype=float).reshape(-1, 3)
         src, dst, lens = _as_readonly(arr[:, 0], np.int64), _as_readonly(arr[:, 1], np.int64), _as_readonly(arr[:, 2])
         for name, a in (("src", src), ("dst", dst), ("length", lens)):
             object.__setattr__(self, name, a)
@@ -351,35 +351,16 @@ def quotient(space: FiniteDSpace, classes: Sequence[Iterable[int]], tol: float =
         np.minimum(dist, dist[:, k, None] + dist[None, k, :], out=dist)
     np.fill_diagonal(dist, 0.0)
 
-    # merge classes that the chain infimum identifies
-    parent = list(range(m))
+    # merge classes that the chain infimum identifies; each merged class
+    # is represented by its first point, and they are listed in that order
+    _, comp = connected_components(sp.csr_matrix(dist <= tol), directed=False)
+    _, first = np.unique(comp[cls_of], return_index=True)
+    reps, new_of = np.unique(first[comp[cls_of]], return_inverse=True)
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    close = np.argwhere(dist <= tol)
-    for i, j in close:
-        if i < j:
-            ri, rj = find(int(i)), find(int(j))
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-    groups: dict[int, list[int]] = {}
-    for ci in range(m):
-        groups.setdefault(find(ci), []).append(ci)
-    merged = [sorted(i for ci in g for i in members[ci]) for g in groups.values()]
-    merged.sort(key=lambda c: c[0])
-
-    reps = [c[0] for c in merged]
-    rep_cls = np.array([cls_of[r] for r in reps], dtype=int)
+    rep_cls = cls_of[reps]
     base_q = dist[np.ix_(rep_cls, rep_cls)].copy()
     np.fill_diagonal(base_q, 0.0)
 
-    new_of = np.empty(n, dtype=int)
-    for qi, c in enumerate(merged):
-        new_of[c] = qi
     labels = tuple(space.labels[r] for r in reps)
     return FiniteDSpace(base=base_q, edges=_glued_edges(new_of[space.src], new_of[space.dst], space.length), labels=labels)
 

@@ -100,9 +100,9 @@ def slow_descend(f, g, dX, dY, edgesX, edgesY, reachX, reachY):
     """Pointwise map-pair descent re-scoring the whole objective per candidate.
 
     Sweeps f's points then g's; each point tries every other image in index
-    order, skips images that send an edge at the point outside reach (when
-    reach is given), and keeps one only when it scores lower by more than
-    1e-15.  Returns (objective, f, g) with the maps as lists.
+    order, skips images that send an edge at the point outside reach, and
+    keeps one only when it scores lower by more than 1e-15.  Returns
+    (objective, f, g) with the maps as lists.
     """
     f, g = [int(v) for v in f], [int(v) for v in g]
     val = slow_pair_objective(f, g, dX, dY)
@@ -116,7 +116,7 @@ def slow_descend(f, g, dX, dY, edgesX, edgesY, reachX, reachY):
                     if y == cur:
                         continue
                     images[u] = y
-                    if reach is not None and not all(reach[images[s], images[d]] for (s, d, _) in edges if u in (s, d)):
+                    if not all(reach[images[s], images[d]] for (s, d, _) in edges if u in (s, d)):
                         continue
                     v = slow_pair_objective(f, g, dX, dY)
                     if v < best_v - 1e-15:

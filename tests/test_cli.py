@@ -24,6 +24,7 @@ from dirmetric import (
     save_space,
     source_sink_interval,
 )
+from dirmetric import distances
 from dirmetric.cli import main
 
 
@@ -156,6 +157,14 @@ def test_dist_cdis_open_book_3_v_4_is_proven_infinite(capsys, tmp_path):
     rep = json.loads(out)
     assert rep["value"] == "inf" and rep["exact"] is True
     assert rep["method"] == "branch-and-bound" and rep["certificate"] is None
+
+
+def test_dist_cdis_above_the_pair_limit_exits_1_without_traceback(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(distances, "CDIS_PAIR_LIMIT", 3)
+    fx, fy = write_two_arm(tmp_path)
+    code, out, err = run(capsys, "dist", "cdis", fx, fy)
+    assert code == 1 and out == ""
+    assert "at most 3 point pairs" in err and "Traceback" not in err
 
 
 def test_dist_dis_two_arm_reversal_certificate_reevaluates(capsys, tmp_path):

@@ -8,13 +8,16 @@ both proof routes, finite cdis certificates checked as
 d-correspondences, the cdis threshold search against enumeration of
 d-correspondences (seeded and as a property) and, with every pair
 allowed, of correspondences, its bracket under a forced node cap, its
-exact value on a 12-point copy above the exhaustive cap, d-isometry
-detection, the frozen instance where the base-metric comparison exceeds
-the zigzag one, the map-pair local search's all-moves scores and descent
-against full re-scoring, and its frozen results on two pairs above the
-exhaustive caps.
+refusal above the pair limit, its exact value on a 12-point copy above
+the exhaustive cap, the chain gh <= dis <= cdis with re-scored
+certificates as a property on exhaustive sizes, d-isometry detection,
+the frozen instance where the base-metric comparison exceeds the zigzag
+one, the map-pair local search's all-moves scores and descent against
+full re-scoring, and its frozen results on two pairs and on twelve
+random pairs above the exhaustive caps.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -310,6 +313,26 @@ def test_threshold_search_equals_enumeration_property(X, Y):
         assert r.certificate.is_dcorrespondence(X.reach, Y.reach)
 
 
+@settings(max_examples=150, deadline=None)
+@given(small_spaces(max_n=3), small_spaces(max_n=3))
+def test_chain_holds_and_certificates_rescore_property(X, Y):
+    # at most 3 points a side: all three searches are exhaustive
+    gh, dis, cdis = gh_distance(X, Y), distortion_distance(X, Y), dcorrespondence_distance(X, Y)
+    assert gh.exact and dis.exact and cdis.exact
+    assert gh.value <= dis.value + 1e-9 and dis.value <= cdis.value + 1e-9
+    for r in (gh, dis, cdis):
+        assert (r.certificate is None) == math.isinf(r.value)
+    if gh.certificate is not None:
+        assert 0.5 * distortion_relation(gh.certificate.pairs, X.zz, Y.zz) == gh.value
+    if dis.certificate is not None:
+        assert VertexMap(X, Y, dis.certificate.forward).is_dmap
+        assert VertexMap(Y, X, dis.certificate.backward).is_dmap
+        assert 0.5 * dis.certificate.objective(X.zz, Y.zz) == dis.value
+    if cdis.certificate is not None:
+        assert cdis.certificate.is_dcorrespondence(X.reach, Y.reach)
+        assert 0.5 * cdis.certificate.distortion(X.zz, Y.zz) == cdis.value
+
+
 def test_capped_cdis_search_reports_an_honest_bracket(monkeypatch):
     # a node cap far too small to finish: the report keeps its proven
     # lower bound below a certificate that re-scores and is a
@@ -327,6 +350,15 @@ def test_capped_cdis_search_reports_an_honest_bracket(monkeypatch):
         assert 0.5 * r.certificate.distortion(X.zz, Y.zz) == r.value
         capped += not r.exact
     assert capped >= 3
+
+
+def test_cdis_rejects_more_point_pairs_than_the_limit(monkeypatch):
+    monkeypatch.setattr(distances, "CDIS_PAIR_LIMIT", 24)
+    rng = np.random.default_rng(3)
+    X4, X5, X6 = (DirectedMetricSpace.from_space(random_space(rng, n)) for n in (4, 5, 6))
+    with pytest.raises(ValueError, match=r"at most 24 point pairs, got \|X\|\*\|Y\| = 5\*5 = 25"):
+        dcorrespondence_distance(X5, X5)
+    assert dcorrespondence_distance(X4, X6).kind == "cdis"
 
 
 def test_cdis_of_a_stretched_relabelled_copy_is_exact():
@@ -557,7 +589,7 @@ def test_descend_matches_full_rescoring_reference(constrained):
             dX = dX + rng.uniform(0.0, 0.5, dX.shape)
         nbX = _neighbours(X.n, (X.space.src, X.space.dst))
         nbY = _neighbours(Y.n, (Y.space.src, Y.space.dst))
-        reachX, reachY = (X.reach, Y.reach) if constrained else (None, None)
+        reachX, reachY = (X.reach, Y.reach) if constrained else (np.ones((X.n, X.n), bool), np.ones((Y.n, Y.n), bool))
         f0 = _random_greedy_map(dX, dY, nbX, reachY, rng)
         g0 = _random_greedy_map(dY, dX, nbY, reachX, rng)
         if f0 is None or g0 is None:
@@ -610,3 +642,36 @@ def test_local_search_results_frozen():
     r = distortion_distance(arm, arm_r)
     assert (r.value, r.lower, r.method) == (0.5, 0.0, "local-search")
     assert (r.certificate.forward, r.certificate.backward) == ARM_DIS_MAPS
+
+
+# sha256 of the gh, dis and gh-base reports (value, lower, exact, method
+# and certificate, through repr) on random pairs above the exhaustive
+# caps; every third pair has two disconnected spaces
+FROZEN_REPORT_SIZES = ((5, 6), (6, 5), (6, 6), (7, 5), (5, 8), (7, 7), (8, 6), (6, 9), (8, 8), (9, 7), (9, 9), (7, 9))
+FROZEN_REPORT_SHA256 = (
+    "c8cbb6a798c3d251b8da7aa1498bf0f197d5977aa3b880bf15466b218004d55b",
+    "f9d98ab6240bb19bc4f9e6c9ab368c447265dd31b1537b498999dea6538f6f8d",
+    "77f0d554b43653d7a6496ba7c29bb71e799b792967bc84ac6a6f4aa511edd563",
+    "2bc80ffb2545fca42bb9fb5928cdf6818cc1c548e2e7b4d29979fa5274251936",
+    "70872a46cabd9b949732ca3cd35c4ea92cc28f63d3e853519b59502419cdd6f0",
+    "6aba74a522be8c0c053444745dae9d1f1813f752375c47b375874d42534f017a",
+    "02782338a598492d58c821603d797eabcaa6713563a2edee5f86e66ecd51627a",
+    "77116f09cedb5ba67b71b0670ab700b0d151d2aea9f6e5d8e3406421f5b95f22",
+    "cf9ccfc535f88b9939b1f8a6da36353e7c1f47b3aa81b324cf600b928013715d",
+    "c692a4dc7c52754557a9f02962ed2117828871dbb780127d54c520fe382e9c6d",
+    "2b998b31575b770ba47158dee9681bcd597203d10d76610b5ee7f4bddc1cc2ea",
+    "2d023353346a7a5909a804e078de6b8addd5da5c7b7ef3e30b187b3fd1145fc6",
+)
+
+
+def test_local_search_reports_frozen_on_random_pairs():
+    rng = np.random.default_rng(2024)
+    got = []
+    for i, (nx, ny) in enumerate(FROZEN_REPORT_SIZES):
+        X = DirectedMetricSpace.from_space(random_space(rng, nx, connected=i % 3 != 2))
+        Y = DirectedMetricSpace.from_space(random_space(rng, ny, connected=i % 3 != 2))
+        chain = verify_chain(X, Y)
+        reports = (chain.gh, chain.dis, chain.gh_base)
+        assert all(r.method == "local-search" for r in reports)
+        got.append(hashlib.sha256("\n".join(map(repr, reports)).encode()).hexdigest())
+    assert tuple(got) == FROZEN_REPORT_SHA256

@@ -291,6 +291,14 @@ def _frozen_cases():
         base=np.abs(np.subtract.outer(np.arange(4.0), np.arange(4.0))),
         edges=((0, 2, 2.5), (1, 3, 2.5), (0, 3, 3.5), (1, 2, 1.2), (3, 2, 1.0)),
     )
+    # points 0, 1, 2 sit 1e-12 apart: their classes merge through the
+    # middle one, and the merged group is listed after the class of 3
+    eps = 1e-12
+    x = np.array([0.0, eps, 2 * eps, 1.0, 2.0])
+    touching = FiniteDSpace(
+        base=np.abs(np.subtract.outer(x, x)),
+        edges=((0, 3, 1.0), (2, 3, 1.0), (0, 1, 1.0), (3, 4, 1.0), (4, 2, 2.5), (4, 1, 2.0)),
+    )
     return {
         "interval-3": directed_interval(3),
         "square-3": directed_square_grid(GridSpec(k=3)),
@@ -311,6 +319,7 @@ def _frozen_cases():
         "quotient-square": quotient(directed_square_grid(GridSpec(k=2)), [[0, 6], [1, 7], [2, 8], [3], [4], [5]]),
         "quotient-parallel": quotient(line, [[0, 1], [2, 3]]),
         "quotient-random": quotient(product(r3, directed_interval(1)), [[0, 1], [2, 3], [4], [5]]),
+        "quotient-merge": quotient(touching, [[3], [2], [0], [4], [1]]),
     }
 
 
@@ -334,6 +343,7 @@ FROZEN_SPACE_SHA256 = {
     "quotient-square": "12db0a1c96792c5df12b38dcfcc3ee57f63a9985bf3c8cbb96582051eada1d3d",
     "quotient-parallel": "8cb3027c3845fe10ee50141b2d86a2e50a403896b187106504d03c9f4a469c9a",
     "quotient-random": "867c68aab1304d504cfa1b52e1f63992093f27dd3025d23f44c114abb5df1207",
+    "quotient-merge": "d20c9695180497e40921d5b7f210639da39b42b3186bacd2534de34e24107a3f",
 }
 
 

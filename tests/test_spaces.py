@@ -54,6 +54,14 @@ def test_builder_rejects_out_of_range():
         FiniteDSpace(base=[[0.0, 1.0], [1.0, 0.0]], edges=((0, 2, 1.0),))
 
 
+def test_builder_rejects_non_integer_endpoint():
+    with pytest.raises(ValueError, match="non-integer endpoint"):
+        FiniteDSpace(base=[[0.0, 1.0], [1.0, 0.0]], edges=((0.7, 1, 1.0),))
+    # integral values of any type are endpoints, normalised to int
+    s = FiniteDSpace(base=[[0.0, 1.0], [1.0, 0.0]], edges=((np.int64(0), 1.0, 1),))
+    assert s.edges == ((0, 1, 1.0),) and type(s.edges[0][1]) is int
+
+
 def test_builder_rejects_short_edge():
     with pytest.raises(ValueError):
         FiniteDSpace(base=[[0.0, 1.0], [1.0, 0.0]], edges=((0, 1, 0.5),))
