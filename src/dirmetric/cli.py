@@ -23,6 +23,7 @@ import numpy as np
 
 from .distances import (
     SearchBudget,
+    VertexMap,
     dcorrespondence_distance,
     distortion_distance,
     distortion_relation,
@@ -229,12 +230,18 @@ def _certificate_doc(report) -> dict | None:
 
 
 def _certificate_value(report, X: DirectedMetricSpace, Y: DirectedMetricSpace):
-    """Re-evaluate the certificate through the library; None when absent."""
+    """Re-evaluate the certificate through the library; None when absent,
+    nan when it is no correspondence (gh, cdis), no d-correspondence (cdis)
+    or not a pair of d-maps (dis)."""
     cert = report.certificate
     if cert is None:
         return None
     if hasattr(cert, "pairs"):
+        if not cert.is_correspondence or (report.kind == "cdis" and not cert.is_dcorrespondence(X.reach, Y.reach)):
+            return math.nan
         return 0.5 * distortion_relation(list(cert.pairs), X.zz, Y.zz)
+    if not (VertexMap(X, Y, cert.forward).is_dmap and VertexMap(Y, X, cert.backward).is_dmap):
+        return math.nan
     return 0.5 * cert.objective(X.zz, Y.zz)
 
 
@@ -283,9 +290,9 @@ def cmd_dist(args) -> int:
 # ball
 
 
-def scatter_svg(coords: np.ndarray, members: np.ndarray, center: int, size: int = 420) -> str:
-    """Static scatter: members blue, non-members grey, center red."""
-    margin = 30.0
+def scatter_svg(coords: np.ndarray, members: np.ndarray, center: int) -> str:
+    """Static 420-pixel square scatter: members blue, non-members grey, center red."""
+    size, margin = 420, 30.0
     lo = coords.min(axis=0)
     hi = coords.max(axis=0)
     span = np.maximum(hi - lo, 1e-12)

@@ -370,9 +370,9 @@ def _arc_consistent_candidates(compat: np.ndarray, nX: int, nY: int) -> np.ndarr
 
 def _reach_compat_matrix(reachX: np.ndarray, reachY: np.ndarray) -> np.ndarray:
     nX, nY = reachX.shape[0], reachY.shape[0]
-    fwd = reachX[:, None, :, None] == reachY[None, :, None, :]
-    bwd = reachX.T[:, None, :, None] == reachY.T[None, :, None, :]
-    return (fwd & bwd).reshape(nX * nY, nX * nY)
+    fwd = (reachX[:, None, :, None] == reachY[None, :, None, :]).reshape(nX * nY, nX * nY)
+    # the reverse-direction comparison is the transpose of the forward one
+    return fwd & fwd.T
 
 
 def _greedy_map(dX: np.ndarray, dY: np.ndarray) -> np.ndarray:
@@ -864,20 +864,20 @@ def is_disometry(f: VertexMap, tol: float = DEFAULT_TOL) -> bool:
 class ChainReport:
     """Joint report on the ordering of the comparison distances.
 
-    chain_holds covers the guaranteed ordering: correspondence distance
-    below map-pair distance below reach-compatible distance.  The
-    comparison distance of the bare base metrics is carried separately
-    as base_le_zigzag because it is NOT guaranteed: a two-point space
-    whose edge is longer than the base gap can sit closer to another
-    space in the zigzag metrics than in the base metrics.  conclusive is
-    False when any ingredient came back inexact; nothing is judged then.
+    chain_holds covers the guaranteed ordering, up to DEFAULT_TOL:
+    correspondence distance below map-pair distance below
+    reach-compatible distance.  The comparison distance of the bare base
+    metrics is carried separately as base_le_zigzag because it is NOT
+    guaranteed: a two-point space whose edge is longer than the base gap
+    can sit closer to another space in the zigzag metrics than in the
+    base metrics.  conclusive is False when any ingredient came back
+    inexact; nothing is judged then.
     """
 
     gh: DistanceReport
     dis: DistanceReport
     cdis: DistanceReport
     gh_base: DistanceReport
-    tol: float = DEFAULT_TOL
 
     @property
     def conclusive(self) -> bool:
@@ -888,15 +888,15 @@ class ChainReport:
         if not self.conclusive:
             return None
         return bool(
-            self.gh.value <= self.dis.value + self.tol
-            and self.dis.value <= self.cdis.value + self.tol
+            self.gh.value <= self.dis.value + DEFAULT_TOL
+            and self.dis.value <= self.cdis.value + DEFAULT_TOL
         )
 
     @property
     def base_le_zigzag(self):
         if not (self.gh.exact and self.gh_base.exact):
             return None
-        return bool(self.gh_base.value <= self.gh.value + self.tol)
+        return bool(self.gh_base.value <= self.gh.value + DEFAULT_TOL)
 
 
 def verify_chain(X: DirectedMetricSpace, Y: DirectedMetricSpace, budget: SearchBudget = DEFAULT_BUDGET) -> ChainReport:

@@ -40,7 +40,7 @@ from .spaces import FiniteDSpace, zigzag_from_edges
 
 
 class SpaceFormatError(ValueError):
-    """Raised when a space or matrix file does not match the format."""
+    """Raised when an input file does not match the format."""
 
 
 # ---------------------------------------------------------------------------
@@ -162,27 +162,6 @@ def matrix_to_csv(matrix: np.ndarray, labels) -> str:
     cell = int.__repr__ if matrix.dtype.kind in "biu" else repr
     out.writelines(",".join(map(cell, row)) + "\n" for row in matrix.tolist())
     return out.getvalue()
-
-
-def csv_to_matrix(text: str) -> tuple[tuple[str, ...], np.ndarray]:
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows:
-        raise SpaceFormatError("empty matrix file")
-    labels = tuple(rows[0])
-    n = len(labels)
-    body = rows[1:]
-    if len(body) != n:
-        raise SpaceFormatError(f"matrix file: {len(body)} rows for {n} columns")
-    out = np.empty((n, n))
-    for i, row in enumerate(body):
-        if len(row) != n:
-            raise SpaceFormatError(f"matrix file row {i + 1}: {len(row)} fields, expected {n}")
-        for j, cell in enumerate(row):
-            try:
-                out[i, j] = INFINITY if cell == "inf" else float(cell)
-            except ValueError as exc:
-                raise SpaceFormatError(f"matrix file row {i + 1} field {j + 1}: {cell!r}") from exc
-    return labels, out
 
 
 # ---------------------------------------------------------------------------

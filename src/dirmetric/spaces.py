@@ -24,7 +24,8 @@ modules reads those arrays.  The tuple `edges` is kept as the normalised
 constructor argument and file-format view.
 
 All matrices handed out by this module are read-only numpy arrays.
-Operations never mutate their inputs; they build new spaces.
+Operations never mutate their inputs; they build new spaces.  A quotient
+has exactly one point per class it is given.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components, dijkstra
+from scipy.sparse.csgraph import dijkstra
 
 from .extended import INFINITY, ext_abs_diff
 
@@ -64,7 +65,7 @@ def max_triangle_defect(d: np.ndarray) -> float:
     return worst
 
 
-def assert_extended_metric(d: np.ndarray, tol: float = DEFAULT_TOL, *, check_triangle: bool = True) -> None:
+def assert_extended_metric(d: np.ndarray, *, check_triangle: bool = True) -> None:
     """Raise ValueError unless d is a symmetric extended metric matrix."""
     d = np.asarray(d, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
@@ -73,16 +74,16 @@ def assert_extended_metric(d: np.ndarray, tol: float = DEFAULT_TOL, *, check_tri
         raise ValueError("distance matrix contains nan")
     if d.size == 0:
         return
-    if np.abs(np.diag(d)).max() > tol:
+    if np.abs(np.diag(d)).max() > DEFAULT_TOL:
         raise ValueError("distance matrix has nonzero diagonal")
-    if float(np.max(ext_abs_diff(d, d.T))) > tol:
+    if float(np.max(ext_abs_diff(d, d.T))) > DEFAULT_TOL:
         raise ValueError("distance matrix is not symmetric")
     off = ~np.eye(d.shape[0], dtype=bool)
     if d[off].size and np.min(d[off]) <= 0.0:
         raise ValueError("distinct points at non-positive distance")
     if check_triangle:
         defect = max_triangle_defect(d)
-        if defect > tol:
+        if defect > DEFAULT_TOL:
             raise ValueError(f"triangle inequality violated by {defect:.3e}")
 
 
@@ -308,7 +309,7 @@ def product(a: FiniteDSpace, b: FiniteDSpace) -> FiniteDSpace:
     return FiniteDSpace(base=base, edges=_edge_tuple(src, dst, length), labels=labels)
 
 
-def quotient(space: FiniteDSpace, classes: Sequence[Iterable[int]], tol: float = DEFAULT_TOL) -> FiniteDSpace:
+def quotient(space: FiniteDSpace, classes: Sequence[Iterable[int]]) -> FiniteDSpace:
     """Glue the points of each class together.
 
     The quotient base distance between classes A and B is the infimum of
@@ -316,10 +317,12 @@ def quotient(space: FiniteDSpace, classes: Sequence[Iterable[int]], tol: float =
     between paid hops.  By the triangle inequality consecutive paid hops
     never help, so this equals shortest paths in the weighted class graph
     whose arc A -> B costs the least base distance between members; that
-    graph problem is what gets solved here.  Classes ending up at distance
-    <= tol are merged (the quotient is again a metric space, not just a
-    pseudometric).  Edges descend with their lengths; edges collapsing to
-    a self-loop are dropped.
+    graph problem is what gets solved here.  Nothing is merged: every arc
+    between distinct classes costs at least the least base distance
+    between distinct points, which is positive, so the result is a metric
+    space with one point per class, named by and listed in the order of
+    its first point.  Edges descend with their lengths; edges collapsing
+    to a self-loop are dropped.
     """
     n = space.n
     members = [sorted(int(i) for i in c) for c in classes]
@@ -351,18 +354,12 @@ def quotient(space: FiniteDSpace, classes: Sequence[Iterable[int]], tol: float =
         np.minimum(dist, dist[:, k, None] + dist[None, k, :], out=dist)
     np.fill_diagonal(dist, 0.0)
 
-    # merge classes that the chain infimum identifies; each merged class
-    # is represented by its first point, and they are listed in that order
-    _, comp = connected_components(sp.csr_matrix(dist <= tol), directed=False)
-    _, first = np.unique(comp[cls_of], return_index=True)
-    reps, new_of = np.unique(first[comp[cls_of]], return_inverse=True)
-
-    rep_cls = cls_of[reps]
-    base_q = dist[np.ix_(rep_cls, rep_cls)].copy()
-    np.fill_diagonal(base_q, 0.0)
-
-    labels = tuple(space.labels[r] for r in reps)
-    return FiniteDSpace(base=base_q, edges=_glued_edges(new_of[space.src], new_of[space.dst], space.length), labels=labels)
+    # list classes by their first point
+    by_first = np.argsort([c[0] for c in members])
+    new_of = np.argsort(by_first)[cls_of]
+    labels = tuple(space.labels[members[ci][0]] for ci in by_first)
+    edges = _glued_edges(new_of[space.src], new_of[space.dst], space.length)
+    return FiniteDSpace(base=dist[np.ix_(by_first, by_first)], edges=edges, labels=labels)
 
 
 def diameter(d: np.ndarray) -> float:

@@ -128,31 +128,6 @@ def naive_min_correspondence_distortion(dX: np.ndarray, dY: np.ndarray) -> float
     return best
 
 
-def walk_zigzag_oracle(n: int, edges, src: int, dst: int, cap: float = INFINITY) -> float:
-    """Least total length of an edge walk ignoring direction, by search.
-
-    Straightforward best-first expansion over vertices; independent of
-    the shortest-path machinery in the spaces module.
-    """
-    nbrs: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for (s, d, l) in edges:
-        nbrs[s].append((d, l))
-        nbrs[d].append((s, l))
-    best = [INFINITY] * n
-    best[src] = 0.0
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for (v, l) in nbrs[u]:
-                cand = best[u] + l
-                if cand < best[v] and cand < cap:
-                    best[v] = cand
-                    nxt.append(v)
-        frontier = nxt
-    return best[dst]
-
-
 # ---------------------------------------------------------------------------
 # checks: core
 

@@ -14,9 +14,11 @@ import numpy as np
 import pytest
 
 from dirmetric import (
+    Correspondence,
     FiniteDSpace,
     MapPair,
     DirectedMetricSpace,
+    DistanceReport,
     disjoint_union,
     distortion_relation,
     load_space,
@@ -25,7 +27,7 @@ from dirmetric import (
     source_sink_interval,
 )
 from dirmetric import distances
-from dirmetric.cli import main
+from dirmetric.cli import _certificate_value, main
 
 
 def run(capsys, *argv):
@@ -181,6 +183,21 @@ def test_dist_dis_two_arm_reversal_certificate_reevaluates(capsys, tmp_path):
         backward=tuple(rep["certificate"]["backward"]),
     )
     assert 0.5 * pair.objective(X.zz, Y.zz) == pytest.approx(rep["value"], abs=1e-9)
+
+
+def test_certificate_of_the_wrong_shape_does_not_recheck():
+    s = source_sink_interval(2)
+    X = DirectedMetricSpace.from_space(s)
+    Xr = DirectedMetricSpace.from_space(reverse(s))
+    ident = tuple(range(X.n))
+    same = Correspondence(X.n, X.n, tuple(zip(ident, ident)))
+    # both spaces share their zigzag metric, so every shape scores 0
+    dis = DistanceReport("dis", 0.0, True, 0.0, MapPair(ident, ident), "exhaustive")
+    assert math.isnan(_certificate_value(dis, X, Xr))
+    assert math.isnan(_certificate_value(DistanceReport("cdis", 0.0, True, 0.0, same), X, Xr))
+    assert _certificate_value(DistanceReport("gh", 0.0, True, 0.0, same), X, Xr) == 0.0
+    uncovered = Correspondence(X.n, X.n, same.pairs[1:])
+    assert math.isnan(_certificate_value(DistanceReport("gh", 0.0, True, 0.0, uncovered), X, Xr))
 
 
 def test_dist_gh_certificate_reevaluates_from_file(capsys, tmp_path):

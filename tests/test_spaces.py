@@ -2,12 +2,15 @@
 
 Claims covered: builder validation, zigzag distances against a slow
 relaxation oracle, reachability against recursive search, reversal
-leaving zigzag values bitwise unchanged, and the frozen values of the
-union / product / quotient constructions.
+leaving zigzag values bitwise unchanged, the frozen values of the
+union / product / quotient constructions, and one quotient point per class.
 """
 
 import numpy as np
 import pytest
+from conftest import small_spaces
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import recursive_reachability, relax_zigzag
 
 from dirmetric import (
@@ -18,6 +21,7 @@ from dirmetric import (
     compute_zigzag,
     diameter,
     disjoint_union,
+    dump_report,
     ext_abs_diff,
     max_triangle_defect,
     product,
@@ -25,6 +29,7 @@ from dirmetric import (
     reverse,
     zigzag_from_edges,
 )
+from dirmetric.fileio import space_to_doc
 
 TWO = FiniteDSpace(base=[[0.0, 1.0], [1.0, 0.0]], edges=((0, 1, 1.0),))
 
@@ -227,14 +232,26 @@ def test_quotient_glues_interval_into_circle():
     assert zz[0, 1] == 1.0 and zz[0, 2] == 1.0 and zz[1, 2] == 1.0
 
 
-def test_quotient_merges_touching_classes():
+def test_quotient_of_the_discrete_partition_is_the_input():
     eps = 1e-12
     line = FiniteDSpace(
         base=[[0.0, 1.0, 1.0 + eps], [1.0, 0.0, eps], [1.0 + eps, eps, 0.0]],
         edges=((0, 1, 1.0),),
     )
-    q = quotient(line, [[0], [1], [2]])
-    assert q.n == 2
+    for classes in ([[0], [1], [2]], [[2], [0], [1]]):
+        assert dump_report(space_to_doc(quotient(line, classes))) == dump_report(space_to_doc(line))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_spaces(), st.data())
+def test_quotient_has_one_point_per_class_property(X, data):
+    space = X.space
+    ids = data.draw(st.lists(st.integers(0, space.n - 1), min_size=space.n, max_size=space.n))
+    classes = data.draw(st.permutations([np.flatnonzero(np.array(ids) == c).tolist() for c in set(ids)]))
+    q = quotient(space, classes)
+    assert q.n == len(classes)
+    assert q.labels == tuple(space.labels[min(c)] for c in sorted(classes, key=min))
+    assert (q.length >= q.base[q.src, q.dst]).all()
 
 
 def test_quotient_rejects_bad_partition():
@@ -264,3 +281,9 @@ def test_diameter():
     assert diameter(np.array([[0.0, INFINITY], [INFINITY, 0.0]])) == INFINITY
     with pytest.raises(ValueError):
         diameter(np.zeros((0, 0)))
+
+
+def test_every_exported_name_resolves():
+    import dirmetric
+
+    assert [name for name in dirmetric.__all__ if not hasattr(dirmetric, name)] == []
