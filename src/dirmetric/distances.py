@@ -838,7 +838,7 @@ def _threshold_dcorrespondence(dX, dY, compat, cand, floor: float, node_limit: f
     return float(T[lo]), float(T[hi]), pairs
 
 
-def is_disometry(f: VertexMap, tol: float = DEFAULT_TOL) -> bool:
+def is_disometry(f: VertexMap) -> bool:
     """Bijective direction-respecting map preserving zigzag distances.
 
     Requires the inverse to respect direction as well, so the two spaces
@@ -857,7 +857,7 @@ def is_disometry(f: VertexMap, tol: float = DEFAULT_TOL) -> bool:
     g = VertexMap(source=f.target, target=f.source, images=tuple(int(i) for i in inv))
     if not g.is_dmap:
         return False
-    return f.distortion <= tol
+    return f.distortion <= DEFAULT_TOL
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .extended import INFINITY
-from .spaces import Edge, FiniteDSpace, _edge_tuple, _glued_edges, zigzag_from_edges
+from .spaces import Edge, FiniteDSpace, _edge_tuple, _glued_edges, _row_blocks, zigzag_from_edges
 
 #: Lattice steps used by the directed square grid unless overridden.  Each
 #: step moves weakly up and to the right, so every edge increases both the
@@ -144,11 +144,16 @@ def square_grid_graph(spec: GridSpec):
 def directed_square_grid(spec: GridSpec) -> FiniteDSpace:
     """Unit square sampled at (k+1)^2 points, Euclidean base, monotone edges."""
     coords, edges = square_grid_graph(spec)
-    # sqrt(dx^2 + dy^2) in place: no (n, n, 2) difference array
+    # sqrt(dx^2 + dy^2) a row block at a time into the one n x n array,
+    # handed over read-only so the space adopts it without a copy
     x, y = coords.T
-    base = np.square(np.subtract.outer(x, x))
-    base += np.square(np.subtract.outer(y, y))
-    np.sqrt(base, out=base)
+    base = np.empty((len(x), len(x)))
+    for r in _row_blocks(len(x)):
+        block = base[r]
+        np.square(np.subtract.outer(x[r], x, out=block), out=block)
+        block += np.square(np.subtract.outer(y[r], y))
+        np.sqrt(block, out=block)
+    base.setflags(write=False)
     labels = tuple(_pt_label(x, y) for x, y in coords)
     return FiniteDSpace(base=base, edges=edges, labels=labels)
 

@@ -26,6 +26,16 @@ constructor argument and file-format view.
 All matrices handed out by this module are read-only numpy arrays.
 Operations never mutate their inputs; they build new spaces.  A quotient
 has exactly one point per class it is given.
+
+A space takes its base, and a DirectedMetricSpace its zz and reach,
+without copying when that is already an array of the right dtype
+(float64, bool for reach) that owns its data and is not writeable, as
+directed_square_grid and from_space hand over.  Anything else, a
+read-only view of a writeable array included, is copied, so writes
+through a caller's writeable array never reach a space's matrices.
+Validation of dense matrices (base, zigzag) and the symmetrizing step
+of the zigzag run over blocks of _BLOCK_ROWS rows, so that on a large
+grid the only n x n array alive is the matrix itself.
 """
 
 from __future__ import annotations
@@ -41,11 +51,32 @@ from .extended import INFINITY, ext_abs_diff
 
 DEFAULT_TOL = 1e-9
 
+# Rows per block in the blocked passes over dense n x n matrices: about
+# 8.6 MB of float64 per block at n = 4225 (the k = 64 square grid).
+_BLOCK_ROWS = 256
+
 # Full O(n^3) triangle-inequality validation is run automatically only below
 # this size; larger spaces come out of constructions that guarantee it.
 TRIANGLE_CHECK_MAX = 192
 
 Edge = tuple[int, int, float]
+
+
+def _row_blocks(n: int):
+    """Slices of at most _BLOCK_ROWS consecutive rows covering range(n)."""
+    return (slice(start, min(start + _BLOCK_ROWS, n)) for start in range(0, n, _BLOCK_ROWS))
+
+
+def _any_row_block(n: int, fails) -> bool:
+    """True if fails(rows) holds for some row block of an n x n matrix."""
+    return any(fails(rows) for rows in _row_blocks(n))
+
+
+def _off_diagonal_nonpositive(d: np.ndarray, rows: slice) -> bool:
+    """Some entry of d[rows] off the main diagonal is <= 0."""
+    bad = d[rows] <= 0.0
+    bad[np.arange(bad.shape[0]), np.arange(rows.start, rows.stop)] = False
+    return bool(bad.any())
 
 
 def max_triangle_defect(d: np.ndarray) -> float:
@@ -70,16 +101,18 @@ def assert_extended_metric(d: np.ndarray, *, check_triangle: bool = True) -> Non
     d = np.asarray(d, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValueError(f"distance matrix must be square, got shape {d.shape}")
-    if np.isnan(d).any():
+    n = d.shape[0]
+    # each check runs over all row blocks before the next one starts, so a
+    # matrix with several faults reports the first kind in this order
+    if _any_row_block(n, lambda r: np.isnan(d[r]).any()):
         raise ValueError("distance matrix contains nan")
     if d.size == 0:
         return
     if np.abs(np.diag(d)).max() > DEFAULT_TOL:
         raise ValueError("distance matrix has nonzero diagonal")
-    if float(np.max(ext_abs_diff(d, d.T))) > DEFAULT_TOL:
+    if _any_row_block(n, lambda r: float(np.max(ext_abs_diff(d[r], d[:, r].T))) > DEFAULT_TOL):
         raise ValueError("distance matrix is not symmetric")
-    off = ~np.eye(d.shape[0], dtype=bool)
-    if d[off].size and np.min(d[off]) <= 0.0:
+    if _any_row_block(n, lambda r: _off_diagonal_nonpositive(d, r)):
         raise ValueError("distinct points at non-positive distance")
     if check_triangle:
         defect = max_triangle_defect(d)
@@ -88,6 +121,9 @@ def assert_extended_metric(d: np.ndarray, *, check_triangle: bool = True) -> Non
 
 
 def _as_readonly(a, dtype=float) -> np.ndarray:
+    """a itself if it is a read-only array of dtype owning its data, else a read-only copy."""
+    if isinstance(a, np.ndarray) and a.dtype == dtype and a.flags.owndata and not a.flags.writeable:
+        return a
     a = np.array(a, dtype=dtype, copy=True)
     a.setflags(write=False)
     return a
@@ -206,10 +242,17 @@ def _zigzag(graph: sp.csr_matrix, sources=None) -> np.ndarray:
     if n == 0:
         return np.zeros((0, 0))
     if sources is None:
-        dist = dijkstra(graph, directed=False)
-        # rows are computed independently; tie-break rounding can differ, so
-        # symmetrize explicitly
-        dist = np.minimum(dist, dist.T)
+        # Dijkstra computes each row on its own, so filling row blocks gives
+        # its full matrix bit for bit, in an array that owns its data (scipy
+        # returns a view, which a space would have to copy)
+        dist = np.empty((n, n))
+        for r in _row_blocks(n):
+            dist[r] = dijkstra(graph, directed=False, indices=np.arange(r.start, r.stop))
+        # tie-break rounding can differ between rows, so symmetrize explicitly,
+        # in place: min is idempotent, so a block that reads entries an earlier
+        # block already lowered gets the same value
+        for r in _row_blocks(n):
+            np.minimum(dist[r], dist[:, r].T, out=dist[r])
         np.fill_diagonal(dist, 0.0)
         return dist
     idx = np.atleast_1d(np.asarray(sources, dtype=int))
@@ -252,19 +295,26 @@ class DirectedMetricSpace:
         n = self.space.n
         if self.zz.shape != (n, n) or reach.shape != (n, n):
             raise ValueError("zz/reach shape does not match the space")
-        if n:
+        zz, base = self.zz, self.space.base
+
+        def drops_below(r):
             with np.errstate(invalid="ignore"):
-                below = np.where(np.isinf(self.zz), -INFINITY, self.space.base - self.zz)
-            if float(np.max(below)) > DEFAULT_TOL:
-                raise ValueError("zigzag distances drop below the base metric")
-        if (reach & ~np.isfinite(self.zz)).any():
+                return float(np.max(np.where(np.isinf(zz[r]), -INFINITY, base[r] - zz[r]))) > DEFAULT_TOL
+
+        if _any_row_block(n, drops_below):
+            raise ValueError("zigzag distances drop below the base metric")
+        if _any_row_block(n, lambda r: (reach[r] & ~np.isfinite(zz[r])).any()):
             raise ValueError("reachable pair at infinite zigzag distance")
-        if (np.isfinite(self.zz) != np.isfinite(self.zz).T).any():
+        if _any_row_block(n, lambda r: (np.isfinite(zz[r]) != np.isfinite(zz[:, r].T)).any()):
             raise ValueError("finiteness of zz is not symmetric")
 
     @classmethod
     def from_space(cls, space: FiniteDSpace) -> "DirectedMetricSpace":
-        return cls(space=space, zz=compute_zigzag(space), reach=compute_reachability(space))
+        zz, reach = compute_zigzag(space), compute_reachability(space)
+        # nothing else holds these fresh arrays, so the constructor adopts them
+        zz.setflags(write=False)
+        reach.setflags(write=False)
+        return cls(space=space, zz=zz, reach=reach)
 
     @property
     def n(self) -> int:

@@ -50,6 +50,9 @@ from .spaces import (
     DirectedMetricSpace,
     FiniteDSpace,
     _edge_tuple,
+    _row_blocks,
+    _weight_csr,
+    _zigzag,
     compute_zigzag,
     diameter,
     max_triangle_defect,
@@ -394,14 +397,27 @@ def check_source_sink(seed: int, budget: SearchBudget):
     }
 
 
+def _identity_distortion(space: FiniteDSpace) -> float:
+    """max |base - Z| over all pairs, holding one row block of the zigzag Z at a time.
+
+    The rows come straight from Dijkstra, unsymmetrized.  Z >= base, so
+    this is never below the value on the symmetrized compute_zigzag, and
+    equals it where Dijkstra's output is symmetric, as on the square grid.
+    """
+    graph = _weight_csr(space.n, space.src, space.dst, space.length)
+    worst = 0.0
+    for r in _row_blocks(space.n):
+        Z = _zigzag(graph, np.arange(r.start, r.stop))
+        worst = max(worst, float(np.max(ext_abs_diff(space.base[r], Z))))
+    return worst
+
+
 def check_square_identity(seed: int, budget: SearchBudget):
     """k=64 grid: identity distortion between base and zigzag metrics."""
     from .gallery import directed_square_grid
 
-    g = directed_square_grid(GridSpec(k=64))
-    Z = compute_zigzag(g)
     # with identity maps, map_distortion and pair_codistortion are both max |base - Z|
-    dis_id = codis_id = float(np.max(ext_abs_diff(g.base, Z)))
+    dis_id = codis_id = _identity_distortion(directed_square_grid(GridSpec(k=64)))
     half = 0.5 * max(dis_id, codis_id)
     target = 2.0 - math.sqrt(2.0)
     passed = (

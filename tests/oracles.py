@@ -42,6 +42,13 @@ def relax_zigzag(n: int, edges) -> np.ndarray:
     return d
 
 
+def symmetrized_min(dist) -> np.ndarray:
+    """min(d, d.T) with a zero diagonal, as one full-size array."""
+    out = np.minimum(dist, dist.T)
+    np.fill_diagonal(out, 0.0)
+    return out
+
+
 def recursive_reachability(n: int, edges) -> np.ndarray:
     """Directed reachability by depth-first search from every point."""
     nbrs = [[] for _ in range(n)]

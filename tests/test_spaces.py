@@ -11,7 +11,8 @@ import pytest
 from conftest import small_spaces
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import recursive_reachability, relax_zigzag
+from oracles import recursive_reachability, relax_zigzag, symmetrized_min
+from scipy.sparse.csgraph import dijkstra
 
 from dirmetric import (
     INFINITY,
@@ -30,6 +31,8 @@ from dirmetric import (
     zigzag_from_edges,
 )
 from dirmetric.fileio import space_to_doc
+from dirmetric.gallery import GridSpec, flat_torus_grid
+from dirmetric.spaces import _weight_csr
 
 TWO = FiniteDSpace(base=[[0.0, 1.0], [1.0, 0.0]], edges=((0, 1, 1.0),))
 
@@ -118,6 +121,81 @@ def test_base_is_read_only():
         TWO.base[0, 1] = 5.0
 
 
+def test_base_is_copied_unless_read_only_and_owning_its_data():
+    a = np.array(LINE3)
+    s = FiniteDSpace(base=a)
+    a[0, 1] = a[1, 0] = 5.0
+    assert s.base[0, 1] == 1.0
+
+    a = np.array(LINE3)
+    view = a.view()
+    view.setflags(write=False)
+    s = FiniteDSpace(base=view)
+    assert s.base is not view
+    a[0, 1] = a[1, 0] = 5.0
+    assert s.base[0, 1] == 1.0
+
+    a = np.array(LINE3)
+    a.setflags(write=False)
+    assert FiniteDSpace(base=a).base is a
+    zz, reach = compute_zigzag(TWO), compute_reachability(TWO)
+    zz.setflags(write=False)
+    assert DirectedMetricSpace(space=TWO, zz=zz, reach=reach).zz is zz
+
+
+# Validation runs over blocks of 256 rows; 300 points span two blocks, and
+# each single fault below sits next to, or mirrors across, row 256.
+BLOCKED_N = 300
+
+
+def line_base(n):
+    x = np.arange(n, dtype=float)
+    return np.abs(np.subtract.outer(x, x))
+
+
+@pytest.mark.parametrize(
+    "faults, message",
+    [
+        ([(256, 255, np.nan)], "contains nan"),
+        ([(255, 256, 5.0)], "not symmetric"),
+        ([(10, 280, 5.0)], "not symmetric"),
+        ([(255, 256, 0.0), (256, 255, 0.0)], "non-positive distance"),
+        # several faults: the first kind in the order nan, symmetry, positivity
+        ([(0, 1, 5.0), (299, 298, np.nan)], "contains nan"),
+        ([(0, 1, 0.0), (1, 0, 0.0), (299, 10, 5.0)], "not symmetric"),
+        ([(260, 261, 0.0), (261, 260, 0.0), (255, 256, np.inf)], "not symmetric"),
+    ],
+)
+def test_blocked_validation_reports_faults_across_a_block_boundary(faults, message):
+    base = line_base(BLOCKED_N)
+    for i, j, v in faults:
+        base[i, j] = v
+    with pytest.raises(ValueError, match=message):
+        FiniteDSpace(base=base)
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        ("below", "drop below the base"),
+        ("reach", "reachable pair at infinite"),
+        ("finiteness", "finiteness of zz is not symmetric"),
+    ],
+)
+def test_blocked_zigzag_checks_across_a_block_boundary(fault, message):
+    space = FiniteDSpace(base=line_base(BLOCKED_N))
+    zz, reach = compute_zigzag(space), compute_reachability(space)
+    if fault == "below":
+        zz = line_base(BLOCKED_N)
+        zz[256, 255] = zz[255, 256] = 0.5
+    elif fault == "reach":
+        reach[256, 255] = True
+    else:
+        zz[255, 256] = 1.0
+    with pytest.raises(ValueError, match=message):
+        DirectedMetricSpace(space=space, zz=zz, reach=reach)
+
+
 # ---------------------------------------------------------------------------
 # zigzag and reachability against oracles
 
@@ -176,6 +254,13 @@ def test_zigzag_from_edges_source_rows():
     rows = zigzag_from_edges(4, edges, sources=[1, 3])
     assert rows.shape == (2, 4)
     assert np.array_equal(rows, full[[1, 3]])
+
+
+def test_blocked_symmetrizing_matches_the_full_size_reference():
+    tor = flat_torus_grid(GridSpec(k=20))
+    raw = dijkstra(_weight_csr(tor.n, tor.src, tor.dst, tor.length), directed=False)
+    assert (raw != raw.T).any()  # tie-break rounding gives the step work to do
+    assert np.array_equal(compute_zigzag(tor).view(np.int64), symmetrized_min(raw).view(np.int64))
 
 
 def test_reversal_keeps_zigzag_bitwise():

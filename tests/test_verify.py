@@ -1,10 +1,13 @@
 """Self-check harness: suites run green and deterministically."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dirmetric import SUITES, compute_zigzag, run_checks, random_space
-from dirmetric.verify import naive_min_correspondence_distortion
+from dirmetric.gallery import GridSpec, directed_square_grid
+from dirmetric.verify import _identity_distortion, naive_min_correspondence_distortion
 
 
 def test_core_suite_passes():
@@ -45,3 +48,17 @@ def test_random_space_is_valid_and_connected():
 def test_naive_oracle_on_identical_spaces():
     d = np.array([[0.0, 1.0], [1.0, 0.0]])
     assert naive_min_correspondence_distortion(d, d) == 0.0
+
+
+def test_square_grid_identity_holds_one_dense_matrix():
+    # tracemalloc sees numpy's allocations: building the grid and reducing
+    # its identity distortion keep the base and a few row blocks alive, not
+    # several n x n arrays (1681 points, so seven blocks of 256 rows)
+    tracemalloc.start()
+    try:
+        g = directed_square_grid(GridSpec(k=40))
+        _identity_distortion(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * g.base.nbytes
