@@ -18,6 +18,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -51,6 +52,7 @@ from .gallery import (
     source_sink_interval,
 )
 from .spaces import (
+    DEFAULT_TOL,
     DirectedMetricSpace,
     FiniteDSpace,
     compute_reachability,
@@ -63,22 +65,17 @@ GEN_IDS = ("interval", "square", "source-sink", "torus", "open-book", "sncf", "h
 
 @dataclass
 class RunConfig:
-    """Everything one invocation needs; built once from parsed arguments."""
+    """What dist and verify need; built once from their parsed arguments.
+
+    tol, the tolerance dist rechecks certificates at, is a constant.
+    """
 
     budget: SearchBudget = field(default_factory=SearchBudget)
-    tol: float = 1e-9
+    tol: ClassVar[float] = DEFAULT_TOL
 
     @classmethod
     def from_args(cls, args) -> "RunConfig":
-        budget = SearchBudget()
-        if hasattr(args, "budget_exhaustive_gh"):
-            budget = SearchBudget(
-                exhaustive_gh=args.budget_exhaustive_gh,
-                exhaustive_cdis=args.budget_exhaustive_cdis,
-                restarts=args.restarts,
-                seed=args.seed,
-            )
-        return cls(budget=budget, tol=getattr(args, "tol", 1e-9))
+        return cls(SearchBudget(exhaustive_gh=args.budget_exhaustive_gh, exhaustive_cdis=args.budget_exhaustive_cdis))
 
 
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
@@ -86,9 +83,6 @@ def _add_budget_flags(p: argparse.ArgumentParser) -> None:
                    help="exhaustive correspondence search up to |X|*|Y| = N (default 16)")
     p.add_argument("--budget-exhaustive-cdis", type=int, default=12, metavar="N",
                    help="no node cap on the cdis search up to |X|*|Y| = N (default 12)")
-    p.add_argument("--restarts", type=int, default=32,
-                   help="gh and dis local search restarts above the exhaustive caps (default 32)")
-    p.add_argument("--seed", type=int, default=0, help="seed for all randomized search; cdis has none (default 0)")
 
 
 def _parse_steps(text: str):
@@ -247,7 +241,6 @@ def _certificate_value(report, X: DirectedMetricSpace, Y: DirectedMetricSpace):
 
 def cmd_dist(args) -> int:
     cfg = RunConfig.from_args(args)
-    budget = cfg.budget
     X = DirectedMetricSpace.from_space(load_space(args.fileX))
     if args.kind == "hausdorff":
         a, b = _load_subsets(args.fileY, X)
@@ -265,7 +258,7 @@ def cmd_dist(args) -> int:
         return 0
     Y = DirectedMetricSpace.from_space(load_space(args.fileY))
     fn = {"gh": gh_distance, "dis": distortion_distance, "cdis": dcorrespondence_distance}[args.kind]
-    report = fn(X, Y, budget)
+    report = fn(X, Y, cfg.budget)
     recheck = _certificate_value(report, X, Y)
     if recheck is None:
         cert_ok = None
@@ -428,8 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("fileX", help="space JSON file")
     d.add_argument("fileY", help="space JSON file; for hausdorff, a JSON object "
                                  "{\"a\": [...], \"b\": [...]} naming subsets of FILEX")
-    d.add_argument("--tol", type=float, default=1e-9,
-                   help="certificate re-evaluation tolerance (default 1e-9)")
     _add_budget_flags(d)
     d.set_defaults(func=cmd_dist)
 
@@ -445,6 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run the self-check suites")
     v.add_argument("suite", nargs="?", default="all", choices=SUITES)
     v.add_argument("--out", help="also write the JSON report here")
+    v.add_argument("--seed", type=int, default=0, help="seed of the checks' random ensembles (default 0)")
     _add_budget_flags(v)
     v.set_defaults(func=cmd_verify)
 

@@ -26,11 +26,11 @@ larger ones fall back to seeded local search and report exact=False
 unless the best value meets a proven lower bound.  That is one map-pair
 search for both, run for gh with no edges to respect.  It moves one
 point of one map at a time and scores all candidate images of that
-point together in O(n*m); move order and tie-breaking are fixed for a
-given seed.  The d-correspondence distance runs one search at every
-size.  Constraint propagation first drops pairs that fit in no
-d-correspondence, which proves infeasibility when a point is left
-without partner.  A branch and bound on the threshold then bisects the
+point together in O(n*m); its seed is a private constant, so move
+order and tie-breaking are fixed.  The d-correspondence distance runs
+one search at every size.  Constraint propagation first drops pairs
+that fit in no d-correspondence, which proves infeasibility when a
+point is left without partner.  A branch and bound on the threshold then bisects the
 sorted distinct costs between the surviving pairs: each threshold t is
 decided by depth-first search for a covering set of pairwise compatible
 pairs of pairwise cost at most t, branching on the uncovered row or
@@ -52,18 +52,14 @@ from .spaces import DEFAULT_TOL, DirectedMetricSpace, diameter
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Caps deciding when searches are exhaustive, and search effort.
+    """Caps deciding when searches are exhaustive.
 
     exhaustive_gh    : run exact correspondence search when |X|*|Y| is at most this
     exhaustive_cdis  : no node cap on the d-correspondence search up to this |X|*|Y|
-    restarts         : local-search restarts (gh, dis) in the non-exhaustive regime
-    seed             : seeds every stochastic choice; fixed seed, fixed output
     """
 
     exhaustive_gh: int = 16
     exhaustive_cdis: int = 12
-    restarts: int = 32
-    seed: int = 0
 
 
 DEFAULT_BUDGET = SearchBudget()
@@ -74,6 +70,12 @@ MAP_PAIR_LIMIT = 10_000_000
 CDIS_NODE_LIMIT = 20_000
 #: Largest |X|*|Y| the d-correspondence search takes; its pair tables hold (|X|*|Y|)^2 entries.
 CDIS_PAIR_LIMIT = 4096
+
+# The map-pair local search (gh and dis above the caps): starting maps
+# sampled per side, and the seed of its rng.  Fixed, so equal inputs give
+# equal reports.
+_RESTARTS = 32
+_SEED = 0
 
 
 # ---------------------------------------------------------------------------
@@ -532,16 +534,7 @@ def _descend(f, g, dX, dY, nbX, nbY, reachX, reachY):
     return val, f, g
 
 
-def _local_search_map_pair(
-    dX: np.ndarray,
-    dY: np.ndarray,
-    budget: SearchBudget,
-    *,
-    reachX: np.ndarray,
-    reachY: np.ndarray,
-    edgesX,
-    edgesY,
-):
+def _local_search_map_pair(dX: np.ndarray, dY: np.ndarray, *, reachX: np.ndarray, reachY: np.ndarray, edgesX, edgesY):
     """Best map pair (f, g) by alternating pointwise descent.
 
     Objective: max of the two distortions and the codistortion.  Moves
@@ -554,27 +547,23 @@ def _local_search_map_pair(
     codistortion matrix, so all candidate images of the point are scored
     together in O(n*m) from slabs of those entries plus the maximum of
     the unchanged rest.  Candidates are tried in index order and replace
-    the best so far only when they score lower by more than 1e-15, so the
-    move order and tie-breaking are fixed for a given budget.seed.
+    the best so far only when they score lower by more than 1e-15; with
+    the rng seeded by _SEED, the move order and tie-breaking are fixed.
     """
     nX, nY = dX.shape[0], dY.shape[0]
-    rng = np.random.default_rng(budget.seed)
+    rng = np.random.default_rng(_SEED)
     nbX = _neighbours(nX, edgesX)
     nbY = _neighbours(nY, edgesY)
 
-    restarts = max(budget.restarts, 1)
-
-    def add(pool: list, images) -> None:
-        if images is None:
-            return
-        key = tuple(int(i) for i in images)
-        if key not in {tuple(p) for p in pool}:
-            pool.append(np.asarray(key, dtype=int))
+    def add(pool: dict, images) -> None:
+        # a pool is an insertion-ordered set of maps, each map a tuple
+        if images is not None:
+            pool[tuple(images.tolist())] = None
 
     # constant maps are always direction respecting; identity and greedy
     # profile maps join the pool when they are
-    pool_f: list[np.ndarray] = []
-    pool_g: list[np.ndarray] = []
+    pool_f: dict = {}
+    pool_g: dict = {}
     ecc_x = np.argsort(np.where(np.isfinite(dX), dX, 0.0).max(axis=1), kind="stable")
     ecc_y = np.argsort(np.where(np.isfinite(dY), dY, 0.0).max(axis=1), kind="stable")
     for cy in (ecc_y[0], ecc_y[-1]):
@@ -591,30 +580,30 @@ def _local_search_map_pair(
     tries = 0
     sample_f = nX * nX * nY <= 20_000_000  # randomized construction is O(n^2 m)
     sample_g = nY * nY * nX <= 20_000_000
-    while (sample_f or sample_g) and (len(pool_f) < restarts or len(pool_g) < restarts) and tries < 4 * restarts:
+    while (sample_f or sample_g) and (len(pool_f) < _RESTARTS or len(pool_g) < _RESTARTS) and tries < 4 * _RESTARTS:
         tries += 1
-        if sample_f and len(pool_f) < restarts:
+        if sample_f and len(pool_f) < _RESTARTS:
             add(pool_f, _random_greedy_map(dX, dY, nbX, reachY, rng))
-        if sample_g and len(pool_g) < restarts:
+        if sample_g and len(pool_g) < _RESTARTS:
             add(pool_g, _random_greedy_map(dY, dX, nbY, reachX, rng))
 
     # cross-pair the pools, keep the most promising pairs, polish those
-    F, G = np.array(pool_f), np.array(pool_g)
+    F, G = np.array(list(pool_f)), np.array(list(pool_g))
     cross = dX[:, G.T]
     obj = np.array([_codistortions(f, cross, dY) for f in F])
     obj = np.maximum(obj, np.maximum(_batch_map_distortion(dX, dY, F)[:, None], _batch_map_distortion(dY, dX, G)))
     scored = sorted((v, i // len(G), i % len(G)) for i, v in enumerate(obj.ravel().tolist()))
-    polish = min(len(scored), max(6, restarts // 4))
+    polish = min(len(scored), max(6, _RESTARTS // 4))
     if (nX * nY) * max(nX, nY) ** 2 > 500_000_000:
         # pointwise descent would be too slow; report the best pool pair
         val0, fi, gi = scored[0]
-        return val0, tuple(int(v) for v in pool_f[fi]), tuple(int(v) for v in pool_g[gi])
+        return val0, tuple(F[fi].tolist()), tuple(G[gi].tolist())
 
     best_val, best_f, best_g = INFINITY, None, None
     for val0, fi, gi in scored[:polish]:
-        val, f, g = _descend(pool_f[fi].copy(), pool_g[gi].copy(), dX, dY, nbX, nbY, reachX, reachY)
+        val, f, g = _descend(F[fi].copy(), G[gi].copy(), dX, dY, nbX, nbY, reachX, reachY)
         if val < best_val:
-            best_val, best_f, best_g = val, tuple(int(v) for v in f), tuple(int(v) for v in g)
+            best_val, best_f, best_g = val, tuple(f.tolist()), tuple(g.tolist())
     return best_val, best_f, best_g
 
 
@@ -645,7 +634,7 @@ def _min_correspondence_report(kind: str, dX: np.ndarray, dY: np.ndarray, budget
         return DistanceReport(kind, 0.5 * val, True, 0.5 * val, cert, "branch-and-bound")
     no_edges = (np.zeros(0, dtype=int),) * 2
     val, f, g = _local_search_map_pair(
-        dX, dY, budget, reachX=np.ones((nX, nX), bool), reachY=np.ones((nY, nY), bool), edgesX=no_edges, edgesY=no_edges
+        dX, dY, reachX=np.ones((nX, nX), bool), reachY=np.ones((nY, nY), bool), edgesX=no_edges, edgesY=no_edges
     )
     cert = None  # no map pair of finite objective: the value is inf
     if f is not None:
@@ -663,7 +652,9 @@ def distortion_distance(
     """Half the best joint objective over direction-respecting map pairs.
 
     Exhaustive enumeration when |Y|^|X| * |X|^|Y| <= MAP_PAIR_LIMIT,
-    else seeded alternating local search over d-maps.
+    else seeded alternating local search over d-maps.  Neither reads
+    budget: dis has no cap there, and takes it so that all three
+    distances share one signature.
     """
     nX, nY = X.n, Y.n
     if nX == 0 or nY == 0:
@@ -677,13 +668,7 @@ def distortion_distance(
             return DistanceReport("dis", INFINITY, True, INFINITY, None, "exhaustive")
         return DistanceReport("dis", 0.5 * val, True, 0.5 * val, MapPair(f, g), "exhaustive")
     val, f, g = _local_search_map_pair(
-        X.zz,
-        Y.zz,
-        budget,
-        reachX=X.reach,
-        reachY=Y.reach,
-        edgesX=(X.space.src, X.space.dst),
-        edgesY=(Y.space.src, Y.space.dst),
+        X.zz, Y.zz, reachX=X.reach, reachY=Y.reach, edgesX=(X.space.src, X.space.dst), edgesY=(Y.space.src, Y.space.dst)
     )
     value = 0.5 * val
     exact = value <= lower + 1e-12

@@ -97,6 +97,9 @@ def doc_to_space(doc: dict) -> FiniteDSpace:
         if not isinstance(base_doc, list):
             raise SpaceFormatError("\"base\" must be a list of rows")
         base = _base_in(base_doc)
+    # the parsed base is a fresh array nothing else holds: read-only, the
+    # space adopts it instead of copying it
+    base.setflags(write=False)
     try:
         return FiniteDSpace(base=base, edges=tuple(edges), labels=labels)
     except ValueError as exc:
@@ -105,12 +108,13 @@ def doc_to_space(doc: dict) -> FiniteDSpace:
 
 def _base_in(base_doc: list) -> np.ndarray:
     n = len(base_doc)
-    if all(isinstance(row, list) and len(row) == n for row in base_doc):
-        # one numpy conversion when every cell is a plain number or "inf"
-        # (numpy parses the string "inf"); bool is its own type here
+    if n and all(isinstance(row, list) and len(row) == n for row in base_doc):
+        # one numpy conversion, straight into an (n, n) array that owns its
+        # data, when every cell is a plain number or "inf" (numpy parses the
+        # string "inf"); bool is its own type here
         kinds = Counter(map(type, chain.from_iterable(base_doc)))
         if kinds.keys() <= {int, float, str} and kinds[str] == sum(row.count("inf") for row in base_doc):
-            return np.array(base_doc, dtype=float).reshape(n, n)
+            return np.array(base_doc, dtype=float)
     # anything else gets the cell-by-cell check and its exact message
     base = np.empty((n, n))
     for i, row in enumerate(base_doc):

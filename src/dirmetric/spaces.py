@@ -33,9 +33,10 @@ without copying when that is already an array of the right dtype
 directed_square_grid and from_space hand over.  Anything else, a
 read-only view of a writeable array included, is copied, so writes
 through a caller's writeable array never reach a space's matrices.
-Validation of dense matrices (base, zigzag) and the symmetrizing step
-of the zigzag run over blocks of _BLOCK_ROWS rows, so that on a large
-grid the only n x n array alive is the matrix itself.
+Validation of dense matrices (base, zigzag), the symmetrizing step of
+the zigzag and the reachability closure run over blocks of _BLOCK_ROWS
+rows, so that on a large grid the only n x n arrays alive are the
+matrices themselves.
 """
 
 from __future__ import annotations
@@ -265,12 +266,17 @@ def compute_zigzag(space: FiniteDSpace) -> np.ndarray:
 
 
 def compute_reachability(space: FiniteDSpace) -> np.ndarray:
-    """Reflexive-transitive closure of the edge relation, as a bool matrix."""
+    """Reflexive-transitive closure of the edge relation, as a bool matrix.
+
+    Filled one row block of hop counts at a time, so no n x n float
+    matrix is held next to it.
+    """
     n = space.n
     reach = np.eye(n, dtype=bool)
     if space.edges:
-        hops = dijkstra(_weight_csr(n, space.src, space.dst, space.length), directed=True, unweighted=True)
-        reach |= np.isfinite(hops)
+        graph = _weight_csr(n, space.src, space.dst, space.length)
+        for r in _row_blocks(n):
+            reach[r] |= np.isfinite(dijkstra(graph, directed=True, unweighted=True, indices=np.arange(r.start, r.stop)))
     return reach
 
 

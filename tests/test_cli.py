@@ -6,9 +6,12 @@ to the reported value, error paths exit 1, failed suites would exit 2,
 and repeated seeded runs are byte-identical.
 """
 
+import argparse
 import hashlib
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +30,9 @@ from dirmetric import (
     source_sink_interval,
 )
 from dirmetric import distances
-from dirmetric.cli import _certificate_value, main
+from dirmetric.cli import RunConfig, _certificate_value, build_parser, main
+from dirmetric.distances import DEFAULT_BUDGET
+from dirmetric.verify import check_source_sink
 
 
 def run(capsys, *argv):
@@ -239,9 +244,17 @@ def test_dist_hausdorff_subsets_by_label_and_index(capsys, tmp_path):
 
 def test_dist_runs_are_byte_identical(capsys, tmp_path):
     fx, fy = write_two_arm(tmp_path, k=3)
-    _, out1, _ = run(capsys, "dist", "dis", fx, fy, "--seed", "5")
-    _, out2, _ = run(capsys, "dist", "dis", fx, fy, "--seed", "5")
+    _, out1, _ = run(capsys, "dist", "dis", fx, fy)
+    _, out2, _ = run(capsys, "dist", "dis", fx, fy)
     assert out1 == out2
+
+
+@pytest.mark.parametrize("flag", [("--seed", "1"), ("--restarts", "3"), ("--tol", "1e-6")])
+def test_dist_has_no_search_seed_restarts_or_tolerance(capsys, tmp_path, flag):
+    fx, fy = write_two_arm(tmp_path)
+    code, out, err = run(capsys, "dist", "gh", fx, fy, *flag)
+    assert code == 1 and out == ""
+    assert "usage:" in err and "unrecognized arguments" in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +352,13 @@ def test_verify_distances_seed7_twice_byte_identical(capsys):
     assert "chain_inequalities" in err1
 
 
+def test_verify_seed_picks_ensembles_not_the_search_budget():
+    # the tests call the checks with the library's default budget, so the
+    # command line must hand them the same one for every seed
+    args = build_parser().parse_args(["verify", "--seed", "2"])
+    assert check_source_sink(2, RunConfig.from_args(args).budget) == check_source_sink(2, DEFAULT_BUDGET)
+
+
 def test_verify_writes_report_with_out(capsys, tmp_path):
     path = tmp_path / "report.json"
     code, out, _ = run(capsys, "verify", "core", "--out", str(path))
@@ -354,6 +374,19 @@ def test_verify_rejects_unknown_suite(capsys):
 def test_usage_error_maps_to_exit_one(capsys):
     assert main(["dist"]) == 1
     assert main([]) == 1
+
+
+def test_every_flag_the_readme_names_is_accepted():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    named = {
+        flag
+        for line in readme.splitlines()
+        if not line.startswith("pip ")  # the install command's flags are pip's
+        for flag in re.findall(r"(?<![\w-])--[a-z][a-z-]*", line)
+    }
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    accepted = {opt for sub in subparsers.choices.values() for opt in sub._option_string_actions}
+    assert named and named <= accepted
 
 
 def test_help_exits_zero(capsys):

@@ -28,6 +28,7 @@ from dirmetric import (
     matrix_to_csv,
     save_space,
 )
+from dirmetric import spaces
 from dirmetric.fileio import _base_in, doc_to_space, jsonable, space_to_doc
 
 TWO = FiniteDSpace(base=[[0.0, 1.0], [1.0, 0.0]], edges=((0, 1, 1.5),))
@@ -63,6 +64,27 @@ def test_base_defaults_to_edge_shortest_paths():
     assert s.n == 3
     assert s.base[0, 2] == 3.0
     assert s.base[2, 0] == 3.0
+
+
+@pytest.mark.parametrize("doc", [
+    {"base": [[0.0, 1.0, "inf"], [1.0, 0.0, "inf"], ["inf", "inf", 0.0]], "edges": [[0, 1, 1.0]]},
+    {"base": [], "edges": []},
+    {"edges": [[0, 1, 1.0], [1, 2, 2.0]]},
+], ids=["parsed", "empty", "default"])
+def test_loaded_base_is_adopted_not_copied(doc, monkeypatch):
+    calls = []
+
+    def spy(a, dtype=float):
+        out = as_readonly(a, dtype)
+        calls.append((a, out))
+        return out
+
+    as_readonly = spaces._as_readonly
+    monkeypatch.setattr(spaces, "_as_readonly", spy)
+    s = doc_to_space(doc)
+    passed_in, kept = calls[0]  # the first call takes the base
+    assert kept is passed_in and kept is s.base
+    assert not s.base.flags.writeable
 
 
 def test_point_count_from_labels_when_no_edges_touch_them():
@@ -113,7 +135,8 @@ BASE_CELLS = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 5).flatmap(lambda n: st.lists(st.lists(BASE_CELLS, min_size=n, max_size=n), min_size=n, max_size=n)))
 def test_base_parse_matches_cell_loop(base_doc):
-    assert _base_in(base_doc).tobytes() == slow_base_cells(base_doc).tobytes()
+    got, ref = _base_in(base_doc), slow_base_cells(base_doc)
+    assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("base_doc", [

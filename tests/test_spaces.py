@@ -216,6 +216,9 @@ def test_reachability_matches_recursive_oracle():
         n = int(rng.integers(2, 8))
         s = random_euclidean(rng, n, int(rng.integers(0, 2 * n)))
         assert np.array_equal(compute_reachability(s), recursive_reachability(n, s.edges))
+    # past one block of rows, with a partial last block
+    s = random_euclidean(rng, 300, 300)
+    assert np.array_equal(compute_reachability(s), recursive_reachability(300, s.edges))
 
 
 def test_zigzag_is_extended_metric_and_dominates_base():

@@ -7,6 +7,7 @@ import pytest
 
 from dirmetric import SUITES, compute_zigzag, run_checks, random_space
 from dirmetric.gallery import GridSpec, directed_square_grid
+from dirmetric.spaces import compute_reachability
 from dirmetric.verify import _identity_distortion, naive_min_correspondence_distortion
 
 
@@ -62,3 +63,16 @@ def test_square_grid_identity_holds_one_dense_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 2 * g.base.nbytes
+
+
+def test_square_grid_reachability_holds_no_float_matrix():
+    # the closure is filled from Dijkstra's hop counts one row block at a
+    # time, so besides the bool result only a block of floats is alive
+    g = directed_square_grid(GridSpec(k=40))
+    tracemalloc.start()
+    try:
+        compute_reachability(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < g.base.nbytes / 2
