@@ -18,16 +18,19 @@ chain (each bounds the previous from above):
 
 A direction-respecting vertex map (d-map) sends every edge of the source
 into the reachability relation of the target.  Constant maps always
-qualify, so the map-pair distance is always finite on nonempty spaces.
+qualify, but the map-pair distance is inf unless both spaces have equally
+many weak components, e.g. for a disconnected space against a connected one.
 
 Search strategy: small problems are solved exactly, gh by branch and
 bound over pairs and the map-pair distance by enumerating map pairs;
 larger ones fall back to seeded local search and report exact=False
 unless the best value meets a proven lower bound.  That is one map-pair
-search for both, run for gh with no edges to respect.  It moves one
-point of one map at a time and scores all candidate images of that
-point together in O(n*m); its seed is a private constant, so move
-order and tie-breaking are fixed.  The d-correspondence distance runs
+search for both, run for gh with no edges to respect.  Greedy starting
+maps update (point, image) arrays of worst distortion and legality per
+placement; descent then moves one point of one map at a time and scores
+all candidate images of that point together in O(n*m).  One errstate
+covers the search; its seed is a private constant, so move order and
+tie-breaking are fixed.  The d-correspondence distance runs
 one search at every size.  Constraint propagation first drops pairs
 that fit in no d-correspondence, which proves infeasibility when a
 point is left without partner.  A branch and bound on the threshold then bisects the
@@ -403,14 +406,19 @@ def _neighbours(n: int, edges):
     return out, inn, adj
 
 
+def _abs_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """ext_abs_diff, bit for bit, on non-negative nan-free arrays: fmax makes inf - inf 0."""
+    return np.fmax(np.abs(a - b), 0.0)
+
+
 def _legal_moves(u: int, images: np.ndarray, out, inn, reach: np.ndarray) -> np.ndarray:
     """Mask of the images y for point u that keep every edge at u inside reach.
 
-    Edges to unplaced points (image -1) are skipped.  Under gh there are
-    no edges, so every image is legal.
+    Under gh there are no edges, so every image is legal.
     """
-    heads, tails = images[out[u]], images[inn[u]]
-    return reach[:, heads[heads >= 0]].all(axis=1) & reach[tails[tails >= 0], :].all(axis=0)
+    if out[u].size == 0 and inn[u].size == 0:
+        return np.ones(reach.shape[0], dtype=bool)
+    return reach[:, images[out[u]]].all(axis=1) & reach[images[inn[u]], :].all(axis=0)
 
 
 def _move_scores(u: int, images: np.ndarray, other: np.ndarray, dS: np.ndarray, dT: np.ndarray, rest: float):
@@ -429,9 +437,9 @@ def _move_scores(u: int, images: np.ndarray, other: np.ndarray, dS: np.ndarray, 
     t_row[:, u] = diag
     t_col = dT[images, :].T
     t_col[:, u] = diag
-    row = ext_abs_diff(dS[u, :][None, :], t_row)
-    col = ext_abs_diff(dS[:, u][None, :], t_col)
-    cross = ext_abs_diff(dS[u, other][None, :], dT)
+    row = _abs_diff(dS[u, :][None, :], t_row)
+    col = _abs_diff(dS[:, u][None, :], t_col)
+    cross = _abs_diff(dS[u, other][None, :], dT)
     scores = np.maximum(np.maximum(row.max(axis=1), col.max(axis=1)), np.maximum(cross.max(axis=1), rest))
     return scores, row, col, cross
 
@@ -442,22 +450,25 @@ def _random_greedy_map(dS, dT, neighbours, reachT, rng) -> Optional[np.ndarray]:
     Points are placed one by one; each placement satisfies the reach
     constraints of edges whose other endpoint is already placed and
     minimizes (with a little seeded noise) the distortion against the
-    points placed so far.  neighbours comes from _neighbours on the source.
-    Returns None on a dead end.
+    points placed so far.  Both live in |S| x |T| arrays updated per
+    placement: worst[a, y] = max over placed p of |dS[a, p] - dT[y, images p]|;
+    legal[a] ANDs reachT[images p, :] over placed in-neighbours p of a and
+    reachT[:, images p] over out-neighbours.  neighbours comes from
+    _neighbours on the source.  Returns None on a dead end.
     """
-    nS = dS.shape[0]
+    nS, nT = dS.shape[0], dT.shape[0]
     out_e, in_e, adj = neighbours
 
     # place points in randomized BFS order over the undirected edge graph:
     # every new point is then constrained only through placed neighbours,
     # which avoids most dead ends (all of them, on forests)
     order: list[int] = []
-    seen = np.zeros(nS, dtype=bool)
-    for r in rng.permutation(nS):
+    seen = [False] * nS
+    for r in rng.permutation(nS).tolist():
         if seen[r]:
             continue
         seen[r] = True
-        queue = [int(r)]
+        queue = [r]
         while queue:
             u = queue.pop(0)
             order.append(u)
@@ -468,20 +479,27 @@ def _random_greedy_map(dS, dT, neighbours, reachT, rng) -> Optional[np.ndarray]:
                 queue.append(w)
 
     images = np.full(nS, -1, dtype=int)
+    worst = np.zeros((nS, nT))
+    legal = np.ones((nS, nT), dtype=bool)
     for u in order:
-        cand = np.flatnonzero(_legal_moves(u, images, out_e, in_e, reachT))
+        cand = legal[u].nonzero()[0]
         if cand.size == 0:
             return None
-        placed = np.flatnonzero(images >= 0)
-        if placed.size == 0:
+        if u == order[0]:
             y = int(cand[rng.integers(cand.size)])
         else:
-            cost = ext_abs_diff(dS[u, placed][None, :], dT[np.ix_(cand, images[placed])]).max(axis=1)
+            cost = worst[u, cand]
             finite = cost[np.isfinite(cost)]
             spread = float(finite.min()) if finite.size else 1.0
             noisy = cost + rng.uniform(0.0, 1e-9 + 0.05 * (spread + 1e-3), cand.size)
-            y = int(cand[np.argmin(noisy)])
+            y = int(cand[noisy.argmin()])
         images[u] = y
+        # fmax skips the nan of inf - inf, where _abs_diff gives 0
+        np.fmax(worst, np.abs(dS[:, u, None] - dT[:, y]), out=worst)
+        if out_e[u].size:
+            legal[out_e[u]] &= reachT[y, :]
+        if in_e[u].size:
+            legal[in_e[u]] &= reachT[:, y]
     return images
 
 
@@ -496,9 +514,9 @@ def _descend(f, g, dX, dY, nbX, nbY, reachX, reachY):
     # distortion matrix is then stored transposed and its codistortion
     # column v is row v of K.T, a view that writes through to K
     dXt, dYt = dX.T, dY.T
-    Df = ext_abs_diff(dX, dY[np.ix_(f, f)])
-    Dg = ext_abs_diff(dYt, dXt[np.ix_(g, g)])
-    K = ext_abs_diff(dX[:, g], dY[f, :])
+    Df = _abs_diff(dX, dY[np.ix_(f, f)])
+    Dg = _abs_diff(dYt, dXt[np.ix_(g, g)])
+    K = _abs_diff(dX[:, g], dY[f, :])
     val = max(float(Df.max()), float(Dg.max()), float(K.max()))
     sides = (
         (f, g, dX, dY, Df, K, Dg, nbX, reachY),
@@ -519,7 +537,7 @@ def _descend(f, g, dX, dY, nbX, nbY, reachX, reachY):
                 ok = (v < val - 1e-15) & _legal_moves(u, images, out, inn, reach)
                 ok[cur] = False
                 best_y, best_v = cur, val
-                for y in np.flatnonzero(ok).tolist():
+                for y in ok.nonzero()[0].tolist():
                     if v[y] < best_v - 1e-15:
                         best_y, best_v = y, float(v[y])
                 images[u] = best_y
@@ -534,6 +552,7 @@ def _descend(f, g, dX, dY, nbX, nbY, reachX, reachY):
     return val, f, g
 
 
+@np.errstate(invalid="ignore")  # inf - inf in _abs_diff and the greedy step
 def _local_search_map_pair(dX: np.ndarray, dY: np.ndarray, *, reachX: np.ndarray, reachY: np.ndarray, edgesX, edgesY):
     """Best map pair (f, g) by alternating pointwise descent.
 
@@ -549,6 +568,7 @@ def _local_search_map_pair(dX: np.ndarray, dY: np.ndarray, *, reachX: np.ndarray
     the unchanged rest.  Candidates are tried in index order and replace
     the best so far only when they score lower by more than 1e-15; with
     the rng seeded by _SEED, the move order and tie-breaking are fixed.
+    Greedy starting maps and descent run under one np.errstate, set here.
     """
     nX, nY = dX.shape[0], dY.shape[0]
     rng = np.random.default_rng(_SEED)
@@ -578,7 +598,7 @@ def _local_search_map_pair(dX: np.ndarray, dY: np.ndarray, *, reachX: np.ndarray
             if reach[im[edges[0]], im[edges[1]]].all():
                 add(pool, im)
     tries = 0
-    sample_f = nX * nX * nY <= 20_000_000  # randomized construction is O(n^2 m)
+    sample_f = nX * nX * nY <= 20_000_000  # n placements, each updating an n x m array
     sample_g = nY * nY * nX <= 20_000_000
     while (sample_f or sample_g) and (len(pool_f) < _RESTARTS or len(pool_g) < _RESTARTS) and tries < 4 * _RESTARTS:
         tries += 1

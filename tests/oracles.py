@@ -16,7 +16,7 @@ from dataclasses import asdict, is_dataclass
 
 import numpy as np
 
-from dirmetric import SpaceFormatError
+from dirmetric import SpaceFormatError, ext_abs_diff
 
 INF = float("inf")
 
@@ -135,6 +135,53 @@ def slow_descend(f, g, dX, dY, edgesX, edgesY, reachX, reachY):
         if not improved:
             break
     return val, f, g
+
+
+def slow_random_greedy_map(dS, dT, neighbours, reachT, rng):
+    """Random-order greedy d-map, rescoring each placement against every placed point.
+
+    The same rng draws, in the same order, as the library's incremental
+    version: a permutation of the roots, a shuffle of each BFS frontier,
+    then per placed point an integer (the first point) or a uniform noise
+    vector over its legal images.  Legality and cost are recomputed from
+    the placed points each time.  Returns the images, or None on a dead end.
+    """
+    nS = dS.shape[0]
+    out_e, in_e, adj = neighbours
+    order = []
+    seen = np.zeros(nS, dtype=bool)
+    for r in rng.permutation(nS):
+        if seen[r]:
+            continue
+        seen[r] = True
+        queue = [int(r)]
+        while queue:
+            u = queue.pop(0)
+            order.append(u)
+            nbrs = [w for w in adj[u] if not seen[w]]
+            rng.shuffle(nbrs)
+            for w in nbrs:
+                seen[w] = True
+                queue.append(w)
+
+    images = np.full(nS, -1, dtype=int)
+    for u in order:
+        heads, tails = images[out_e[u]], images[in_e[u]]
+        legal = reachT[:, heads[heads >= 0]].all(axis=1) & reachT[tails[tails >= 0], :].all(axis=0)
+        cand = np.flatnonzero(legal)
+        if cand.size == 0:
+            return None
+        placed = np.flatnonzero(images >= 0)
+        if placed.size == 0:
+            y = int(cand[rng.integers(cand.size)])
+        else:
+            cost = ext_abs_diff(dS[u, placed][None, :], dT[np.ix_(cand, images[placed])]).max(axis=1)
+            finite = cost[np.isfinite(cost)]
+            spread = float(finite.min()) if finite.size else 1.0
+            noisy = cost + rng.uniform(0.0, 1e-9 + 0.05 * (spread + 1e-3), cand.size)
+            y = int(cand[np.argmin(noisy)])
+        images[u] = y
+    return images
 
 
 def slow_is_dcorrespondence(pairs, reach_source, reach_target) -> bool:

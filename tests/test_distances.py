@@ -12,19 +12,29 @@ refusal above the pair limit, its exact value on a 12-point copy above
 the exhaustive cap, the chain gh <= dis <= cdis with re-scored
 certificates as a property on exhaustive sizes, d-isometry detection,
 the frozen instance where the base-metric comparison exceeds the zigzag
-one, the map-pair local search's all-moves scores and descent against
-full re-scoring, and its frozen results on two pairs and on twelve
+one, an infinite dis between spaces with different component counts,
+the map-pair local search's all-moves scores, descent and greedy
+starting maps (with their rng draws) against full re-scoring, its lean
+abs-diff against ext_abs_diff bit for bit, no RuntimeWarning on
+disconnected pairs, and its frozen results on two pairs and on twelve
 random pairs above the exhaustive caps.
 """
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
 from conftest import small_spaces
 from hypothesis import assume, given, settings
-from oracles import slow_descend, slow_is_dcorrespondence, slow_map_distortion, slow_min_dcorrespondence
+from oracles import (
+    slow_descend,
+    slow_is_dcorrespondence,
+    slow_map_distortion,
+    slow_min_dcorrespondence,
+    slow_random_greedy_map,
+)
 
 from dirmetric import (
     INFINITY,
@@ -55,6 +65,7 @@ from dirmetric import (
 )
 from dirmetric import distances
 from dirmetric.distances import (
+    _abs_diff,
     _descend,
     _legal_moves,
     _move_scores,
@@ -484,6 +495,11 @@ def test_local_search_without_a_finite_map_pair_reports_inf():
     for r in (rep.gh, rep.gh_base):
         assert r.method == "local-search"
         assert (r.value, r.lower, r.exact, r.certificate) == (INFINITY, INFINITY, True, None)
+    # constant maps are d-maps, yet two components against one leave every
+    # map pair an infinite objective
+    two = dspace([[0.0, INFINITY], [INFINITY, 0.0]], ())
+    r = distortion_distance(two, DirectedMetricSpace.from_space(directed_interval(20)))
+    assert (r.value, r.lower, r.exact, r.certificate, r.method) == (INFINITY, INFINITY, True, None, "local-search")
 
 
 # ---------------------------------------------------------------------------
@@ -599,6 +615,57 @@ def test_descend_matches_full_rescoring_reference(constrained):
         assert (val, f.tolist(), g.tolist()) == ref
         moved += int((f != f0).any() or (g != g0).any())
     assert moved > 0
+
+
+def test_random_greedy_map_matches_rescoring_reference():
+    # the incremental worst/legal arrays against rescoring every placement:
+    # gh (no edges, every image legal) and dis (edges kept inside reach), on
+    # spaces with several components and on asymmetric dS; equal rng states
+    # afterwards show both drew the same numbers
+    rng = np.random.default_rng(49)
+    no_edges = (np.zeros(0, dtype=int),) * 2
+    outcomes = {"map": 0, "dead end": 0}
+    for trial in range(80):
+        X = DirectedMetricSpace.from_space(random_space(rng, int(rng.integers(1, 10)), connected=trial % 3 != 2))
+        Y = DirectedMetricSpace.from_space(random_space(rng, int(rng.integers(1, 10)), connected=trial % 4 != 3))
+        dX = X.zz + rng.uniform(0.0, 0.5, X.zz.shape) if trial % 2 else X.zz
+        for edges, reachY in (((X.space.src, X.space.dst), Y.reach), (no_edges, np.ones((Y.n, Y.n), bool))):
+            nb = _neighbours(X.n, edges)
+            seed = int(rng.integers(2**32))
+            fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+            with np.errstate(invalid="ignore"):
+                got = _random_greedy_map(dX, Y.zz, nb, reachY, fast)
+            want = slow_random_greedy_map(dX, Y.zz, nb, reachY, slow)
+            assert (None if got is None else got.tolist()) == (None if want is None else want.tolist())
+            assert fast.bit_generator.state == slow.bit_generator.state
+            outcomes["map" if got is not None else "dead end"] += 1
+    assert min(outcomes.values()) > 0
+
+
+def test_lean_abs_diff_is_ext_abs_diff_bit_for_bit():
+    rng = np.random.default_rng(51)
+    values = np.array([0.0, 0.25, 1.5, INFINITY])
+    a, b = rng.choice(values, (6, 1)), rng.choice(values, (6, 7))
+    both_inf, one_inf, equal = np.isinf(a) & np.isinf(b), np.isinf(a) ^ np.isinf(b), (a == b) & np.isfinite(b)
+    assert both_inf.any() and one_inf.any() and equal.any()
+    with np.errstate(invalid="ignore"):
+        for x, y in ((a, b), (b, a), (a.T, b[:, :1].T)):
+            assert _abs_diff(x, y).tobytes() == ext_abs_diff(x, y).tobytes()
+
+
+def test_local_search_on_disconnected_pairs_warns_nothing():
+    # both sides disconnected, so the search meets inf - inf
+    rng = np.random.default_rng(52)
+    pairs = []
+    while len(pairs) < 3:
+        X, Y = (DirectedMetricSpace.from_space(random_space(rng, n, connected=False)) for n in (6, 7))
+        if np.isinf(X.zz).any() and np.isinf(Y.zz).any():
+            pairs.append((X, Y))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for X, Y in pairs:
+            for distance in (gh_distance, distortion_distance):
+                assert distance(X, Y).method == "local-search"
 
 
 # recorded before the local search scored moves in slabs; both pairs are
