@@ -21,24 +21,32 @@ into the reachability relation of the target.  Constant maps always
 qualify, but the map-pair distance is inf unless both spaces have equally
 many weak components, e.g. for a disconnected space against a connected one.
 
-Search strategy: small problems are solved exactly, gh by branch and
-bound over pairs and the map-pair distance by enumerating map pairs;
-larger ones fall back to seeded local search and report exact=False
-unless the best value meets a proven lower bound.  That is one map-pair
-search for both, run for gh with no edges to respect.  Greedy starting
-maps update (point, image) arrays of worst distortion and legality per
-placement; descent then moves one point of one map at a time and scores
-all candidate images of that point together in O(n*m).  One errstate
-covers the search; its seed is a private constant, so move order and
-tie-breaking are fixed.  The d-correspondence distance runs
-one search at every size.  Constraint propagation first drops pairs
-that fit in no d-correspondence, which proves infeasibility when a
-point is left without partner.  A branch and bound on the threshold then bisects the
-sorted distinct costs between the surviving pairs: each threshold t is
-decided by depth-first search for a covering set of pairwise compatible
-pairs of pairwise cost at most t, branching on the uncovered row or
-column with the fewest live pairs and forward-checking each choice.  An
-infeasible t proves a lower bound; a feasible one gives a certificate.
+Search strategy.  gh and the d-correspondence distance share one
+threshold search over point pairs; cdis adds a reachability mask.  It
+bisects the sorted distinct pair costs, largest finite first: each
+threshold t is decided by depth-first search for a covering set of pairs,
+every two of cost at most t (and, for cdis, compatible), branching on the
+uncovered row or column with the fewest live pairs and forward-checking
+each choice.  An infeasible t proves a lower bound; a feasible one gives
+a certificate.  No (|X|*|Y|)^2 table of costs is held: the thresholds are
+collected a row block at a time, and a chosen pair's row of costs is
+computed when the pair is tried.  For cdis, constraint propagation first
+drops pairs that fit in no d-correspondence, which proves infeasibility
+when a point is left without partner.  gh runs branch and bound over
+pairs up to its exhaustive cap, the threshold search up to PAIR_LIMIT
+pairs, and a map-pair local search above that.  Both threshold searches
+stop after NODE_LIMIT nodes above their exhaustive caps and then report
+the best certificate and the proven lower bound, exact only if they meet.
+
+The map-pair distance enumerates map pairs while that is small.  Above
+that and up to PAIR_LIMIT pairs it is closed from the chain: gh's lower
+bound bounds it from below, and the choice functions of the cdis
+certificate bound it from above.  Only a bracket left open runs the
+seeded local search.  Greedy starting maps update (point, image) arrays
+of worst distortion and legality per placement; descent then moves one
+point of one map at a time and scores all candidate images of that point
+together in O(n*m).  One errstate covers the local search; its seed is a
+private constant, so move order and tie-breaking are fixed.
 """
 
 from __future__ import annotations
@@ -69,12 +77,16 @@ DEFAULT_BUDGET = SearchBudget()
 
 #: Exact map-pair search runs when |Y|^|X| * |X|^|Y| is at most this.
 MAP_PAIR_LIMIT = 10_000_000
-#: Search nodes of the d-correspondence threshold search above budget.exhaustive_cdis.
-CDIS_NODE_LIMIT = 20_000
-#: Largest |X|*|Y| the d-correspondence search takes; its pair tables hold (|X|*|Y|)^2 entries.
-CDIS_PAIR_LIMIT = 4096
+#: Search nodes of the threshold search (gh and cdis) above their exhaustive caps.
+NODE_LIMIT = 20_000
+#: Largest |X|*|Y| the threshold search takes; cdis refuses larger inputs.
+PAIR_LIMIT = 4096
+#: Pair costs computed at once while collecting the thresholds: rows of
+#: the (|X|*|Y|)^2 cost table are taken this many entries at a time.
+_BLOCK_ENTRIES = 1 << 16
 
-# The map-pair local search (gh and dis above the caps): starting maps
+# The map-pair local search (gh above PAIR_LIMIT, dis where the chain
+# leaves its bracket open): starting maps
 # sampled per side, and the seed of its rng.  Fixed, so equal inputs give
 # equal reports.
 _RESTARTS = 32
@@ -277,7 +289,7 @@ def _value_gap_lower(dX: np.ndarray, dY: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# correspondence searches: exact branch and bound for gh, threshold search for cdis
+# correspondence searches: exact branch and bound for gh, threshold search for gh and cdis
 
 
 def _pair_cost_matrix(dX: np.ndarray, dY: np.ndarray) -> np.ndarray:
@@ -634,9 +646,11 @@ def _local_search_map_pair(dX: np.ndarray, dY: np.ndarray, *, reachX: np.ndarray
 def gh_distance(X: DirectedMetricSpace, Y: DirectedMetricSpace, budget: SearchBudget = DEFAULT_BUDGET) -> DistanceReport:
     """Half the least correspondence distortion between the zigzag metrics.
 
-    Exhaustive (exact) when |X|*|Y| <= budget.exhaustive_gh; otherwise a
-    local-search upper bound together with proven lower bounds, marked
-    exact only if the two meet.
+    Branch and bound (exact) when |X|*|Y| <= budget.exhaustive_gh; up to
+    PAIR_LIMIT the threshold search with every two pairs compatible, capped
+    at NODE_LIMIT nodes; above that a local-search upper bound.  Past the
+    branch and bound, a report is exact only if its value meets its proven
+    lower bound.
     """
     return _min_correspondence_report("gh", X.zz, Y.zz, budget)
 
@@ -647,11 +661,13 @@ def _min_correspondence_report(kind: str, dX: np.ndarray, dY: np.ndarray, budget
         if nX == 0 and nY == 0:
             return DistanceReport(kind, 0.0, True, 0.0, Correspondence(0, 0, ()), "empty")
         return DistanceReport(kind, INFINITY, True, INFINITY, None, "empty")
-    lower = 0.5 * _value_gap_lower(dX, dY)
     if nX * nY <= budget.exhaustive_gh:
         val, pairs = _bnb_correspondence(dX, dY)
         cert = Correspondence(nX, nY, tuple(pairs)) if pairs is not None else None
         return DistanceReport(kind, 0.5 * val, True, 0.5 * val, cert, "branch-and-bound")
+    if nX * nY <= PAIR_LIMIT:
+        return _threshold_report(kind, dX, dY, None, np.ones(nX * nY, dtype=bool), NODE_LIMIT)
+    lower = 0.5 * _value_gap_lower(dX, dY)
     no_edges = (np.zeros(0, dtype=int),) * 2
     val, f, g = _local_search_map_pair(
         dX, dY, reachX=np.ones((nX, nX), bool), reachY=np.ones((nY, nY), bool), edgesX=no_edges, edgesY=no_edges
@@ -671,29 +687,57 @@ def distortion_distance(
 ) -> DistanceReport:
     """Half the best joint objective over direction-respecting map pairs.
 
-    Exhaustive enumeration when |Y|^|X| * |X|^|Y| <= MAP_PAIR_LIMIT,
-    else seeded alternating local search over d-maps.  Neither reads
-    budget: dis has no cap there, and takes it so that all three
-    distances share one signature.
+    Exhaustive enumeration when |Y|^|X| * |X|^|Y| <= MAP_PAIR_LIMIT.
+    Above it and up to PAIR_LIMIT, closed from the chain gh <= dis <= cdis:
+    gh's proven lower bound bounds dis from below, and the choice
+    functions of the cdis certificate are a pair of d-maps whose objective
+    is at most its distortion (method "chain").  Seeded alternating local
+    search over d-maps runs only when that bracket stays open, or above
+    PAIR_LIMIT, and the better certificate is kept.  budget goes to gh and
+    cdis only.
     """
     nX, nY = X.n, Y.n
     if nX == 0 or nY == 0:
         if nX == 0 and nY == 0:
             return DistanceReport("dis", 0.0, True, 0.0, MapPair((), ()), "empty")
         return DistanceReport("dis", INFINITY, True, INFINITY, None, "empty")
-    lower = 0.5 * _value_gap_lower(X.zz, Y.zz)
     if nY**nX * nX**nY <= MAP_PAIR_LIMIT:
         val, f, g = _exhaustive_map_pair(X, Y)
         if f is None:
             return DistanceReport("dis", INFINITY, True, INFINITY, None, "exhaustive")
         return DistanceReport("dis", 0.5 * val, True, 0.5 * val, MapPair(f, g), "exhaustive")
-    val, f, g = _local_search_map_pair(
-        X.zz, Y.zz, reachX=X.reach, reachY=Y.reach, edgesX=(X.space.src, X.space.dst), edgesY=(Y.space.src, Y.space.dst)
-    )
+    lower = 0.5 * _value_gap_lower(X.zz, Y.zz)
+    val, f, g = INFINITY, None, None
+    chained = nX * nY <= PAIR_LIMIT
+    if chained:
+        lower = max(lower, gh_distance(X, Y, budget).lower)
+        cdis = dcorrespondence_distance(X, Y, budget)
+        if cdis.certificate is not None:
+            f, g = _choice_functions(cdis.certificate)
+            val = MapPair(f, g).objective(X.zz, Y.zz)
+    method = "chain"
+    if not chained or 0.5 * val > lower + 1e-12:
+        method = "local-search"
+        val_ls, f_ls, g_ls = _local_search_map_pair(
+            X.zz, Y.zz, reachX=X.reach, reachY=Y.reach, edgesX=(X.space.src, X.space.dst), edgesY=(Y.space.src, Y.space.dst)
+        )
+        if val_ls < val:
+            val, f, g = val_ls, f_ls, g_ls
     value = 0.5 * val
     exact = value <= lower + 1e-12
     cert = MapPair(tuple(f), tuple(g)) if f is not None else None
-    return DistanceReport("dis", value, exact, value if exact else lower, cert, "local-search")
+    return DistanceReport("dis", value, exact, value if exact else lower, cert, method)
+
+
+def _choice_functions(c: Correspondence) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Maps sending each point to its least partner in c, one each way.
+
+    In a d-correspondence both are d-maps, and their map-pair objective is
+    at most the distortion of c: every term compares two pairs of c.
+    """
+    f = {x: y for x, y in reversed(c.pairs)}
+    g = {y: x for x, y in reversed(c.pairs)}
+    return tuple(f[x] for x in range(c.n_source)), tuple(g[y] for y in range(c.n_target))
 
 
 def _enumerate_dmaps(source: DirectedMetricSpace, target: DirectedMetricSpace) -> np.ndarray:
@@ -761,48 +805,77 @@ def dcorrespondence_distance(
     INFINITY with exact=True when constraint propagation or exhausted
     search proves that no d-correspondence of finite distortion exists.
     The threshold search has no node cap when |X|*|Y| <=
-    budget.exhaustive_cdis; above it, CDIS_NODE_LIMIT nodes, after which
+    budget.exhaustive_cdis; above it, NODE_LIMIT nodes, after which
     the best certificate and the proven lower bound are reported, exact
-    only if the two meet.  Raises ValueError when |X|*|Y| > CDIS_PAIR_LIMIT.
+    only if the two meet.  Raises ValueError when |X|*|Y| > PAIR_LIMIT.
     """
     nX, nY = X.n, Y.n
     if nX == 0 or nY == 0:
         if nX == 0 and nY == 0:
             return DistanceReport("cdis", 0.0, True, 0.0, Correspondence(0, 0, ()), "empty")
         return DistanceReport("cdis", INFINITY, True, INFINITY, None, "empty")
-    if nX * nY > CDIS_PAIR_LIMIT:
-        raise ValueError(f"cdis takes at most {CDIS_PAIR_LIMIT} point pairs, got |X|*|Y| = {nX}*{nY} = {nX * nY}")
-    dX, dY = X.zz, Y.zz
+    if nX * nY > PAIR_LIMIT:
+        raise ValueError(f"cdis takes at most {PAIR_LIMIT} point pairs, got |X|*|Y| = {nX}*{nY} = {nX * nY}")
     compat = _reach_compat_matrix(X.reach, Y.reach)
     cand = _arc_consistent_candidates(compat, nX, nY)
     grid = cand.reshape(nX, nY)
     if not (grid.any(axis=1).all() and grid.any(axis=0).all()):
         return DistanceReport("cdis", INFINITY, True, INFINITY, None, "propagation")
-    limit = INFINITY if nX * nY <= budget.exhaustive_cdis else CDIS_NODE_LIMIT
-    lower, val, pairs = _threshold_dcorrespondence(dX, dY, compat, cand, _value_gap_lower(dX, dY), limit)
-    cert = Correspondence(nX, nY, tuple(pairs)) if pairs is not None else None
-    return DistanceReport("cdis", 0.5 * val, lower == val, 0.5 * lower, cert, "branch-and-bound")
+    limit = INFINITY if nX * nY <= budget.exhaustive_cdis else NODE_LIMIT
+    return _threshold_report("cdis", X.zz, Y.zz, compat, cand, limit)
 
 
-def _threshold_dcorrespondence(dX, dY, compat, cand, floor: float, node_limit: float):
-    """Least-distortion d-correspondence by bisection on the threshold.
+def _threshold_report(kind: str, dX, dY, compat, cand, node_limit: float) -> DistanceReport:
+    """_threshold_correspondence from the value-gap bound, as a report."""
+    lower, val, pairs = _threshold_correspondence(dX, dY, compat, cand, _value_gap_lower(dX, dY), node_limit)
+    cert = Correspondence(dX.shape[0], dY.shape[0], tuple(pairs)) if pairs is not None else None
+    return DistanceReport(kind, 0.5 * val, lower == val, 0.5 * lower, cert, "branch-and-bound")
 
-    Only pairs in cand are used; floor is a proven lower bound.  Returns
-    (lower, value, pairs) in distortion units; value is inf and pairs None
-    when no certificate of finite distortion was found, and lower == value
-    unless more than node_limit search nodes (inf: no cap) were needed.
+
+def _distinct_costs(DX: np.ndarray, DY: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Sorted distinct finite pair costs, computed a block of pair rows at a time.
+
+    Pair p = (xs[p], ys[p]) has the costs |DX[xs[p]] - DY[ys[p]]| against
+    every pair, with |inf - inf| = 0.  Each block's distinct values wait
+    in a list and are merged into the result once they hold as many values
+    as it does, so besides one block at most about twice the result is held.
+    """
+    rows = max(1, _BLOCK_ENTRIES // max(xs.size, 1))
+    merged, waiting, held = np.zeros(0), [], 0
+    for start in range(0, xs.size, rows):
+        costs = _abs_diff(DX[xs[start : start + rows]], DY[ys[start : start + rows]])
+        waiting.append(np.unique(costs[np.isfinite(costs)]))
+        held += waiting[-1].size
+        if held >= merged.size:
+            merged, waiting, held = np.unique(np.concatenate([merged, *waiting])), [], 0
+    return np.unique(np.concatenate([merged, *waiting]))
+
+
+@np.errstate(invalid="ignore")  # inf - inf in _abs_diff
+def _threshold_correspondence(dX, dY, compat, cand, floor: float, node_limit: float):
+    """Least-distortion correspondence by bisection on the threshold.
+
+    Only pairs in cand are used, and two pairs sit together only where
+    compat (a pair-by-pair bool table) allows; compat None allows every
+    two (gh).  floor is a proven lower bound.  Returns (lower, value,
+    pairs) in distortion units; value is inf and pairs None when no
+    certificate of finite distortion was found, and lower == value unless
+    more than node_limit search nodes (inf: no cap) were needed.  No pair
+    cost table is held: the thresholds are collected a row block at a
+    time, and a pair's row of costs is computed when the pair is tried.
     """
     nY = dY.shape[0]
     P = np.flatnonzero(cand)
     xs, ys = P // nY, P % nY
-    C = ext_abs_diff(dX[np.ix_(xs, xs)], dY[np.ix_(ys, ys)])
-    compat = compat[np.ix_(P, P)]
-    T = np.append(np.unique(C[np.isfinite(C)]), INFINITY)  # a distortion is one of these
+    if compat is not None and P.size < cand.size:
+        compat = compat[np.ix_(P, P)]
+    DX, DY = dX[:, xs], dY[:, ys]  # pair p's costs: ext_abs_diff(DX[xs[p]], DY[ys[p]])
+    T = np.append(_distinct_costs(DX, DY, xs, ys), INFINITY)  # a distortion is one of these
     nodes_left = node_limit
     chosen: list[int] = []
 
-    def cover(A, live, rows, cols) -> bool:
-        # live: pairs allowed by A next to every chosen pair; changed in place
+    def cover(t, live, rows, cols) -> bool:
+        # live: pairs of cost at most t, and compatible, with every chosen pair; changed in place
         nonlocal nodes_left
         if rows.all() and cols.all():
             return True
@@ -819,7 +892,10 @@ def _threshold_dcorrespondence(dX, dY, compat, cand, floor: float, node_limit: f
             chosen.append(p)
             r, c = rows.copy(), cols.copy()
             r[xs[p]] = c[ys[p]] = True
-            if cover(A, live & A[p], r, c):
+            ok = _abs_diff(DX[xs[p]], DY[ys[p]]) <= t
+            if compat is not None:
+                ok &= compat[p]
+            if cover(t, live & ok, r, c):
                 return True
             chosen.pop()
             live[p] = False  # every cover with p was just ruled out
@@ -830,11 +906,12 @@ def _threshold_dcorrespondence(dX, dY, compat, cand, floor: float, node_limit: f
     lo, hi, best = int(np.searchsorted(T, floor)), T.size - 1, None
     while lo < hi:
         mid = (lo + hi) // 2 if best is not None else hi - 1
-        A = compat & (C <= T[mid])
         chosen.clear()
-        if cover(A, np.diagonal(A).copy(), np.zeros(dX.shape[0], dtype=bool), np.zeros(nY, dtype=bool)):
+        # every pair is live at first: it costs 0 against itself (zero
+        # diagonals) and matches its own reachability (reach is reflexive)
+        if cover(T[mid], np.ones(P.size, dtype=bool), np.zeros(dX.shape[0], dtype=bool), np.zeros(nY, dtype=bool)):
             best = list(chosen)
-            hi = int(np.searchsorted(T, C[np.ix_(best, best)].max()))
+            hi = int(np.searchsorted(T, distortion_relation(zip(xs[best], ys[best]), dX, dY)))
         elif nodes_left < 0:
             break
         else:

@@ -223,6 +223,63 @@ def slow_min_dcorrespondence(dX, dY, reach_source, reach_target) -> float:
     return best
 
 
+def full_table_threshold_correspondence(dX, dY, compat, cand, floor, node_limit):
+    """The threshold search with its whole pair tables built up front.
+
+    The search the library ran before it built pair rows on demand: the
+    (|X|*|Y|)^2 float table of pair costs and the compatibility table
+    restricted to cand are held whole, and threshold t's constraint table
+    is compat & (costs <= t).  compat must be a table here; pass an
+    all-true one for gh.  Returns (lower, value, pairs) like the library.
+    """
+    nY = dY.shape[0]
+    P = np.flatnonzero(cand)
+    xs, ys = P // nY, P % nY
+    C = ext_abs_diff(dX[np.ix_(xs, xs)], dY[np.ix_(ys, ys)])
+    compat = compat[np.ix_(P, P)]
+    T = np.append(np.unique(C[np.isfinite(C)]), INF)
+    nodes_left = node_limit
+    chosen = []
+
+    def cover(A, live, rows, cols):
+        nonlocal nodes_left
+        if rows.all() and cols.all():
+            return True
+        nodes_left -= 1
+        if nodes_left < 0:
+            return False
+        row_live = np.where(rows, P.size + 1, np.bincount(xs[live], minlength=rows.size))
+        col_live = np.where(cols, P.size + 1, np.bincount(ys[live], minlength=cols.size))
+        if row_live.min() <= col_live.min():
+            line = live & (xs == row_live.argmin())
+        else:
+            line = live & (ys == col_live.argmin())
+        for p in np.flatnonzero(line).tolist():
+            chosen.append(p)
+            r, c = rows.copy(), cols.copy()
+            r[xs[p]] = c[ys[p]] = True
+            if cover(A, live & A[p], r, c):
+                return True
+            chosen.pop()
+            live[p] = False
+        return False
+
+    lo, hi, best = int(np.searchsorted(T, floor)), T.size - 1, None
+    while lo < hi:
+        mid = (lo + hi) // 2 if best is not None else hi - 1
+        A = compat & (C <= T[mid])
+        chosen.clear()
+        if cover(A, np.diagonal(A).copy(), np.zeros(dX.shape[0], dtype=bool), np.zeros(nY, dtype=bool)):
+            best = list(chosen)
+            hi = int(np.searchsorted(T, C[np.ix_(best, best)].max()))
+        elif nodes_left < 0:
+            break
+        else:
+            lo = mid + 1
+    pairs = None if best is None else sorted((int(xs[p]), int(ys[p])) for p in best)
+    return float(T[lo]), float(T[hi]), pairs
+
+
 # ---------------------------------------------------------------------------
 # file formats, one value at a time
 

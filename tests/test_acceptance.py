@@ -6,11 +6,20 @@ runtime budgets are asserted in the test body, not relaxed.
 """
 
 import json
+import math
 import time
+from pathlib import Path
 
 from dirmetric.cli import main
-from dirmetric.distances import DEFAULT_BUDGET, verify_chain
-from dirmetric.fileio import doc_to_space
+from dirmetric.distances import (
+    DEFAULT_BUDGET,
+    dcorrespondence_distance,
+    distortion_distance,
+    gh_distance,
+    verify_chain,
+)
+from dirmetric.fileio import doc_to_space, load_space
+from dirmetric.gallery import open_book
 from dirmetric.spaces import DirectedMetricSpace
 from dirmetric.verify import (
     check_chain_inequalities,
@@ -97,6 +106,34 @@ def test_base_comparison_may_exceed_zigzag_on_a_sampled_pair():
     assert rep.base_le_zigzag is False
     assert rep.gh.value == 0.033420014383163
     assert rep.gh_base.value == 0.04267116970585144
+
+
+def test_the_directed_distances_are_not_equivalent():
+    # The paper: "these directed distances are not equivalent".  Open book
+    # with 3 v 4 sheets of 3 cells: gh is 1/12, while no d-correspondence
+    # exists, so cdis is inf; both values are proven exact.
+    X = DirectedMetricSpace.from_space(open_book(3, 3))
+    Y = DirectedMetricSpace.from_space(open_book(4, 3))
+    gh, cdis = gh_distance(X, Y, DEFAULT_BUDGET), dcorrespondence_distance(X, Y, DEFAULT_BUDGET)
+    ok = gh.exact and cdis.exact and abs(gh.value - 1.0 / 12.0) <= 1e-12 and math.isinf(cdis.value)
+    _line("gh finite where cdis is infinite", ok)
+    assert gh.exact and abs(gh.value - 1.0 / 12.0) <= 1e-12
+    assert cdis.exact and math.isinf(cdis.value)
+
+
+def test_chain_closes_on_a_sixteen_point_near_copy():
+    # A 16-point space against a relabelled copy with edges stretched by up
+    # to 20% (tests/data).  Above every exhaustive cap, all three distances
+    # are exact and equal: gh from the threshold search, cdis from the
+    # same search under the reachability mask, and dis closed between them
+    # by the choice functions of the cdis certificate.
+    data = Path(__file__).parent / "data"
+    X, Y = (DirectedMetricSpace.from_space(load_space(str(data / f"near-8-n16.{s}.json"))) for s in "XY")
+    reports = [f(X, Y, DEFAULT_BUDGET) for f in (gh_distance, distortion_distance, dcorrespondence_distance)]
+    ok = all(r.exact and r.value == 0.21191817518669986 for r in reports)
+    _line("gh = dis = cdis, exact, on a 16-point near-copy", ok)
+    assert [(r.value, r.exact) for r in reports] == [(0.21191817518669986, True)] * 3
+    assert reports[1].method == "chain"
 
 
 def test_two_arm_interval_distances():

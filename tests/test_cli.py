@@ -167,7 +167,7 @@ def test_dist_cdis_open_book_3_v_4_is_proven_infinite(capsys, tmp_path):
 
 
 def test_dist_cdis_above_the_pair_limit_exits_1_without_traceback(capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr(distances, "CDIS_PAIR_LIMIT", 3)
+    monkeypatch.setattr(distances, "PAIR_LIMIT", 3)
     fx, fy = write_two_arm(tmp_path)
     code, out, err = run(capsys, "dist", "cdis", fx, fy)
     assert code == 1 and out == ""
@@ -314,7 +314,7 @@ FROZEN_OUTPUT_SHA256 = {
     "open-book zigzag stdout": "699152bddeac8a6f6ddfb96d05b1bb99d0512e34d0f44d02ccaa55a1927cf3ea",
     "ball.csv": "283d632c1c6b03283b51e9ed321540c1db6efb1924296a3df383b9c877399090",
     "ball.svg": "cea46ada62a6caed3de49d0e8147a05b691585081a5df0e9997ca514fa55dbdb",
-    "gh stdout": "64cda75d76ee98825a594cb875a24f2d17437f2a60cd3f85695212b461770401",
+    "gh stdout": "0c4c6c09b2b4dbf89013dba3226b8969d3e0ad10158463b2aab43a8f252b7a51",
 }
 
 

@@ -22,6 +22,7 @@ random pairs above the exhaustive caps.
 
 import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -29,6 +30,7 @@ import pytest
 from conftest import small_spaces
 from hypothesis import assume, given, settings
 from oracles import (
+    full_table_threshold_correspondence,
     slow_descend,
     slow_is_dcorrespondence,
     slow_map_distortion,
@@ -57,6 +59,7 @@ from dirmetric import (
     hausdorff,
     is_disometry,
     map_distortion,
+    open_book,
     pair_codistortion,
     random_space,
     reverse,
@@ -65,15 +68,20 @@ from dirmetric import (
 )
 from dirmetric import distances
 from dirmetric.distances import (
+    DEFAULT_BUDGET,
     _abs_diff,
+    _arc_consistent_candidates,
     _descend,
     _legal_moves,
+    _min_correspondence_report,
     _move_scores,
     _neighbours,
     _random_greedy_map,
     _reach_compat_matrix,
-    _threshold_dcorrespondence,
+    _threshold_correspondence,
+    _value_gap_lower,
 )
+from dirmetric.spaces import DEFAULT_TOL
 from dirmetric.verify import naive_min_correspondence_distortion
 
 
@@ -307,7 +315,7 @@ def test_threshold_search_equals_enumeration():
         finite += math.isfinite(slow)
         mn = X.n * Y.n
         every = np.ones(mn, dtype=bool)
-        lower, value, pairs = _threshold_dcorrespondence(X.zz, Y.zz, np.ones((mn, mn), dtype=bool), every, 0.0, INFINITY)
+        lower, value, pairs = _threshold_correspondence(X.zz, Y.zz, np.ones((mn, mn), dtype=bool), every, 0.0, INFINITY)
         assert lower == value == naive_min_correspondence_distortion(X.zz, Y.zz)
         if pairs is not None:
             assert distortion_relation(pairs, X.zz, Y.zz) == value
@@ -348,7 +356,7 @@ def test_capped_cdis_search_reports_an_honest_bracket(monkeypatch):
     # a node cap far too small to finish: the report keeps its proven
     # lower bound below a certificate that re-scores and is a
     # d-correspondence
-    monkeypatch.setattr(distances, "CDIS_NODE_LIMIT", 25)
+    monkeypatch.setattr(distances, "NODE_LIMIT", 25)
     rng = np.random.default_rng(83)
     capped = 0
     for n in (8, 9, 10, 11, 12):
@@ -364,7 +372,7 @@ def test_capped_cdis_search_reports_an_honest_bracket(monkeypatch):
 
 
 def test_cdis_rejects_more_point_pairs_than_the_limit(monkeypatch):
-    monkeypatch.setattr(distances, "CDIS_PAIR_LIMIT", 24)
+    monkeypatch.setattr(distances, "PAIR_LIMIT", 24)
     rng = np.random.default_rng(3)
     X4, X5, X6 = (DirectedMetricSpace.from_space(random_space(rng, n)) for n in (4, 5, 6))
     with pytest.raises(ValueError, match=r"at most 24 point pairs, got \|X\|\*\|Y\| = 5\*5 = 25"):
@@ -384,6 +392,91 @@ def test_cdis_of_a_stretched_relabelled_copy_is_exact():
     assert r.value <= 0.5 * distortion_relation(relabelling, X.zz, Y.zz)
 
 
+def test_row_search_equals_the_full_table_reference():
+    # 48 seeded pairs of 3 to 8 points, every third disconnected, half of
+    # them stretched copies, and two open-book pairs, where propagation
+    # leaves pairs of unequal reachability to the mask: the search that
+    # builds pair rows on demand returns the (lower, value, pairs) of the
+    # full-table reference with the reach mask and arc-consistent
+    # candidates (cdis), with every pair allowed (gh, and gh on the
+    # asymmetric base metrics), each without a node cap and under a cap of
+    # 30 nodes
+    rng = np.random.default_rng(91)
+    pairs = [
+        (DirectedMetricSpace.from_space(open_book(n, m)), DirectedMetricSpace.from_space(open_book(n + 1, m)))
+        for n, m in ((2, 2), (3, 3))
+    ]
+    for i in range(48):
+        s = random_space(rng, int(rng.integers(3, 9)), connected=i % 3 != 2)
+        Y = stretched_copy(rng, s)[0] if i % 2 else dspace_random(rng, int(rng.integers(3, 9)))
+        pairs.append((DirectedMetricSpace.from_space(s), Y))
+    outcomes = {"exact": 0, "capped": 0, "infinite": 0}
+    for i, (X, Y) in enumerate(pairs):
+        mn = X.n * Y.n
+        compat = _reach_compat_matrix(X.reach, Y.reach)
+        every = np.ones(mn, dtype=bool)
+        cases = (
+            (X.zz, Y.zz, compat, compat, _arc_consistent_candidates(compat, X.n, Y.n)),
+            (X.zz, Y.zz, None, np.ones((mn, mn), dtype=bool), every),
+            (X.space.base, Y.space.base, None, np.ones((mn, mn), dtype=bool), every),
+        )
+        for dX, dY, mask, table, cand in cases:
+            floor = _value_gap_lower(dX, dY)
+            for limit in (INFINITY, 30):
+                got = _threshold_correspondence(dX, dY, mask, cand, floor, limit)
+                assert got == full_table_threshold_correspondence(dX, dY, table, cand, floor, limit), (i, limit)
+                outcomes["infinite" if math.isinf(got[0]) else "exact" if got[0] == got[1] else "capped"] += 1
+    assert min(outcomes.values()) >= 10, outcomes
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_spaces(max_n=3), small_spaces(max_n=3))
+def test_gh_threshold_search_equals_enumeration_property(X, Y):
+    # no exhaustive cap: gh goes straight to the threshold search
+    r = gh_distance(X, Y, SearchBudget(exhaustive_gh=0))
+    assert r.exact and r.method == "branch-and-bound"
+    assert r.value == 0.5 * naive_min_correspondence_distortion(X.zz, Y.zz)
+
+
+def test_chain_holds_above_the_caps():
+    # 24 seeded pairs of 6 to 10 points, every fourth disconnected, half of
+    # them stretched copies: every search runs past its exhaustive cap, yet
+    # gh <= dis <= cdis wherever cdis is finite, and a dis certificate
+    # closed from the chain (the choice functions of the cdis certificate)
+    # is a pair of d-maps that re-scores to the reported value
+    rng = np.random.default_rng(95)
+    chained = 0
+    for i in range(24):
+        s = random_space(rng, int(rng.integers(6, 11)), connected=i % 4 != 3)
+        X = DirectedMetricSpace.from_space(s)
+        Y = stretched_copy(rng, s)[0] if i % 2 else dspace_random(rng, int(rng.integers(6, 11)))
+        gh, dis, cdis = gh_distance(X, Y), distortion_distance(X, Y), dcorrespondence_distance(X, Y)
+        assert dis.method in ("chain", "local-search")
+        if math.isfinite(cdis.value):
+            assert gh.value <= dis.value + DEFAULT_TOL and dis.value <= cdis.value + DEFAULT_TOL
+        if dis.method == "chain" and dis.certificate is not None:
+            chained += 1
+            assert VertexMap(X, Y, dis.certificate.forward).is_dmap
+            assert VertexMap(Y, X, dis.certificate.backward).is_dmap
+            assert 0.5 * dis.certificate.objective(X.zz, Y.zz) == dis.value
+    assert chained >= 8
+
+
+def test_gh_threshold_search_holds_no_pair_cost_table():
+    # square 4 v 6 has 25 * 49 = 1225 point pairs, so one float table of
+    # pair costs would take 12 MB
+    X = DirectedMetricSpace.from_space(directed_square_grid(GridSpec(k=4)))
+    Y = DirectedMetricSpace.from_space(directed_square_grid(GridSpec(k=6)))
+    tracemalloc.start()
+    try:
+        r = gh_distance(X, Y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.exact and r.method == "branch-and-bound"
+    assert peak < 8_000_000, f"traced peak {peak / 1e6:.1f} MB"
+
+
 # ---------------------------------------------------------------------------
 # two-arm interval vs its reversal
 
@@ -398,7 +491,7 @@ def test_two_arm_interval_no_compatible_correspondence_both_routes():
     # same conclusion from the threshold search, skipping the propagation step
     compat = _reach_compat_matrix(X.reach, Xr.reach)
     every = np.ones(X.n * Xr.n, dtype=bool)
-    assert _threshold_dcorrespondence(X.zz, Xr.zz, compat, every, 0.0, INFINITY) == (INFINITY, INFINITY, None)
+    assert _threshold_correspondence(X.zz, Xr.zz, compat, every, 0.0, INFINITY) == (INFINITY, INFINITY, None)
 
 
 def test_two_arm_interval_map_distance_half():
@@ -484,39 +577,48 @@ def test_frozen_pair_where_base_comparison_exceeds_zigzag():
     assert rep.gh_base.value == pytest.approx(0.25)
 
 
-def test_local_search_without_a_finite_map_pair_reports_inf():
-    # a connected space against one with two components: every map pair
-    # has infinite objective, above the exhaustive caps as below them
+def test_local_search_without_a_finite_map_pair_reports_inf(monkeypatch):
+    # a connected space against one with two components: every
+    # correspondence and every map pair has infinite distortion, above the
+    # exhaustive caps as below them.  The threshold search proves it for gh
+    # and gh-base, and gh's bound closes dis from the chain; with the pair
+    # limit at 0 the local search reports the same
     X = DirectedMetricSpace.from_space(directed_interval(4))
     Y = dspace([[0.0, 1.0, INFINITY, INFINITY], [1.0, 0.0, INFINITY, INFINITY],
                 [INFINITY, INFINITY, 0.0, 1.0], [INFINITY, INFINITY, 1.0, 0.0]],
                ((0, 1, 1.0), (2, 3, 1.0)))
-    rep = verify_chain(X, Y)
-    for r in (rep.gh, rep.gh_base):
-        assert r.method == "local-search"
-        assert (r.value, r.lower, r.exact, r.certificate) == (INFINITY, INFINITY, True, None)
     # constant maps are d-maps, yet two components against one leave every
     # map pair an infinite objective
     two = dspace([[0.0, INFINITY], [INFINITY, 0.0]], ())
-    r = distortion_distance(two, DirectedMetricSpace.from_space(directed_interval(20)))
-    assert (r.value, r.lower, r.exact, r.certificate, r.method) == (INFINITY, INFINITY, True, None, "local-search")
+    interval = DirectedMetricSpace.from_space(directed_interval(20))
+    for limit, gh_method, dis_method in ((distances.PAIR_LIMIT, "branch-and-bound", "chain"), (0, "local-search", "local-search")):
+        monkeypatch.setattr(distances, "PAIR_LIMIT", limit)
+        gh_base = _min_correspondence_report("gh-base", X.space.base, Y.space.base, DEFAULT_BUDGET)
+        for r in (gh_distance(X, Y), gh_base):
+            assert r.method == gh_method
+            assert (r.value, r.lower, r.exact, r.certificate) == (INFINITY, INFINITY, True, None)
+        r = distortion_distance(two, interval)
+        assert (r.value, r.lower, r.exact, r.certificate, r.method) == (INFINITY, INFINITY, True, None, dis_method)
 
 
 # ---------------------------------------------------------------------------
 # determinism and budget handling
 
 
-def test_search_reports_are_deterministic():
+def test_search_reports_are_deterministic(monkeypatch):
+    # the threshold search, and the local search above a pair limit of 0
     rng = np.random.default_rng(35)
     s1 = random_space(rng, 6)
     s2 = random_space(rng, 6)
     X = DirectedMetricSpace.from_space(s1)
     Y = DirectedMetricSpace.from_space(s2)
     budget = SearchBudget(exhaustive_gh=4)
-    a = gh_distance(X, Y, budget)
-    b = gh_distance(X, Y, budget)
-    assert a == b
-    assert a.method == "local-search"
+    for limit, method in ((distances.PAIR_LIMIT, "branch-and-bound"), (0, "local-search")):
+        monkeypatch.setattr(distances, "PAIR_LIMIT", limit)
+        a = gh_distance(X, Y, budget)
+        b = gh_distance(X, Y, budget)
+        assert a == b
+        assert a.method == method
 
 
 def test_larger_budget_never_worse():
@@ -653,23 +755,27 @@ def test_lean_abs_diff_is_ext_abs_diff_bit_for_bit():
             assert _abs_diff(x, y).tobytes() == ext_abs_diff(x, y).tobytes()
 
 
-def test_local_search_on_disconnected_pairs_warns_nothing():
-    # both sides disconnected, so the search meets inf - inf
+def test_local_search_on_disconnected_pairs_warns_nothing(monkeypatch):
+    # both sides disconnected, so the searches meet inf - inf: the threshold
+    # search and the chain, then the local search above a pair limit of 0
     rng = np.random.default_rng(52)
     pairs = []
     while len(pairs) < 3:
         X, Y = (DirectedMetricSpace.from_space(random_space(rng, n, connected=False)) for n in (6, 7))
         if np.isinf(X.zz).any() and np.isinf(Y.zz).any():
             pairs.append((X, Y))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for X, Y in pairs:
-            for distance in (gh_distance, distortion_distance):
-                assert distance(X, Y).method == "local-search"
+    for limit, methods in ((distances.PAIR_LIMIT, {"branch-and-bound", "chain"}), (0, {"local-search"})):
+        monkeypatch.setattr(distances, "PAIR_LIMIT", limit)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for X, Y in pairs:
+                for distance in (gh_distance, distortion_distance):
+                    assert distance(X, Y).method in methods
 
 
 # recorded before the local search scored moves in slabs; both pairs are
-# above the exhaustive caps, so these come from _local_search_map_pair
+# above the exhaustive caps, so with the pair limit at 0 these come from
+# _local_search_map_pair
 SQUARE_GH_PAIRS = (
     (0, 48), (1, 46), (1, 47), (2, 45), (2, 46), (3, 44), (4, 42), (5, 33), (5, 34), (5, 41), (6, 32),
     (6, 39), (6, 40), (7, 38), (8, 36), (8, 37), (8, 44), (9, 36), (9, 42), (9, 43), (10, 19), (10, 26),
@@ -678,6 +784,14 @@ SQUARE_GH_PAIRS = (
     (17, 16), (17, 17), (18, 15), (18, 16), (19, 14), (19, 21), (20, 5), (20, 6), (20, 13), (21, 3),
     (21, 4), (21, 5), (21, 11), (22, 2), (22, 3), (22, 9), (23, 0), (23, 1), (23, 2), (23, 8), (24, 0),
     (24, 7),
+)
+# the exact gh from the threshold search (recorded when gh moved to it)
+SQUARE_GH_EXACT_PAIRS = (
+    (0, 0), (0, 1), (1, 2), (2, 3), (2, 4), (3, 5), (4, 6), (5, 7), (5, 8), (5, 15), (6, 9), (6, 16), (7, 10),
+    (7, 17), (7, 18), (8, 11), (8, 12), (8, 19), (9, 13), (9, 20), (10, 14), (10, 21), (10, 22), (11, 23),
+    (11, 30), (12, 24), (12, 25), (12, 32), (13, 26), (13, 33), (14, 27), (15, 28), (15, 36), (16, 29),
+    (16, 37), (17, 31), (17, 38), (17, 39), (18, 40), (19, 34), (19, 41), (20, 35), (20, 42), (20, 43),
+    (21, 44), (22, 45), (22, 46), (23, 47), (24, 48),
 )
 SQUARE_DIS_MAPS = (
     (7, 8, 10, 11, 19, 21, 22, 24, 25, 26, 28, 29, 31, 32, 34, 42, 43, 45, 46, 48, 42, 43, 45, 46, 48),
@@ -690,22 +804,37 @@ ARM_DIS_MAPS = (
 )
 
 
-def test_local_search_results_frozen():
+def test_local_search_results_frozen(monkeypatch):
     square4 = DirectedMetricSpace.from_space(directed_square_grid(GridSpec(k=4)))
     square6 = DirectedMetricSpace.from_space(directed_square_grid(GridSpec(k=6)))
     arm = DirectedMetricSpace.from_space(source_sink_interval(8))
     arm_r = DirectedMetricSpace.from_space(reverse(source_sink_interval(8)))
+    identity = tuple((i, i) for i in range(arm.n))
 
+    # gh is exact from the threshold search; no d-correspondence exists on
+    # either pair, so dis runs the local search, from gh's lower bound
+    r = gh_distance(square4, square6)
+    assert (r.value, r.lower, r.exact, r.method) == (0.14467233145831582, 0.14467233145831582, True, "branch-and-bound")
+    assert r.certificate.pairs == SQUARE_GH_EXACT_PAIRS
+    r = distortion_distance(square4, square6)
+    assert (r.value, r.lower, r.method) == (0.25000000000000006, 0.14467233145831582, "local-search")
+    assert (r.certificate.forward, r.certificate.backward) == SQUARE_DIS_MAPS
+    r = gh_distance(arm, arm_r)
+    assert (r.value, r.lower, r.exact, r.method, r.certificate.pairs) == (0.0, 0.0, True, "branch-and-bound", identity)
+    r = distortion_distance(arm, arm_r)
+    assert (r.value, r.lower, r.method) == (0.5, 0.0, "local-search")
+    assert (r.certificate.forward, r.certificate.backward) == ARM_DIS_MAPS
+
+    # above a pair limit of 0 both take the local search, bounded by the value gap alone
+    monkeypatch.setattr(distances, "PAIR_LIMIT", 0)
     r = gh_distance(square4, square6)
     assert (r.value, r.lower, r.method) == (0.20833333333333337, 0.04166666666666674, "local-search")
     assert r.certificate.pairs == SQUARE_GH_PAIRS
     r = distortion_distance(square4, square6)
     assert (r.value, r.lower, r.method) == (0.25000000000000006, 0.04166666666666674, "local-search")
     assert (r.certificate.forward, r.certificate.backward) == SQUARE_DIS_MAPS
-
     r = gh_distance(arm, arm_r)
-    assert (r.value, r.lower, r.exact, r.method) == (0.0, 0.0, True, "local-search")
-    assert r.certificate.pairs == tuple((i, i) for i in range(arm.n))
+    assert (r.value, r.lower, r.exact, r.method, r.certificate.pairs) == (0.0, 0.0, True, "local-search", identity)
     r = distortion_distance(arm, arm_r)
     assert (r.value, r.lower, r.method) == (0.5, 0.0, "local-search")
     assert (r.certificate.forward, r.certificate.backward) == ARM_DIS_MAPS
@@ -713,7 +842,10 @@ def test_local_search_results_frozen():
 
 # sha256 of the gh, dis and gh-base reports (value, lower, exact, method
 # and certificate, through repr) on random pairs above the exhaustive
-# caps; every third pair has two disconnected spaces
+# caps; every third pair has two disconnected spaces.  The first hashes
+# were recorded with all three from the local search, as they still come
+# above a pair limit of 0; the second on the default path: gh and gh-base
+# from the threshold search, dis from the chain or the local search
 FROZEN_REPORT_SIZES = ((5, 6), (6, 5), (6, 6), (7, 5), (5, 8), (7, 7), (8, 6), (6, 9), (8, 8), (9, 7), (9, 9), (7, 9))
 FROZEN_REPORT_SHA256 = (
     "c8cbb6a798c3d251b8da7aa1498bf0f197d5977aa3b880bf15466b218004d55b",
@@ -729,16 +861,44 @@ FROZEN_REPORT_SHA256 = (
     "2b998b31575b770ba47158dee9681bcd597203d10d76610b5ee7f4bddc1cc2ea",
     "2d023353346a7a5909a804e078de6b8addd5da5c7b7ef3e30b187b3fd1145fc6",
 )
+FROZEN_CHAIN_REPORT_SHA256 = (
+    "6102c6e0c964ecafe1437fd185f6546d4c0ca504d8eed24ae89191af4ffd98b9",
+    "aab2be266be9ec443279fc32719ff73567f5d8411eba1a0b1fad4a1624bdb711",
+    "f46e3efb960ae08336bf6f4e91f6db07bffbbc83c3acedf347959402cee177d6",
+    "41df536c5f7877e43897781fd734a074866e97b8f9c33c9b5b70658908c03e12",
+    "679eec42089152cc42fde9f392bc36da476f293f3947e1dac1dbd4073af179ca",
+    "65c3f64333742e6c114a099e6d6da135a4aea5c7c8e495f35cf9605f50329234",
+    "072fae82c65111ffb3e7e344187a2ccf3cb1f09e6f5e72cd2421d95194dee46d",
+    "dd32f3c4d418f8aabd1758c26dadc121f38d5f96aa4248bfcd4fc605f70a4987",
+    "b64006afc6b54e35a7bf7bac0b15b1b9dc3a34fa8750fe3ae1ea81e300145b57",
+    "ab8df8a723cf124851327e41a3ce782157397ed4d211b504281ecacfd26e2afa",
+    "212a35ad496d1dbee3e9d77414de7882bd14822601fabc43c74af9872e7b5b85",
+    "2c0b14997d74b4c9db7753b4df196412ab0f92f02755e8c5cbfb98a0e6e310cf",
+)
 
 
-def test_local_search_reports_frozen_on_random_pairs():
+def test_local_search_reports_frozen_on_random_pairs(monkeypatch):
+    def digest(reports):
+        return hashlib.sha256("\n".join(map(repr, reports)).encode()).hexdigest()
+
     rng = np.random.default_rng(2024)
-    got = []
+    pairs = []
     for i, (nx, ny) in enumerate(FROZEN_REPORT_SIZES):
         X = DirectedMetricSpace.from_space(random_space(rng, nx, connected=i % 3 != 2))
         Y = DirectedMetricSpace.from_space(random_space(rng, ny, connected=i % 3 != 2))
+        pairs.append((X, Y))
+    chained = []
+    for X, Y in pairs:
         chain = verify_chain(X, Y)
         reports = (chain.gh, chain.dis, chain.gh_base)
+        assert chain.gh.method == chain.gh_base.method == "branch-and-bound"
+        chained.append(digest(reports))
+    monkeypatch.setattr(distances, "PAIR_LIMIT", 0)
+    local = []
+    for X, Y in pairs:
+        gh_base = _min_correspondence_report("gh-base", X.space.base, Y.space.base, DEFAULT_BUDGET)
+        reports = (gh_distance(X, Y), distortion_distance(X, Y), gh_base)
         assert all(r.method == "local-search" for r in reports)
-        got.append(hashlib.sha256("\n".join(map(repr, reports)).encode()).hexdigest())
-    assert tuple(got) == FROZEN_REPORT_SHA256
+        local.append(digest(reports))
+    assert tuple(local) == FROZEN_REPORT_SHA256
+    assert tuple(chained) == FROZEN_CHAIN_REPORT_SHA256
