@@ -22,21 +22,23 @@ qualify, but the map-pair distance is inf unless both spaces have equally
 many weak components, e.g. for a disconnected space against a connected one.
 
 Search strategy.  gh and the d-correspondence distance share one
-threshold search over point pairs; cdis adds a reachability mask.  It
-bisects the sorted distinct pair costs, largest finite first: each
-threshold t is decided by depth-first search for a covering set of pairs,
-every two of cost at most t (and, for cdis, compatible), branching on the
-uncovered row or column with the fewest live pairs and forward-checking
-each choice.  An infeasible t proves a lower bound; a feasible one gives
-a certificate.  No (|X|*|Y|)^2 table of costs is held: the thresholds are
-collected a row block at a time, and a chosen pair's row of costs is
-computed when the pair is tried.  For cdis, constraint propagation first
-drops pairs that fit in no d-correspondence, which proves infeasibility
-when a point is left without partner.  gh runs branch and bound over
-pairs up to its exhaustive cap, the threshold search up to PAIR_LIMIT
-pairs, and a map-pair local search above that.  Both threshold searches
-stop after NODE_LIMIT nodes above their exhaustive caps and then report
-the best certificate and the proven lower bound, exact only if they meet.
+threshold search over point pairs; cdis adds a reachability rule.  It
+bisects a sorted threshold list, largest finite first: each threshold t
+is decided by depth-first search for a covering set of pairs, every two
+of cost at most t (and, for cdis, compatible), branching on the uncovered
+row or column with the fewest live pairs and forward-checking each
+choice.  An infeasible t proves a lower bound; a feasible one gives a
+certificate.  Only per-space matrices are read: the thresholds are the
+distinct |a - b| over values a of dX and b of dY, a chosen pair's row of
+costs is computed when it is tried, and two pairs are compatible when
+their reachability types (reach + 2 * reach.T) agree.  For cdis,
+constraint propagation first drops pairs that fit in no d-correspondence,
+which proves infeasibility when a point is left without partner.  gh runs
+branch and bound up to its exhaustive cap, the threshold search up to
+PAIR_LIMIT pairs, and a map-pair local search above that.  Both threshold
+searches stop after NODE_LIMIT nodes above their exhaustive caps and then
+report the best certificate and the proven lower bound, exact only if
+they meet.
 
 The map-pair distance enumerates map pairs while that is small.  Above
 that and up to PAIR_LIMIT pairs it is closed from the chain: gh's lower
@@ -80,10 +82,9 @@ MAP_PAIR_LIMIT = 10_000_000
 #: Search nodes of the threshold search (gh and cdis) above their exhaustive caps.
 NODE_LIMIT = 20_000
 #: Largest |X|*|Y| the threshold search takes; cdis refuses larger inputs.
+#: It bounds the search's (|X| + |Y|) x |X|*|Y| arrays: the cost and type
+#: columns of every pair, and one live-pair mask per search depth.
 PAIR_LIMIT = 4096
-#: Pair costs computed at once while collecting the thresholds: rows of
-#: the (|X|*|Y|)^2 cost table are taken this many entries at a time.
-_BLOCK_ENTRIES = 1 << 16
 
 # The map-pair local search (gh above PAIR_LIMIT, dis where the chain
 # leaves its bracket open): starting maps
@@ -292,17 +293,11 @@ def _value_gap_lower(dX: np.ndarray, dY: np.ndarray) -> float:
 # correspondence searches: exact branch and bound for gh, threshold search for gh and cdis
 
 
-def _pair_cost_matrix(dX: np.ndarray, dY: np.ndarray) -> np.ndarray:
-    nX, nY = dX.shape[0], dY.shape[0]
-    C = ext_abs_diff(dX[:, None, :, None], dY[None, :, None, :])
-    return C.reshape(nX * nY, nX * nY)
-
-
 def _bnb_correspondence(dX: np.ndarray, dY: np.ndarray):
     """Exact minimum-distortion correspondence via branch and bound."""
     nX, nY = dX.shape[0], dY.shape[0]
     m = nX * nY
-    C = _pair_cost_matrix(dX, dY)
+    C = ext_abs_diff(dX[:, None, :, None], dY[None, :, None, :]).reshape(m, m)
 
     # how many pairs of each row/column sit at or after position i
     row_of = np.arange(m) // nY
@@ -364,32 +359,34 @@ def _bnb_correspondence(dX: np.ndarray, dY: np.ndarray):
     return best_val, sorted((int(p // nY), int(p % nY)) for p in best)
 
 
-def _arc_consistent_candidates(compat: np.ndarray, nX: int, nY: int) -> np.ndarray:
-    """Prune pairs that cannot sit in any d-correspondence.
+def _reach_types(reach: np.ndarray) -> np.ndarray:
+    """Each ordered point pair's reachability both ways, as a type in 0..3.
+
+    Pairs (x, y) and (x2, y2) fit in one d-correspondence exactly when
+    typesX[x, x2] == typesY[y, y2].
+    """
+    return reach + np.int8(2) * reach.T
+
+
+def _arc_consistent_candidates(typesX: np.ndarray, typesY: np.ndarray) -> np.ndarray:
+    """Prune pairs that cannot sit in any d-correspondence; an |X| x |Y| mask.
 
     A pair needs, in every row and every column, at least one surviving
     compatible partner; iterate to a fixed point.  Sound: members of a
     d-correspondence always survive, so an emptied row or column proves
-    there is no d-correspondence at all.
+    there is no d-correspondence at all.  Partners are sought per type k,
+    by bool products with the |X| x |X| and |Y| x |Y| masks of type k.
     """
-    mn = nX * nY
-    cand = np.ones(mn, dtype=bool)
-    compat3r = compat.reshape(mn, nX, nY)
+    cand = np.ones((typesX.shape[0], typesY.shape[0]), dtype=bool)
     while True:
-        live = compat3r & cand.reshape(1, nX, nY)
-        row_ok = live.any(axis=2).all(axis=1)
-        col_ok = live.any(axis=1).all(axis=1)
-        new = cand & row_ok & col_ok
+        new = cand.copy()
+        for k in range(4):
+            A, B = typesX == k, typesY == k
+            new &= ~(A @ ~(cand @ B.T))  # a row of type k from x with no live partner of y
+            new &= ~(~(A @ cand) @ B.T)  # a column of type k from y with no live partner of x
         if (new == cand).all():
             return new
         cand = new
-
-
-def _reach_compat_matrix(reachX: np.ndarray, reachY: np.ndarray) -> np.ndarray:
-    nX, nY = reachX.shape[0], reachY.shape[0]
-    fwd = (reachX[:, None, :, None] == reachY[None, :, None, :]).reshape(nX * nY, nX * nY)
-    # the reverse-direction comparison is the transpose of the forward one
-    return fwd & fwd.T
 
 
 def _greedy_map(dX: np.ndarray, dY: np.ndarray) -> np.ndarray:
@@ -666,7 +663,7 @@ def _min_correspondence_report(kind: str, dX: np.ndarray, dY: np.ndarray, budget
         cert = Correspondence(nX, nY, tuple(pairs)) if pairs is not None else None
         return DistanceReport(kind, 0.5 * val, True, 0.5 * val, cert, "branch-and-bound")
     if nX * nY <= PAIR_LIMIT:
-        return _threshold_report(kind, dX, dY, None, np.ones(nX * nY, dtype=bool), NODE_LIMIT)
+        return _threshold_report(kind, dX, dY, None, np.ones((nX, nY), dtype=bool), NODE_LIMIT)
     lower = 0.5 * _value_gap_lower(dX, dY)
     no_edges = (np.zeros(0, dtype=int),) * 2
     val, f, g = _local_search_map_pair(
@@ -816,100 +813,101 @@ def dcorrespondence_distance(
         return DistanceReport("cdis", INFINITY, True, INFINITY, None, "empty")
     if nX * nY > PAIR_LIMIT:
         raise ValueError(f"cdis takes at most {PAIR_LIMIT} point pairs, got |X|*|Y| = {nX}*{nY} = {nX * nY}")
-    compat = _reach_compat_matrix(X.reach, Y.reach)
-    cand = _arc_consistent_candidates(compat, nX, nY)
-    grid = cand.reshape(nX, nY)
-    if not (grid.any(axis=1).all() and grid.any(axis=0).all()):
+    types = (_reach_types(X.reach), _reach_types(Y.reach))
+    cand = _arc_consistent_candidates(*types)
+    if not (cand.any(axis=1).all() and cand.any(axis=0).all()):
         return DistanceReport("cdis", INFINITY, True, INFINITY, None, "propagation")
     limit = INFINITY if nX * nY <= budget.exhaustive_cdis else NODE_LIMIT
-    return _threshold_report("cdis", X.zz, Y.zz, compat, cand, limit)
+    return _threshold_report("cdis", X.zz, Y.zz, types, cand, limit)
 
 
-def _threshold_report(kind: str, dX, dY, compat, cand, node_limit: float) -> DistanceReport:
+def _threshold_report(kind: str, dX, dY, types, cand, node_limit: float) -> DistanceReport:
     """_threshold_correspondence from the value-gap bound, as a report."""
-    lower, val, pairs = _threshold_correspondence(dX, dY, compat, cand, _value_gap_lower(dX, dY), node_limit)
+    lower, val, pairs = _threshold_correspondence(dX, dY, types, cand, _value_gap_lower(dX, dY), node_limit)
     cert = Correspondence(dX.shape[0], dY.shape[0], tuple(pairs)) if pairs is not None else None
     return DistanceReport(kind, 0.5 * val, lower == val, 0.5 * lower, cert, "branch-and-bound")
 
 
-def _distinct_costs(DX: np.ndarray, DY: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Sorted distinct finite pair costs, computed a block of pair rows at a time.
+def _thresholds(dX: np.ndarray, dY: np.ndarray) -> np.ndarray:
+    """Sorted distinct finite |a - b| over entries a of dX and b of dY, then inf.
 
-    Pair p = (xs[p], ys[p]) has the costs |DX[xs[p]] - DY[ys[p]]| against
-    every pair, with |inf - inf| = 0.  Each block's distinct values wait
-    in a list and are merged into the result once they hold as many values
-    as it does, so besides one block at most about twice the result is held.
+    Every pair cost, and so every finite distortion, is one of these;
+    |inf - inf| = 0 is one already, from the zero diagonals.
     """
-    rows = max(1, _BLOCK_ENTRIES // max(xs.size, 1))
-    merged, waiting, held = np.zeros(0), [], 0
-    for start in range(0, xs.size, rows):
-        costs = _abs_diff(DX[xs[start : start + rows]], DY[ys[start : start + rows]])
-        waiting.append(np.unique(costs[np.isfinite(costs)]))
-        held += waiting[-1].size
-        if held >= merged.size:
-            merged, waiting, held = np.unique(np.concatenate([merged, *waiting])), [], 0
-    return np.unique(np.concatenate([merged, *waiting]))
+    vX, vY = np.unique(dX), np.unique(dY)
+    vX, vY = vX[np.isfinite(vX)], vY[np.isfinite(vY)]
+    return np.append(np.unique(np.abs(vX[:, None] - vY[None, :])), INFINITY)
 
 
 @np.errstate(invalid="ignore")  # inf - inf in _abs_diff
-def _threshold_correspondence(dX, dY, compat, cand, floor: float, node_limit: float):
+def _threshold_correspondence(dX, dY, types, cand, floor: float, node_limit: float):
     """Least-distortion correspondence by bisection on the threshold.
 
-    Only pairs in cand are used, and two pairs sit together only where
-    compat (a pair-by-pair bool table) allows; compat None allows every
-    two (gh).  floor is a proven lower bound.  Returns (lower, value,
-    pairs) in distortion units; value is inf and pairs None when no
-    certificate of finite distortion was found, and lower == value unless
-    more than node_limit search nodes (inf: no cap) were needed.  No pair
-    cost table is held: the thresholds are collected a row block at a
-    time, and a pair's row of costs is computed when the pair is tried.
+    Only pairs in cand (an |X| x |Y| mask, or its ravel) are used.  types
+    None lets every two pairs sit together (gh); for cdis it is (typesX,
+    typesY) from _reach_types, and (x, y), (x2, y2) sit together only when
+    typesX[x, x2] == typesY[y, y2].  floor is a proven lower bound.
+    Returns (lower, value, pairs) in distortion units; value is inf and
+    pairs None when no certificate of finite distortion was found, and
+    lower == value unless more than node_limit search nodes (inf: no cap)
+    were needed.  Only per-space matrices are read: the thresholds come
+    from _thresholds, and a chosen pair's rows of costs and types from
+    columns gathered once.
     """
-    nY = dY.shape[0]
+    nX, nY = dX.shape[0], dY.shape[0]
     P = np.flatnonzero(cand)
     xs, ys = P // nY, P % nY
-    if compat is not None and P.size < cand.size:
-        compat = compat[np.ix_(P, P)]
     DX, DY = dX[:, xs], dY[:, ys]  # pair p's costs: ext_abs_diff(DX[xs[p]], DY[ys[p]])
-    T = np.append(_distinct_costs(DX, DY, xs, ys), INFINITY)  # a distortion is one of these
+    if types is not None:
+        KX, KY = types[0][:, xs], types[1][:, ys]  # pair p's partners: KX[xs[p]] == KY[ys[p]]
+    T = _thresholds(dX, dY)
     nodes_left = node_limit
     chosen: list[int] = []
 
-    def cover(t, live, rows, cols) -> bool:
-        # live: pairs of cost at most t, and compatible, with every chosen pair; changed in place
+    def cover(t) -> bool:
+        # a frame: a node's live pairs (changed in place), covered rows and
+        # columns, and the pairs of its branching line left to try, last first
         nonlocal nodes_left
-        if rows.all() and cols.all():
-            return True
-        nodes_left -= 1
-        if nodes_left < 0:
-            return False
-        row_live = np.where(rows, P.size + 1, np.bincount(xs[live], minlength=rows.size))
-        col_live = np.where(cols, P.size + 1, np.bincount(ys[live], minlength=cols.size))
-        if row_live.min() <= col_live.min():
-            line = live & (xs == row_live.argmin())
-        else:
-            line = live & (ys == col_live.argmin())
-        for p in np.flatnonzero(line).tolist():
-            chosen.append(p)
-            r, c = rows.copy(), cols.copy()
-            r[xs[p]] = c[ys[p]] = True
-            ok = _abs_diff(DX[xs[p]], DY[ys[p]]) <= t
-            if compat is not None:
-                ok &= compat[p]
-            if cover(t, live & ok, r, c):
+        chosen.clear()
+        # every pair is live at first: it costs 0 against itself (zero
+        # diagonals) and has its own type (reach is reflexive)
+        live, rows, cols = np.ones(P.size, dtype=bool), np.zeros(nX, dtype=bool), np.zeros(nY, dtype=bool)
+        frames = []
+        while True:
+            if rows.all() and cols.all():
                 return True
-            chosen.pop()
-            live[p] = False  # every cover with p was just ruled out
-        return False
+            nodes_left -= 1
+            todo = []
+            if nodes_left >= 0:
+                row_live = np.where(rows, P.size + 1, np.bincount(xs[live], minlength=nX))
+                col_live = np.where(cols, P.size + 1, np.bincount(ys[live], minlength=nY))
+                if row_live.min() <= col_live.min():
+                    line = live & (xs == row_live.argmin())
+                else:
+                    line = live & (ys == col_live.argmin())
+                todo = np.flatnonzero(line).tolist()[::-1]
+            frames.append((live, rows, cols, todo))
+            while not frames[-1][3]:
+                frames.pop()
+                if not frames:
+                    return False
+                frames[-1][0][chosen.pop()] = False  # every cover with that pair was just ruled out
+            live, rows, cols, todo = frames[-1]
+            p = todo.pop()
+            chosen.append(p)
+            rows, cols = rows.copy(), cols.copy()
+            rows[xs[p]] = cols[ys[p]] = True
+            ok = _abs_diff(DX[xs[p]], DY[ys[p]]) <= t
+            if types is not None:
+                ok &= KX[xs[p]] == KY[ys[p]]
+            live = live & ok
 
     # T[lo] <= optimum <= T[hi]; the largest finite value goes first, for
     # an early certificate or a proof that none of finite distortion exists
     lo, hi, best = int(np.searchsorted(T, floor)), T.size - 1, None
     while lo < hi:
         mid = (lo + hi) // 2 if best is not None else hi - 1
-        chosen.clear()
-        # every pair is live at first: it costs 0 against itself (zero
-        # diagonals) and matches its own reachability (reach is reflexive)
-        if cover(T[mid], np.ones(P.size, dtype=bool), np.zeros(dX.shape[0], dtype=bool), np.zeros(nY, dtype=bool)):
+        if cover(T[mid]):
             best = list(chosen)
             hi = int(np.searchsorted(T, distortion_relation(zip(xs[best], ys[best]), dX, dY)))
         elif nodes_left < 0:

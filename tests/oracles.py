@@ -223,21 +223,50 @@ def slow_min_dcorrespondence(dX, dY, reach_source, reach_target) -> float:
     return best
 
 
-def full_table_threshold_correspondence(dX, dY, compat, cand, floor, node_limit):
+def reach_compat_matrix(reach_source, reach_target) -> np.ndarray:
+    """The (|X|*|Y|)^2 bool table of pairs of pairs that fit in one d-correspondence.
+
+    Entry [x * |Y| + y, x2 * |Y| + y2] holds when x reaches x2 iff y
+    reaches y2, and x2 reaches x iff y2 reaches y.
+    """
+    nX, nY = reach_source.shape[0], reach_target.shape[0]
+    fwd = (reach_source[:, None, :, None] == reach_target[None, :, None, :]).reshape(nX * nY, nX * nY)
+    return fwd & fwd.T
+
+
+def table_arc_consistent_candidates(compat, nX, nY) -> np.ndarray:
+    """Arc consistency on the whole compatibility table, as a flat pair mask.
+
+    Every round sweeps compat as an (|X|*|Y|) x |X| x |Y| tensor of live
+    partners: a pair survives when each row and each column holds one.
+    """
+    mn = nX * nY
+    cand = np.ones(mn, dtype=bool)
+    compat3r = compat.reshape(mn, nX, nY)
+    while True:
+        live = compat3r & cand.reshape(1, nX, nY)
+        new = cand & live.any(axis=2).all(axis=1) & live.any(axis=1).all(axis=1)
+        if (new == cand).all():
+            return new
+        cand = new
+
+
+def full_table_threshold_correspondence(dX, dY, compat, cand, T, floor, node_limit):
     """The threshold search with its whole pair tables built up front.
 
     The search the library ran before it built pair rows on demand: the
     (|X|*|Y|)^2 float table of pair costs and the compatibility table
     restricted to cand are held whole, and threshold t's constraint table
     is compat & (costs <= t).  compat must be a table here; pass an
-    all-true one for gh.  Returns (lower, value, pairs) like the library.
+    all-true one for gh.  T is the sorted threshold list, ending in inf,
+    that the bisection walks.  Recursive, so for small inputs only.
+    Returns (lower, value, pairs) like the library.
     """
     nY = dY.shape[0]
     P = np.flatnonzero(cand)
     xs, ys = P // nY, P % nY
     C = ext_abs_diff(dX[np.ix_(xs, xs)], dY[np.ix_(ys, ys)])
     compat = compat[np.ix_(P, P)]
-    T = np.append(np.unique(C[np.isfinite(C)]), INF)
     nodes_left = node_limit
     chosen = []
 

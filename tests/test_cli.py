@@ -3,7 +3,8 @@
 Claims covered: every subcommand emits exactly one JSON object on
 standard output, files appear only with --out, certificates re-evaluate
 to the reported value, error paths exit 1, failed suites would exit 2,
-and repeated seeded runs are byte-identical.
+gh and dis on a 1024-point interval finish without a traceback, and
+repeated seeded runs are byte-identical.
 """
 
 import argparse
@@ -173,6 +174,21 @@ def test_dist_cdis_above_the_pair_limit_exits_1_without_traceback(capsys, tmp_pa
     assert code == 1 and out == ""
     assert "at most 3 point pairs" in err and "Traceback" not in err
 
+
+def test_dist_gh_and_dis_above_a_thousand_points_exit_0(capsys, tmp_path):
+    # interval 3 v interval 1023 is 4 x 1024 = 4096 point pairs, at the
+    # pair limit: a cover chooses at least 1024 pairs, one search depth
+    # each, deeper than the interpreter's recursion limit
+    paths = []
+    for k in (3, 1023):
+        paths.append(str(tmp_path / f"interval{k}.json"))
+        run(capsys, "gen", "interval", "--k", str(k), "--out", paths[-1])
+    for kind in ("gh", "dis"):
+        code, out, err = run(capsys, "dist", kind, *paths)
+        assert code == 0 and "Traceback" not in err, err
+        rep = json.loads(out)
+        assert rep["exact"] is True and rep["certificate_check"] is True
+        assert rep["value"] == rep["lower"] == 0.16617790811339223
 
 def test_dist_dis_two_arm_reversal_certificate_reevaluates(capsys, tmp_path):
     fx, fy = write_two_arm(tmp_path)

@@ -9,7 +9,10 @@ d-correspondences, the cdis threshold search against enumeration of
 d-correspondences (seeded and as a property) and, with every pair
 allowed, of correspondences, its bracket under a forced node cap, its
 refusal above the pair limit, its exact value on a 12-point copy above
-the exhaustive cap, the chain gh <= dis <= cdis with re-scored
+the exhaustive cap, reachability types against the slow d-correspondence
+rule, type-based propagation against the table form, the value-set
+thresholds against the full pair-cost table, the traced memory of cdis at
+the pair limit, the chain gh <= dis <= cdis with re-scored
 certificates as a property on exhaustive sizes, d-isometry detection,
 the frozen instance where the base-metric comparison exceeds the zigzag
 one, an infinite dis between spaces with different component counts,
@@ -31,11 +34,13 @@ from conftest import small_spaces
 from hypothesis import assume, given, settings
 from oracles import (
     full_table_threshold_correspondence,
+    reach_compat_matrix,
     slow_descend,
     slow_is_dcorrespondence,
     slow_map_distortion,
     slow_min_dcorrespondence,
     slow_random_greedy_map,
+    table_arc_consistent_candidates,
 )
 
 from dirmetric import (
@@ -55,6 +60,7 @@ from dirmetric import (
     distortion_distance,
     distortion_relation,
     ext_abs_diff,
+    flat_torus_grid,
     gh_distance,
     hausdorff,
     is_disometry,
@@ -77,8 +83,9 @@ from dirmetric.distances import (
     _move_scores,
     _neighbours,
     _random_greedy_map,
-    _reach_compat_matrix,
+    _reach_types,
     _threshold_correspondence,
+    _thresholds,
     _value_gap_lower,
 )
 from dirmetric.spaces import DEFAULT_TOL
@@ -315,7 +322,7 @@ def test_threshold_search_equals_enumeration():
         finite += math.isfinite(slow)
         mn = X.n * Y.n
         every = np.ones(mn, dtype=bool)
-        lower, value, pairs = _threshold_correspondence(X.zz, Y.zz, np.ones((mn, mn), dtype=bool), every, 0.0, INFINITY)
+        lower, value, pairs = _threshold_correspondence(X.zz, Y.zz, None, every, 0.0, INFINITY)
         assert lower == value == naive_min_correspondence_distortion(X.zz, Y.zz)
         if pairs is not None:
             assert distortion_relation(pairs, X.zz, Y.zz) == value
@@ -400,7 +407,8 @@ def test_row_search_equals_the_full_table_reference():
     # full-table reference with the reach mask and arc-consistent
     # candidates (cdis), with every pair allowed (gh, and gh on the
     # asymmetric base metrics), each without a node cap and under a cap of
-    # 30 nodes
+    # 30 nodes; the reference walks the same threshold list, which capped
+    # runs follow
     rng = np.random.default_rng(91)
     pairs = [
         (DirectedMetricSpace.from_space(open_book(n, m)), DirectedMetricSpace.from_space(open_book(n + 1, m)))
@@ -413,20 +421,86 @@ def test_row_search_equals_the_full_table_reference():
     outcomes = {"exact": 0, "capped": 0, "infinite": 0}
     for i, (X, Y) in enumerate(pairs):
         mn = X.n * Y.n
-        compat = _reach_compat_matrix(X.reach, Y.reach)
+        compat = reach_compat_matrix(X.reach, Y.reach)
+        types = (_reach_types(X.reach), _reach_types(Y.reach))
         every = np.ones(mn, dtype=bool)
         cases = (
-            (X.zz, Y.zz, compat, compat, _arc_consistent_candidates(compat, X.n, Y.n)),
+            (X.zz, Y.zz, types, compat, table_arc_consistent_candidates(compat, X.n, Y.n)),
             (X.zz, Y.zz, None, np.ones((mn, mn), dtype=bool), every),
             (X.space.base, Y.space.base, None, np.ones((mn, mn), dtype=bool), every),
         )
         for dX, dY, mask, table, cand in cases:
-            floor = _value_gap_lower(dX, dY)
+            floor, T = _value_gap_lower(dX, dY), _thresholds(dX, dY)
             for limit in (INFINITY, 30):
                 got = _threshold_correspondence(dX, dY, mask, cand, floor, limit)
-                assert got == full_table_threshold_correspondence(dX, dY, table, cand, floor, limit), (i, limit)
+                assert got == full_table_threshold_correspondence(dX, dY, table, cand, T, floor, limit), (i, limit)
                 outcomes["infinite" if math.isinf(got[0]) else "exact" if got[0] == got[1] else "capped"] += 1
     assert min(outcomes.values()) >= 10, outcomes
+
+
+def compatibility_spaces():
+    """Seeded random spaces of 1 to 5 points, every third disconnected,
+    stretched copies, open books and two-arm intervals with their
+    reversals: pairs of them cover every reachability type."""
+    rng = np.random.default_rng(97)
+    out = []
+    for i in range(9):
+        s = random_space(rng, int(rng.integers(1, 6)), connected=i % 3 != 2)
+        out += [DirectedMetricSpace.from_space(s), stretched_copy(rng, s)[0]]
+    for s in (open_book(2, 2), open_book(3, 2), source_sink_interval(1), source_sink_interval(2)):
+        out += [DirectedMetricSpace.from_space(s), DirectedMetricSpace.from_space(reverse(s))]
+    return out
+
+
+def test_reach_types_decide_compatibility_like_the_slow_rule():
+    # on every pair of pairs of every two spaces: equal types exactly when
+    # the two pairs form a relation passing slow_is_dcorrespondence
+    spaces = compatibility_spaces()
+    seen = set()
+    for X in spaces:
+        for Y in spaces[::3]:
+            tX, tY = _reach_types(X.reach), _reach_types(Y.reach)
+            assert tX.dtype == np.int8 and set(np.unique(tX)) <= {0, 1, 2, 3}
+            for x in range(X.n):
+                for x2 in range(X.n):
+                    seen.add(int(tX[x, x2]))
+                    for y in range(Y.n):
+                        for y2 in range(Y.n):
+                            slow = slow_is_dcorrespondence([(x, y), (x2, y2)], X.reach, Y.reach)
+                            assert (tX[x, x2] == tY[y, y2]) == slow, (x, y, x2, y2)
+    assert seen == {0, 1, 2, 3}
+
+
+def test_type_arc_consistency_equals_the_table_form():
+    spaces = compatibility_spaces()
+    outcomes = {"all": 0, "pruned": 0, "emptied": 0}
+    for X in spaces:
+        for Y in spaces:
+            got = _arc_consistent_candidates(_reach_types(X.reach), _reach_types(Y.reach))
+            want = table_arc_consistent_candidates(reach_compat_matrix(X.reach, Y.reach), X.n, Y.n)
+            assert got.shape == (X.n, Y.n) and (got.ravel() == want).all()
+            covers = got.any(axis=1).all() and got.any(axis=0).all()
+            outcomes["all" if got.all() else "pruned" if covers else "emptied"] += 1
+    assert min(outcomes.values()) >= 4, outcomes
+
+
+def test_value_set_thresholds_hold_every_pair_cost():
+    # every pair a candidate: the thresholds are exactly the distinct
+    # finite entries of the full pair-cost table, then inf; under an
+    # arc-consistency mask they contain the masked table's entries
+    spaces = compatibility_spaces()
+    masked = 0
+    for X in spaces:
+        for Y in spaces[::2]:
+            for dX, dY in ((X.space.base, Y.space.base), (X.zz, Y.zz)):
+                T = _thresholds(dX, dY)
+                C = ext_abs_diff(dX[:, None, :, None], dY[None, :, None, :]).reshape(X.n * Y.n, -1)
+                assert T[-1] == INFINITY and (T[:-1] == np.unique(C[np.isfinite(C)])).all()
+            P = np.flatnonzero(_arc_consistent_candidates(_reach_types(X.reach), _reach_types(Y.reach)))
+            sub = C[np.ix_(P, P)]  # the zigzag costs among the surviving pairs
+            assert np.isin(sub[np.isfinite(sub)], T).all()
+            masked += 0 < P.size < X.n * Y.n
+    assert masked >= 10
 
 
 @settings(max_examples=100, deadline=None)
@@ -477,6 +551,31 @@ def test_gh_threshold_search_holds_no_pair_cost_table():
     assert peak < 8_000_000, f"traced peak {peak / 1e6:.1f} MB"
 
 
+@pytest.mark.parametrize(
+    "make, bound_mib",
+    [
+        (lambda: (flat_torus_grid(GridSpec(k=8)),) * 2, 8),
+        (lambda: (directed_interval(63), reverse(directed_interval(63))), 8),
+        (lambda: (directed_interval(1), directed_interval(2047)), 24),
+        (lambda: (directed_interval(3), directed_interval(1023)), 24),
+    ],
+    ids=["torus-8-v-8", "interval-63-v-reversal", "interval-1-v-2047", "interval-3-v-1023"],
+)
+def test_cdis_at_the_pair_limit_holds_no_pair_by_pair_table(make, bound_mib):
+    # 4096 point pairs each: one (|X|*|Y|)^2 bool table would take 16 MiB,
+    # and a |Y| x |Y| x 4 int32 one-hot of the types 64 MiB on 1 v 2047
+    X, Y = (DirectedMetricSpace.from_space(s) for s in make())
+    assert X.n * Y.n == distances.PAIR_LIMIT
+    tracemalloc.start()
+    try:
+        r = dcorrespondence_distance(X, Y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.exact
+    assert peak <= bound_mib * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+
+
 # ---------------------------------------------------------------------------
 # two-arm interval vs its reversal
 
@@ -489,9 +588,9 @@ def test_two_arm_interval_no_compatible_correspondence_both_routes():
     assert math.isinf(by_propagation.value) and by_propagation.exact
     assert by_propagation.method == "propagation"
     # same conclusion from the threshold search, skipping the propagation step
-    compat = _reach_compat_matrix(X.reach, Xr.reach)
+    types = (_reach_types(X.reach), _reach_types(Xr.reach))
     every = np.ones(X.n * Xr.n, dtype=bool)
-    assert _threshold_correspondence(X.zz, Xr.zz, compat, every, 0.0, INFINITY) == (INFINITY, INFINITY, None)
+    assert _threshold_correspondence(X.zz, Xr.zz, types, every, 0.0, INFINITY) == (INFINITY, INFINITY, None)
 
 
 def test_two_arm_interval_map_distance_half():
