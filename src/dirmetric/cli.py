@@ -46,7 +46,6 @@ from .gallery import (
     flat_torus_grid,
     hollow_square,
     label_coords,
-    metric_ball,
     open_book,
     sncf_plane,
     source_sink_interval,
@@ -55,6 +54,8 @@ from .spaces import (
     DEFAULT_TOL,
     DirectedMetricSpace,
     FiniteDSpace,
+    _weight_csr,
+    _zigzag,
     compute_reachability,
     compute_zigzag,
 )
@@ -317,6 +318,22 @@ def scatter_svg(coords: np.ndarray, members: np.ndarray, center: int) -> str:
     return "\n".join(parts) + "\n"
 
 
+def _zigzag_ball_row(space: FiniteDSpace, center: int, radius: float) -> np.ndarray:
+    """Row center of compute_zigzag(space), exact wherever it decides d <= radius.
+
+    compute_zigzag takes the minimum of Dijkstra's rows from both ends of
+    a pair, and the two differ only by rounding.  So only points just
+    outside the radius seen from the center can fall inside, and only
+    they get a search of their own.
+    """
+    graph = _weight_csr(space.n, space.src, space.dst, space.length)
+    row = _zigzag(graph, center)[0]
+    near = np.flatnonzero((row > radius) & (row <= radius + 1e-9 * max(radius, 1.0)))
+    if near.size:
+        row[near] = np.minimum(row[near], _zigzag(graph, near)[:, center])
+    return row
+
+
 def cmd_ball(args) -> int:
     space = load_space(args.space)
     try:
@@ -327,13 +344,14 @@ def cmd_ball(args) -> int:
         raise ValueError(f"center index {center} out of range for {space.n} points")
     if args.radius < 0:
         raise ValueError("radius must be nonnegative")
-    d = space.base if args.metric == "base" else compute_zigzag(space)
-    ball = metric_ball(d, center, args.radius + args.tol)
+    radius = args.radius + args.tol
+    row = space.base[center] if args.metric == "base" else _zigzag_ball_row(space, center, radius)
+    members = row <= radius
 
     out = io.StringIO()
     w = csv.writer(out, lineterminator="\n")
     w.writerow(["point", "member"])
-    for lbl, m in zip(space.labels, ball.members):
+    for lbl, m in zip(space.labels, members):
         w.writerow([lbl, int(m)])
     csv_text = out.getvalue()
 
@@ -345,8 +363,8 @@ def cmd_ball(args) -> int:
         "center_index": center,
         "radius": args.radius,
         "metric": args.metric,
-        "count": ball.count,
-        "members": [space.labels[i] for i in np.flatnonzero(ball.members)],
+        "count": int(members.sum()),
+        "members": [space.labels[i] for i in np.flatnonzero(members)],
     }
     if args.out:
         csv_path = Path(args.out)
@@ -356,7 +374,7 @@ def cmd_ball(args) -> int:
             print("notice: labels carry no plane coordinates; SVG skipped", file=sys.stderr)
         else:
             svg_path = csv_path.with_suffix(".svg")
-            svg_path.write_text(scatter_svg(coords, ball.members, center), encoding="utf-8")
+            svg_path.write_text(scatter_svg(coords, members, center), encoding="utf-8")
             doc["svg"] = str(svg_path)
     sys.stdout.write(dump_report(doc))
     return 0

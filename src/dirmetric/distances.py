@@ -693,6 +693,15 @@ def distortion_distance(
     PAIR_LIMIT, and the better certificate is kept.  budget goes to gh and
     cdis only.
     """
+    return _distortion_report(X, Y, lambda: (gh_distance(X, Y, budget), dcorrespondence_distance(X, Y, budget)))
+
+
+def _distortion_report(X: DirectedMetricSpace, Y: DirectedMetricSpace, chain_reports) -> DistanceReport:
+    """distortion_distance, with chain_reports() giving its gh and cdis reports.
+
+    It is called only when the chain closure runs, so a caller that
+    already holds both reports passes them in instead of searching again.
+    """
     nX, nY = X.n, Y.n
     if nX == 0 or nY == 0:
         if nX == 0 and nY == 0:
@@ -707,8 +716,8 @@ def distortion_distance(
     val, f, g = INFINITY, None, None
     chained = nX * nY <= PAIR_LIMIT
     if chained:
-        lower = max(lower, gh_distance(X, Y, budget).lower)
-        cdis = dcorrespondence_distance(X, Y, budget)
+        gh, cdis = chain_reports()
+        lower = max(lower, gh.lower)
         if cdis.certificate is not None:
             f, g = _choice_functions(cdis.certificate)
             val = MapPair(f, g).objective(X.zz, Y.zz)
@@ -984,10 +993,13 @@ def verify_chain(X: DirectedMetricSpace, Y: DirectedMetricSpace, budget: SearchB
 
     Meant for sizes where every search is exhaustive; with budgets too
     small for that the report comes back inconclusive, never failed.
+    dis reuses the gh and cdis reports instead of searching for them again.
     """
+    gh = gh_distance(X, Y, budget)
+    cdis = dcorrespondence_distance(X, Y, budget)
     return ChainReport(
-        gh=gh_distance(X, Y, budget),
-        dis=distortion_distance(X, Y, budget),
-        cdis=dcorrespondence_distance(X, Y, budget),
+        gh=gh,
+        dis=_distortion_report(X, Y, lambda: (gh, cdis)),
+        cdis=cdis,
         gh_base=_min_correspondence_report("gh-base", X.space.base, Y.space.base, budget),
     )

@@ -50,7 +50,6 @@ from .spaces import (
     DirectedMetricSpace,
     FiniteDSpace,
     _edge_tuple,
-    _row_blocks,
     _weight_csr,
     _zigzag,
     compute_zigzag,
@@ -397,18 +396,42 @@ def check_source_sink(seed: int, budget: SearchBudget):
     }
 
 
-def _identity_distortion(space: FiniteDSpace) -> float:
-    """max |base - Z| over all pairs, holding one row block of the zigzag Z at a time.
+#: Rows per Dijkstra call in _identity_distortion; also the number of
+#: evenly spaced rows searched first.
+_IDENTITY_BATCH = 64
 
-    The rows come straight from Dijkstra, unsymmetrized.  Z >= base, so
-    this is never below the value on the symmetrized compute_zigzag, and
-    equals it where Dijkstra's output is symmetric, as on the square grid.
+
+def _identity_distortion(space: FiniteDSpace) -> float:
+    """max |base - Z| over all pairs, searching only the rows of Z that can raise it.
+
+    The rows of the zigzag Z come straight from Dijkstra, unsymmetrized.
+    Z >= base, so the value is never below the one on the symmetrized
+    compute_zigzag, and equals it where Dijkstra's output is symmetric, as
+    on the square grid.  Rows are pruned as in exact diameter search
+    (Takes and Kosters, 2011): Z >= base, Z is symmetric and both satisfy
+    the triangle inequality, so a searched row r bounds the maximum of
+    every row s by max_r + Z[r, s] + base[r, s].  After evenly spaced
+    sources, the unsearched rows with the largest bounds are searched
+    until every bound is below the maximum found, less TOL for rounding.
+    An inf bound prunes nothing.  One batch of rows is alive at a time.
     """
-    graph = _weight_csr(space.n, space.src, space.dst, space.length)
+    n = space.n
+    graph = _weight_csr(n, space.src, space.dst, space.length)
+    bound = np.full(n, INFINITY)
+    searched = np.zeros(n, dtype=bool)
     worst = 0.0
-    for r in _row_blocks(space.n):
-        Z = _zigzag(graph, np.arange(r.start, r.stop))
-        worst = max(worst, float(np.max(ext_abs_diff(space.base[r], Z))))
+    batch = np.linspace(0, n - 1, min(n, _IDENTITY_BATCH)).astype(int)
+    while batch.size and worst < INFINITY:
+        Z = _zigzag(graph, batch)
+        base = space.base[batch]
+        row_max = ext_abs_diff(base, Z).max(axis=1)
+        worst = max(worst, float(row_max.max()))
+        searched[batch] = True
+        Z += base
+        Z += row_max[:, None]
+        np.minimum(bound, Z.min(axis=0), out=bound)
+        open_rows = np.flatnonzero(~searched & (bound >= worst - TOL))
+        batch = open_rows[np.argsort(-bound[open_rows], kind="stable")[:_IDENTITY_BATCH]]
     return worst
 
 
@@ -478,7 +501,7 @@ def check_grid_oracle_convergence(seed: int, budget: SearchBudget):
     rng = np.random.default_rng(_CONVERGENCE_SEED)
     pts = rng.random((_CONVERGENCE_POINTS, 2))
     ratio = step_ratio(DEFAULT_STEPS)
-    O_true = np.array([[square_zigzag_oracle(p, q) for q in pts] for p in pts])
+    O_true = square_zigzag_oracle(pts[:, None], pts[None, :])
     iu = np.triu_indices(len(pts), 1)
     maxes, means = [], []
     envelope_ok = True
@@ -488,7 +511,7 @@ def check_grid_oracle_convergence(seed: int, budget: SearchBudget):
         sp = snap / k
         _, edges = square_grid_graph(GridSpec(k=k))
         sub = zigzag_from_edges((k + 1) ** 2, edges, sources=idx)[:, idx]
-        O_snap = np.array([[square_zigzag_oracle(p, q) for q in sp] for p in sp])
+        O_snap = square_zigzag_oracle(sp[:, None], sp[None, :])
         if not ((sub >= O_snap - TOL) & (sub <= ratio * O_snap + _CONVERGENCE_C / k + TOL)).all():
             envelope_ok = False
         E = np.abs(sub - O_true)[iu]

@@ -151,7 +151,7 @@ def test_square_grid_identity_distortion():
     passed, details, _ = _timed(check_square_identity)
     _line("square identity distortion 2 - sqrt(2)", passed)
     assert passed, details
-    # the row-blocked reduction gives the full matrix's value bit for bit
+    # the pruned row search gives the full matrix's value bit for bit
     assert details["dis_identity"] == 0.5857864376269049
 
 

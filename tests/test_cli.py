@@ -3,7 +3,8 @@
 Claims covered: every subcommand emits exactly one JSON object on
 standard output, files appear only with --out, certificates re-evaluate
 to the reported value, error paths exit 1, failed suites would exit 2,
-gh and dis on a 1024-point interval finish without a traceback, and
+gh and dis on a 1024-point interval finish without a traceback, ball's
+one-row zigzag decides membership as the full matrix does, and
 repeated seeded runs are byte-identical.
 """
 
@@ -20,19 +21,23 @@ import pytest
 from dirmetric import (
     Correspondence,
     FiniteDSpace,
+    GridSpec,
     MapPair,
     DirectedMetricSpace,
     DistanceReport,
     disjoint_union,
     distortion_relation,
+    flat_torus_grid,
     load_space,
+    random_space,
     reverse,
     save_space,
     source_sink_interval,
 )
-from dirmetric import distances
-from dirmetric.cli import RunConfig, _certificate_value, build_parser, main
+from dirmetric import cli, distances
+from dirmetric.cli import RunConfig, _certificate_value, _zigzag_ball_row, build_parser, main
 from dirmetric.distances import DEFAULT_BUDGET
+from dirmetric.spaces import compute_zigzag
 from dirmetric.verify import check_source_sink
 
 
@@ -317,6 +322,28 @@ def test_ball_unknown_center_exits_one(capsys, tmp_path):
     fx, _ = write_two_arm(tmp_path)
     code, _, err = run(capsys, "ball", fx, "--center", "nowhere", "--radius", "1")
     assert code == 1 and "nowhere" in err
+
+
+def test_zigzag_ball_row_decides_membership_like_the_full_matrix(monkeypatch):
+    # radii set exactly to a zigzag distance put points on the boundary,
+    # where Dijkstra's rows from the two ends can round apart
+    rows = []
+    zigzag = cli._zigzag
+    monkeypatch.setattr(cli, "_zigzag", lambda graph, sources: rows.append(np.size(sources)) or zigzag(graph, sources))
+    rng = np.random.default_rng(6)
+    spaces = [random_space(rng, int(rng.integers(1, 60)), connected=rng.random() >= 0.3) for _ in range(30)]
+    spaces += [flat_torus_grid(GridSpec(k=k)) for k in (8, 16)]
+    balls = 0
+    for s in spaces:
+        Z = compute_zigzag(s)
+        for _ in range(10):
+            c = int(rng.integers(s.n))
+            d = float(Z[c, int(rng.integers(s.n))])
+            radius = d if math.isfinite(d) and rng.random() < 0.5 else float(rng.random())
+            assert np.array_equal(_zigzag_ball_row(s, c, radius) <= radius, Z[c] <= radius)
+            balls += 1
+    # one row from the centre per ball, and only a few boundary rows besides
+    assert balls <= sum(rows) < 2 * balls
 
 
 # ---------------------------------------------------------------------------

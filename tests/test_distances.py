@@ -19,14 +19,16 @@ one, an infinite dis between spaces with different component counts,
 the map-pair local search's all-moves scores, descent and greedy
 starting maps (with their rng draws) against full re-scoring, its lean
 abs-diff against ext_abs_diff bit for bit, no RuntimeWarning on
-disconnected pairs, and its frozen results on two pairs and on twelve
-random pairs above the exhaustive caps.
+disconnected pairs, its frozen results on two pairs and on twelve
+random pairs above the exhaustive caps, and verify_chain running each
+threshold search once.
 """
 
 import hashlib
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,6 +66,7 @@ from dirmetric import (
     gh_distance,
     hausdorff,
     is_disometry,
+    load_space,
     map_distortion,
     open_book,
     pair_codistortion,
@@ -1001,3 +1004,21 @@ def test_local_search_reports_frozen_on_random_pairs(monkeypatch):
         local.append(digest(reports))
     assert tuple(local) == FROZEN_REPORT_SHA256
     assert tuple(chained) == FROZEN_CHAIN_REPORT_SHA256
+
+
+def test_verify_chain_searches_gh_and_cdis_once(monkeypatch):
+    # near-8-n16 is above every exhaustive cap, so dis closes from the
+    # chain; verify_chain hands it its own gh and cdis reports, leaving
+    # three threshold searches (gh, cdis, gh-base) where separate calls
+    # run five
+    data = Path(__file__).parent / "data"
+    X, Y = (DirectedMetricSpace.from_space(load_space(str(data / f"near-8-n16.{s}.json"))) for s in "XY")
+    calls = []
+    search = distances._threshold_correspondence
+    monkeypatch.setattr(distances, "_threshold_correspondence", lambda *a: calls.append(1) or search(*a))
+    chain = verify_chain(X, Y)
+    assert len(calls) == 3
+    separate = (gh_distance(X, Y), distortion_distance(X, Y), dcorrespondence_distance(X, Y))
+    assert len(calls) == 3 + 4
+    assert (chain.gh, chain.dis, chain.cdis) == separate
+    assert chain.dis.method == "chain"

@@ -6,9 +6,17 @@ import numpy as np
 import pytest
 
 from dirmetric import SUITES, compute_zigzag, run_checks, random_space
-from dirmetric.gallery import GridSpec, directed_square_grid
-from dirmetric.spaces import compute_reachability
+from dirmetric import verify
+from dirmetric.gallery import (
+    GridSpec,
+    directed_square_grid,
+    flat_torus_grid,
+    open_book,
+    source_sink_interval,
+)
+from dirmetric.spaces import compute_reachability, disjoint_union
 from dirmetric.verify import _identity_distortion, naive_min_correspondence_distortion
+from oracles import full_identity_distortion
 
 
 def test_core_suite_passes():
@@ -53,8 +61,8 @@ def test_naive_oracle_on_identical_spaces():
 
 def test_square_grid_identity_holds_one_dense_matrix():
     # tracemalloc sees numpy's allocations: building the grid and reducing
-    # its identity distortion keep the base and a few row blocks alive, not
-    # several n x n arrays (1681 points, so seven blocks of 256 rows)
+    # its identity distortion keep the base and one batch of 64 Dijkstra
+    # rows alive, not several n x n arrays (1681 points)
     tracemalloc.start()
     try:
         g = directed_square_grid(GridSpec(k=40))
@@ -76,3 +84,37 @@ def test_square_grid_reachability_holds_no_float_matrix():
     finally:
         tracemalloc.stop()
     assert peak < g.base.nbytes / 2
+
+
+@pytest.mark.parametrize("batch", [64, 4])
+def test_pruned_identity_distortion_equals_the_full_reduction(monkeypatch, batch):
+    # seeded spaces of 1-120 points, 30% not weakly connected (inf rows),
+    # plus disjoint unions, whose cross pairs are inf in both metrics so
+    # the value stays finite while inf bounds prune nothing.  Batches of 4
+    # rows let the bounds prune below 64 points too.
+    monkeypatch.setattr(verify, "_IDENTITY_BATCH", batch)
+    rng = np.random.default_rng(14)
+    for _ in range(120):
+        s = random_space(rng, int(rng.integers(1, 121)), connected=rng.random() >= 0.3)
+        assert _identity_distortion(s) == full_identity_distortion(s)
+    for _ in range(10):
+        s = disjoint_union(random_space(rng, int(rng.integers(1, 40))), random_space(rng, int(rng.integers(1, 40))))
+        assert _identity_distortion(s) == full_identity_distortion(s)
+
+
+def test_pruned_identity_distortion_equals_the_full_reduction_on_the_gallery():
+    gallery = [directed_square_grid(GridSpec(k=k)) for k in (8, 16, 33, 40)]
+    gallery += [flat_torus_grid(GridSpec(k=k)) for k in (16, 32)]
+    gallery += [open_book(10, 8), source_sink_interval(50)]
+    for s in gallery:
+        assert _identity_distortion(s) == full_identity_distortion(s)
+
+
+def test_identity_distortion_searches_few_square_grid_rows(monkeypatch):
+    # the count is deterministic: on the k = 40 square, 244 of 1681 rows
+    rows = []
+    zigzag = verify._zigzag
+    monkeypatch.setattr(verify, "_zigzag", lambda graph, sources: rows.append(len(sources)) or zigzag(graph, sources))
+    g = directed_square_grid(GridSpec(k=40))
+    _identity_distortion(g)
+    assert sum(rows) < g.n / 4
