@@ -80,10 +80,10 @@ class RunConfig:
 
 
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budget-exhaustive-gh", type=int, default=16, metavar="N",
-                   help="exhaustive correspondence search up to |X|*|Y| = N (default 16)")
-    p.add_argument("--budget-exhaustive-cdis", type=int, default=12, metavar="N",
-                   help="no node cap on the cdis search up to |X|*|Y| = N (default 12)")
+    p.add_argument("--budget-exhaustive-gh", type=int, default=SearchBudget.exhaustive_gh, metavar="N",
+                   help="exhaustive correspondence search up to |X|*|Y| = N (default %(default)s)")
+    p.add_argument("--budget-exhaustive-cdis", type=int, default=SearchBudget.exhaustive_cdis, metavar="N",
+                   help="no node cap on the cdis search up to |X|*|Y| = N (default %(default)s)")
 
 
 def _parse_steps(text: str):

@@ -60,7 +60,7 @@ from typing import Optional
 import numpy as np
 
 from .extended import INFINITY, ext_abs_diff
-from .spaces import DEFAULT_TOL, DirectedMetricSpace, diameter
+from .spaces import DEFAULT_TOL, DirectedMetricSpace
 
 
 @dataclass(frozen=True)
@@ -264,10 +264,11 @@ def _value_gap_lower(dX: np.ndarray, dY: np.ndarray) -> float:
 
     Any correspondence matches every entry of dX with some entry of dY
     and vice versa, so the worst one-sided gap between the two value
-    multisets bounds every distortion from below; so does the diameter
-    difference.  All in distortion units (twice the distance).
+    multisets bounds every distortion from below.  It bounds the diameter
+    difference too, since the largest entry is matched within it.  In
+    distortion units (twice the distance).
     """
-    gaps = [ext_abs_diff(diameter(dX), diameter(dY))] if dX.size and dY.size else [0.0]
+    gaps = []
     for A, B in ((dX, dY), (dY, dX)):
         av = A.ravel()
         bv = B.ravel()
@@ -649,21 +650,18 @@ def gh_distance(X: DirectedMetricSpace, Y: DirectedMetricSpace, budget: SearchBu
     branch and bound, a report is exact only if its value meets its proven
     lower bound.
     """
-    return _min_correspondence_report("gh", X.zz, Y.zz, budget)
-
-
-def _min_correspondence_report(kind: str, dX: np.ndarray, dY: np.ndarray, budget: SearchBudget) -> DistanceReport:
-    nX, nY = dX.shape[0], dY.shape[0]
+    dX, dY = X.zz, Y.zz
+    nX, nY = X.n, Y.n
     if nX == 0 or nY == 0:
         if nX == 0 and nY == 0:
-            return DistanceReport(kind, 0.0, True, 0.0, Correspondence(0, 0, ()), "empty")
-        return DistanceReport(kind, INFINITY, True, INFINITY, None, "empty")
+            return DistanceReport("gh", 0.0, True, 0.0, Correspondence(0, 0, ()), "empty")
+        return DistanceReport("gh", INFINITY, True, INFINITY, None, "empty")
     if nX * nY <= budget.exhaustive_gh:
         val, pairs = _bnb_correspondence(dX, dY)
         cert = Correspondence(nX, nY, tuple(pairs)) if pairs is not None else None
-        return DistanceReport(kind, 0.5 * val, True, 0.5 * val, cert, "branch-and-bound")
+        return DistanceReport("gh", 0.5 * val, True, 0.5 * val, cert, "branch-and-bound")
     if nX * nY <= PAIR_LIMIT:
-        return _threshold_report(kind, dX, dY, None, np.ones((nX, nY), dtype=bool), NODE_LIMIT)
+        return _threshold_report("gh", dX, dY, None, np.ones((nX, nY), dtype=bool), NODE_LIMIT)
     lower = 0.5 * _value_gap_lower(dX, dY)
     no_edges = (np.zeros(0, dtype=int),) * 2
     val, f, g = _local_search_map_pair(
@@ -676,7 +674,7 @@ def _min_correspondence_report(kind: str, dX: np.ndarray, dY: np.ndarray, budget
         cert = Correspondence(nX, nY, pairs)
     value = 0.5 * val
     exact = value <= lower + 1e-12
-    return DistanceReport(kind, value, exact, value if exact else lower, cert, "local-search")
+    return DistanceReport("gh", value, exact, value if exact else lower, cert, "local-search")
 
 
 def distortion_distance(
@@ -759,7 +757,7 @@ def _enumerate_dmaps(source: DirectedMetricSpace, target: DirectedMetricSpace) -
 def _batch_map_distortion(dS: np.ndarray, dT: np.ndarray, maps: np.ndarray) -> np.ndarray:
     n = dS.shape[0]
     out = np.empty(maps.shape[0])
-    chunk = max(1, 10_000_000 // max(n * n, 1))
+    chunk = max(1, 1_000_000 // max(n * n, 1))  # ~1M entries: each temporary stays near 8 MB
     for i in range(0, maps.shape[0], chunk):
         M = maps[i : i + chunk]
         imaged = dT[M[:, :, None], M[:, None, :]]
@@ -951,26 +949,20 @@ def is_disometry(f: VertexMap) -> bool:
 
 @dataclass(frozen=True)
 class ChainReport:
-    """Joint report on the ordering of the comparison distances.
+    """The paper's chain gh <= dis <= cdis on one pair of spaces.
 
-    chain_holds covers the guaranteed ordering, up to DEFAULT_TOL:
-    correspondence distance below map-pair distance below
-    reach-compatible distance.  The comparison distance of the bare base
-    metrics is carried separately as base_le_zigzag because it is NOT
-    guaranteed: a two-point space whose edge is longer than the base gap
-    can sit closer to another space in the zigzag metrics than in the
-    base metrics.  conclusive is False when any ingredient came back
-    inexact; nothing is judged then.
+    chain_holds checks both inequalities up to DEFAULT_TOL.  conclusive
+    is False when any of the three reports came back inexact; nothing is
+    judged then.
     """
 
     gh: DistanceReport
     dis: DistanceReport
     cdis: DistanceReport
-    gh_base: DistanceReport
 
     @property
     def conclusive(self) -> bool:
-        return all(r.exact for r in (self.gh, self.dis, self.cdis, self.gh_base))
+        return all(r.exact for r in (self.gh, self.dis, self.cdis))
 
     @property
     def chain_holds(self):
@@ -981,15 +973,9 @@ class ChainReport:
             and self.dis.value <= self.cdis.value + DEFAULT_TOL
         )
 
-    @property
-    def base_le_zigzag(self):
-        if not (self.gh.exact and self.gh_base.exact):
-            return None
-        return bool(self.gh_base.value <= self.gh.value + DEFAULT_TOL)
-
 
 def verify_chain(X: DirectedMetricSpace, Y: DirectedMetricSpace, budget: SearchBudget = DEFAULT_BUDGET) -> ChainReport:
-    """Compute all three distances plus the base-metric comparison.
+    """Compute gh, dis and cdis on one pair, searching for each once.
 
     Meant for sizes where every search is exhaustive; with budgets too
     small for that the report comes back inconclusive, never failed.
@@ -997,9 +983,4 @@ def verify_chain(X: DirectedMetricSpace, Y: DirectedMetricSpace, budget: SearchB
     """
     gh = gh_distance(X, Y, budget)
     cdis = dcorrespondence_distance(X, Y, budget)
-    return ChainReport(
-        gh=gh,
-        dis=_distortion_report(X, Y, lambda: (gh, cdis)),
-        cdis=cdis,
-        gh_base=_min_correspondence_report("gh-base", X.space.base, Y.space.base, budget),
-    )
+    return ChainReport(gh=gh, dis=_distortion_report(X, Y, lambda: (gh, cdis)), cdis=cdis)

@@ -322,6 +322,32 @@ def full_identity_distortion(space) -> float:
     return worst
 
 
+def diameter_value_gap_lower(dX, dY) -> float:
+    """The value-gap lower bound as it was with its diameter-difference
+    term: the worst one-sided gap between the two value multisets, or the
+    difference of the largest entries, whichever is larger."""
+    gaps = [ext_abs_diff(float(np.max(dX)), float(np.max(dY)))] if dX.size and dY.size else [0.0]
+    for A, B in ((dX, dY), (dY, dX)):
+        av = A.ravel()
+        bv = B.ravel()
+        b_fin = np.sort(bv[np.isfinite(bv)])
+        b_inf = bool(np.isinf(bv).any())
+        a_fin = av[np.isfinite(av)]
+        worst = 0.0
+        if a_fin.size:
+            if b_fin.size:
+                pos = np.searchsorted(b_fin, a_fin)
+                left = np.where(pos > 0, np.abs(a_fin - b_fin[np.maximum(pos - 1, 0)]), INF)
+                right = np.where(pos < b_fin.size, np.abs(b_fin[np.minimum(pos, b_fin.size - 1)] - a_fin), INF)
+                worst = float(np.max(np.minimum(left, right)))
+            else:
+                worst = INF
+        if np.isinf(av).any() and not b_inf:
+            worst = INF
+        gaps.append(worst)
+    return float(max(gaps))
+
+
 # ---------------------------------------------------------------------------
 # file formats, one value at a time
 

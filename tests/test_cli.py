@@ -434,3 +434,13 @@ def test_every_flag_the_readme_names_is_accepted():
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
+
+
+def test_budget_flags_default_to_the_search_budget(capsys):
+    for sub in ("dist", "verify"):
+        assert main([sub, "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "exhaustive correspondence search up to |X|*|Y| = N (default 16)" in text
+        assert "no node cap on the cdis search up to |X|*|Y| = N (default 12)" in text
+    args = build_parser().parse_args(["dist", "gh", "a.json", "b.json"])
+    assert RunConfig.from_args(args).budget == DEFAULT_BUDGET

@@ -11,19 +11,23 @@ allowed, of correspondences, its bracket under a forced node cap, its
 refusal above the pair limit, its exact value on a 12-point copy above
 the exhaustive cap, reachability types against the slow d-correspondence
 rule, type-based propagation against the table form, the value-set
-thresholds against the full pair-cost table, the traced memory of cdis at
-the pair limit, the chain gh <= dis <= cdis with re-scored
-certificates as a property on exhaustive sizes, d-isometry detection,
-the frozen instance where the base-metric comparison exceeds the zigzag
-one, an infinite dis between spaces with different component counts,
-the map-pair local search's all-moves scores, descent and greedy
-starting maps (with their rng draws) against full re-scoring, its lean
-abs-diff against ext_abs_diff bit for bit, no RuntimeWarning on
-disconnected pairs, its frozen results on two pairs and on twelve
-random pairs above the exhaustive caps, and verify_chain running each
-threshold search once.
+thresholds against the full pair-cost table, the value-gap lower bound
+against its former form with a diameter term (seeded and as a property),
+the traced memory of cdis at the pair limit and of batched map scoring,
+the chain gh <= dis <= cdis with re-scored certificates as a property on
+exhaustive sizes, d-isometry detection, the frozen instance where the
+classical comparison of the base metrics (gh of spaces whose zigzag is
+their base, through the public call) exceeds the zigzag one, an infinite
+dis between spaces with different component counts, the map-pair local
+search's all-moves scores, descent and greedy starting maps (with their
+rng draws) against full re-scoring, its lean abs-diff against
+ext_abs_diff bit for bit, no RuntimeWarning on disconnected pairs, its
+frozen results on two pairs and on twelve random pairs above the
+exhaustive caps, and verify_chain running the gh and cdis threshold
+searches once each.
 """
 
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -35,6 +39,7 @@ import pytest
 from conftest import small_spaces
 from hypothesis import assume, given, settings
 from oracles import (
+    diameter_value_gap_lower,
     full_table_threshold_correspondence,
     reach_compat_matrix,
     slow_descend,
@@ -49,12 +54,14 @@ from dirmetric import (
     INFINITY,
     Correspondence,
     DirectedMetricSpace,
+    DistanceReport,
     FiniteDSpace,
     GridSpec,
     MapPair,
     SearchBudget,
     VertexMap,
     codistortion,
+    compute_zigzag,
     dcorrespondence_distance,
     directed_hausdorff,
     directed_interval,
@@ -77,12 +84,11 @@ from dirmetric import (
 )
 from dirmetric import distances
 from dirmetric.distances import (
-    DEFAULT_BUDGET,
     _abs_diff,
     _arc_consistent_candidates,
+    _batch_map_distortion,
     _descend,
     _legal_moves,
-    _min_correspondence_report,
     _move_scores,
     _neighbours,
     _random_greedy_map,
@@ -103,6 +109,16 @@ PATH = dspace(
     [[0.0, 1, 2, 3, 4], [1, 0.0, 1, 2, 3], [2, 1, 0.0, 1, 2], [3, 2, 1, 0.0, 1], [4, 3, 2, 1, 0.0]],
     tuple((i, i + 1, 1.0) for i in range(4)),
 )
+
+
+def base_gh(X: DirectedMetricSpace, Y: DirectedMetricSpace) -> DistanceReport:
+    """The classical comparison of the two base metrics: gh of the same
+    points with the base as their zigzag metric and no edges to respect."""
+    def bare(S):
+        return DirectedMetricSpace(S.space, zz=S.space.base, reach=np.eye(S.n, dtype=bool))
+
+    return gh_distance(bare(X), bare(Y))
+
 
 # two-point spaces whose single edges differ in length by 2
 SHORT = dspace([[0.0, 1.0], [1.0, 0.0]], ((0, 1, 1.0),))
@@ -229,7 +245,9 @@ def test_two_point_pair_all_three_distances():
     assert gh.method == "branch-and-bound"
     assert dis.method == "exhaustive"
     rep = verify_chain(SHORT, LONG)
-    assert rep.conclusive and rep.chain_holds and rep.base_le_zigzag
+    assert rep.conclusive and rep.chain_holds
+    base = base_gh(SHORT, LONG)
+    assert base.exact and base.value <= rep.gh.value + DEFAULT_TOL
 
 
 def test_self_distance_is_zero_exact():
@@ -554,6 +572,40 @@ def test_gh_threshold_search_holds_no_pair_cost_table():
     assert peak < 8_000_000, f"traced peak {peak / 1e6:.1f} MB"
 
 
+def test_batch_map_scoring_memory_is_bounded():
+    # 32 maps of 1024 points: 32 * 1024^2 imaged entries, scored in chunks
+    # of about 1M entries (8 MiB per float temporary)
+    d = DirectedMetricSpace.from_space(directed_interval(1023)).zz
+    maps = np.random.default_rng(5).integers(0, 1024, size=(32, 1024))
+    tracemalloc.start()
+    try:
+        scores = _batch_map_distortion(d, d, maps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+    assert scores.tolist() == [map_distortion(m, d, d) for m in maps]
+
+
+def test_value_gap_lower_needs_no_diameter_term():
+    # the largest entry of each matrix is matched within the value gap,
+    # so adding the diameter difference never raises the bound
+    rng = np.random.default_rng(77)
+    for _ in range(300):
+        X, Y = (random_space(rng, int(rng.integers(1, 9)), connected=bool(rng.random() >= 0.4)) for _ in "XY")
+        zX, zY = compute_zigzag(X), compute_zigzag(Y)
+        for dX, dY in ((X.base, Y.base), (zX, zY), (zX, float(rng.uniform(0.5, 2.0)) * zX)):
+            assert _value_gap_lower(dX, dY) == diameter_value_gap_lower(dX, dY)
+            assert _value_gap_lower(dY, dX) == diameter_value_gap_lower(dY, dX)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_spaces(), small_spaces())
+def test_value_gap_lower_equals_the_diameter_form(X, Y):
+    for dX, dY in ((X.zz, Y.zz), (X.space.base, Y.space.base), (X.zz, 1.5 * X.zz)):
+        assert _value_gap_lower(dX, dY) == diameter_value_gap_lower(dX, dY)
+
+
 @pytest.mark.parametrize(
     "make, bound_mib",
     [
@@ -674,17 +726,18 @@ def test_frozen_pair_where_base_comparison_exceeds_zigzag():
     rep = verify_chain(X, Y)
     assert rep.conclusive
     assert rep.chain_holds
-    assert rep.base_le_zigzag is False
+    base = base_gh(X, Y)
+    assert base.exact and base.value > rep.gh.value + DEFAULT_TOL
     assert rep.gh.value == pytest.approx(0.05)
-    assert rep.gh_base.value == pytest.approx(0.25)
+    assert base.value == pytest.approx(0.25)
 
 
 def test_local_search_without_a_finite_map_pair_reports_inf(monkeypatch):
     # a connected space against one with two components: every
     # correspondence and every map pair has infinite distortion, above the
     # exhaustive caps as below them.  The threshold search proves it for gh
-    # and gh-base, and gh's bound closes dis from the chain; with the pair
-    # limit at 0 the local search reports the same
+    # and for the base metrics' comparison, and gh's bound closes dis from
+    # the chain; with the pair limit at 0 the local search reports the same
     X = DirectedMetricSpace.from_space(directed_interval(4))
     Y = dspace([[0.0, 1.0, INFINITY, INFINITY], [1.0, 0.0, INFINITY, INFINITY],
                 [INFINITY, INFINITY, 0.0, 1.0], [INFINITY, INFINITY, 1.0, 0.0]],
@@ -695,8 +748,7 @@ def test_local_search_without_a_finite_map_pair_reports_inf(monkeypatch):
     interval = DirectedMetricSpace.from_space(directed_interval(20))
     for limit, gh_method, dis_method in ((distances.PAIR_LIMIT, "branch-and-bound", "chain"), (0, "local-search", "local-search")):
         monkeypatch.setattr(distances, "PAIR_LIMIT", limit)
-        gh_base = _min_correspondence_report("gh-base", X.space.base, Y.space.base, DEFAULT_BUDGET)
-        for r in (gh_distance(X, Y), gh_base):
+        for r in (gh_distance(X, Y), base_gh(X, Y)):
             assert r.method == gh_method
             assert (r.value, r.lower, r.exact, r.certificate) == (INFINITY, INFINITY, True, None)
         r = distortion_distance(two, interval)
@@ -944,10 +996,12 @@ def test_local_search_results_frozen(monkeypatch):
 
 # sha256 of the gh, dis and gh-base reports (value, lower, exact, method
 # and certificate, through repr) on random pairs above the exhaustive
-# caps; every third pair has two disconnected spaces.  The first hashes
-# were recorded with all three from the local search, as they still come
-# above a pair limit of 0; the second on the default path: gh and gh-base
-# from the threshold search, dis from the chain or the local search
+# caps; every third pair has two disconnected spaces.  gh-base is gh of
+# the base metrics (base_gh), its kind relabelled "gh-base" as it was
+# when the hashes were recorded.  The first hashes were recorded with all
+# three from the local search, as they still come above a pair limit of
+# 0; the second on the default path: gh and gh-base from the threshold
+# search, dis from the chain or the local search
 FROZEN_REPORT_SIZES = ((5, 6), (6, 5), (6, 6), (7, 5), (5, 8), (7, 7), (8, 6), (6, 9), (8, 8), (9, 7), (9, 9), (7, 9))
 FROZEN_REPORT_SHA256 = (
     "c8cbb6a798c3d251b8da7aa1498bf0f197d5977aa3b880bf15466b218004d55b",
@@ -989,17 +1043,20 @@ def test_local_search_reports_frozen_on_random_pairs(monkeypatch):
         X = DirectedMetricSpace.from_space(random_space(rng, nx, connected=i % 3 != 2))
         Y = DirectedMetricSpace.from_space(random_space(rng, ny, connected=i % 3 != 2))
         pairs.append((X, Y))
+
+    def gh_base(X, Y):
+        return dataclasses.replace(base_gh(X, Y), kind="gh-base")
+
     chained = []
     for X, Y in pairs:
         chain = verify_chain(X, Y)
-        reports = (chain.gh, chain.dis, chain.gh_base)
-        assert chain.gh.method == chain.gh_base.method == "branch-and-bound"
+        reports = (chain.gh, chain.dis, gh_base(X, Y))
+        assert chain.gh.method == reports[2].method == "branch-and-bound"
         chained.append(digest(reports))
     monkeypatch.setattr(distances, "PAIR_LIMIT", 0)
     local = []
     for X, Y in pairs:
-        gh_base = _min_correspondence_report("gh-base", X.space.base, Y.space.base, DEFAULT_BUDGET)
-        reports = (gh_distance(X, Y), distortion_distance(X, Y), gh_base)
+        reports = (gh_distance(X, Y), distortion_distance(X, Y), gh_base(X, Y))
         assert all(r.method == "local-search" for r in reports)
         local.append(digest(reports))
     assert tuple(local) == FROZEN_REPORT_SHA256
@@ -1009,16 +1066,15 @@ def test_local_search_reports_frozen_on_random_pairs(monkeypatch):
 def test_verify_chain_searches_gh_and_cdis_once(monkeypatch):
     # near-8-n16 is above every exhaustive cap, so dis closes from the
     # chain; verify_chain hands it its own gh and cdis reports, leaving
-    # three threshold searches (gh, cdis, gh-base) where separate calls
-    # run five
+    # two threshold searches (gh, cdis) where separate calls run four
     data = Path(__file__).parent / "data"
     X, Y = (DirectedMetricSpace.from_space(load_space(str(data / f"near-8-n16.{s}.json"))) for s in "XY")
     calls = []
     search = distances._threshold_correspondence
     monkeypatch.setattr(distances, "_threshold_correspondence", lambda *a: calls.append(1) or search(*a))
     chain = verify_chain(X, Y)
-    assert len(calls) == 3
+    assert len(calls) == 2
     separate = (gh_distance(X, Y), distortion_distance(X, Y), dcorrespondence_distance(X, Y))
-    assert len(calls) == 3 + 4
+    assert len(calls) == 2 + 4
     assert (chain.gh, chain.dis, chain.cdis) == separate
     assert chain.dis.method == "chain"

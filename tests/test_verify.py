@@ -14,6 +14,7 @@ from dirmetric.gallery import (
     open_book,
     source_sink_interval,
 )
+from dirmetric.distances import DEFAULT_BUDGET
 from dirmetric.spaces import compute_reachability, disjoint_union
 from dirmetric.verify import _identity_distortion, naive_min_correspondence_distortion
 from oracles import full_identity_distortion
@@ -118,3 +119,13 @@ def test_identity_distortion_searches_few_square_grid_rows(monkeypatch):
     g = directed_square_grid(GridSpec(k=40))
     _identity_distortion(g)
     assert sum(rows) < g.n / 4
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_chain_check_serializes_no_space(seed):
+    # these seeds draw pairs whose base metrics compare further apart than
+    # their zigzag metrics; that is no law, so the check neither tallies
+    # nor embeds them
+    passed, details = verify.check_chain_inequalities(seed, DEFAULT_BUDGET)
+    assert passed
+    assert details == {"pairs": 30}
