@@ -86,23 +86,14 @@ def _add_budget_flags(p: argparse.ArgumentParser) -> None:
                    help="no node cap on the cdis search up to |X|*|Y| = N (default %(default)s)")
 
 
-def _parse_steps(text: str):
+def _parse_pairs(text: str, flag: str, number, example: str, noun: str):
+    """Semicolon-separated "a,b" pairs of number(...) values from a --steps or --points flag."""
     try:
-        steps = tuple(tuple(int(v) for v in part.split(",")) for part in text.split(";") if part)
+        pairs = tuple(tuple(number(v) for v in part.split(",")) for part in text.split(";") if part)
     except ValueError:
-        raise ValueError(f"bad --steps value {text!r}; expected e.g. '1,0;0,1;1,1'") from None
-    if any(len(s) != 2 for s in steps):
-        raise ValueError("each --steps entry needs exactly two integers")
-    return steps
-
-
-def _parse_points(text: str):
-    try:
-        pairs = tuple(tuple(float(v) for v in part.split(",")) for part in text.split(";") if part)
-    except ValueError:
-        raise ValueError(f"bad --points value {text!r}; expected e.g. '1,0;2,0;0,1'") from None
+        raise ValueError(f"bad {flag} value {text!r}; expected e.g. '{example}'") from None
     if any(len(p) != 2 for p in pairs):
-        raise ValueError("each --points entry needs exactly two coordinates")
+        raise ValueError(f"each {flag} entry needs exactly two {noun}")
     return pairs
 
 
@@ -116,7 +107,7 @@ def _build_space(args) -> tuple[FiniteDSpace, dict]:
     if name == "interval":
         return directed_interval(args.k), extras
     if name == "square" or name == "torus":
-        steps = _parse_steps(args.steps) if args.steps else None
+        steps = _parse_pairs(args.steps, "--steps", int, "1,0;0,1;1,1", "integers") if args.steps else None
         spec = GridSpec(k=args.k, steps=steps) if steps else GridSpec(k=args.k)
         return (directed_square_grid(spec) if name == "square" else flat_torus_grid(spec)), extras
     if name == "source-sink":
@@ -129,7 +120,7 @@ def _build_space(args) -> tuple[FiniteDSpace, dict]:
     if name == "sncf":
         if not args.points:
             raise ValueError("sncf needs --points, e.g. --points '1,0;2,0;0,1'")
-        return sncf_plane(_parse_points(args.points)), extras
+        return sncf_plane(_parse_pairs(args.points, "--points", float, "1,0;2,0;0,1", "coordinates")), extras
     if name == "hollow-square":
         return hollow_square(args.subdivisions), extras
     raise ValueError(f"unknown constructor {name!r}")

@@ -135,27 +135,44 @@ def square_grid_graph(spec: GridSpec):
     with length equal to the Euclidean displacement.  Useful directly for
     resolutions where the dense base matrix would be oversized.
     """
-    k = spec.k
-    ii, jj = np.meshgrid(np.arange(k + 1), np.arange(k + 1), indexing="ij")
-    coords = np.column_stack([ii.ravel() / k, jj.ravel() / k]).astype(float)
-    return coords, _edge_tuple(*_step_edges(spec, k + 1))
+    return np.column_stack(_grid_coords(spec.k, spec.k + 1)), _edge_tuple(*_step_edges(spec, spec.k + 1))
+
+
+def _grid_coords(k: int, m: int):
+    """x and y of the points (i/k, j/k), 0 <= i, j < m, numbered i * m + j."""
+    i, j = np.divmod(np.arange(m * m), m)
+    return i / k, j / k
+
+
+def _plane_rows(x, y, rows, out=None) -> np.ndarray:
+    """Euclidean distances from the points `rows` to every point: sqrt(dx^2 + dy^2)."""
+    d = np.subtract.outer(x[rows], x, out=out)
+    np.square(d, out=d)
+    d += np.square(np.subtract.outer(y[rows], y))
+    return np.sqrt(d, out=d)
+
+
+def _torus_rows(x, y, rows, out=None) -> np.ndarray:
+    """Flat unit torus distances from the points `rows` to every point (per-axis wraparound)."""
+    dx = np.abs(np.subtract.outer(x[rows], x))
+    dy = np.abs(np.subtract.outer(y[rows], y))
+    return np.hypot(np.minimum(dx, 1.0 - dx, out=dx), np.minimum(dy, 1.0 - dy, out=dy), out=out)
+
+
+def _lattice_space(spec: GridSpec, m: int, rows_of, edges_of) -> FiniteDSpace:
+    """The m * m grid points, base filled by rows_of a row block at a time, read-only so the space adopts it."""
+    x, y = _grid_coords(spec.k, m)
+    base = np.empty((m * m, m * m))
+    for r in _row_blocks(m * m):
+        rows_of(x, y, r, out=base[r])
+    base.setflags(write=False)
+    labels = tuple(_pt_label(a, b) for a, b in zip(x, y))
+    return FiniteDSpace(base=base, edges=edges_of(*_step_edges(spec, m)), labels=labels)
 
 
 def directed_square_grid(spec: GridSpec) -> FiniteDSpace:
     """Unit square sampled at (k+1)^2 points, Euclidean base, monotone edges."""
-    coords, edges = square_grid_graph(spec)
-    # sqrt(dx^2 + dy^2) a row block at a time into the one n x n array,
-    # handed over read-only so the space adopts it without a copy
-    x, y = coords.T
-    base = np.empty((len(x), len(x)))
-    for r in _row_blocks(len(x)):
-        block = base[r]
-        np.square(np.subtract.outer(x[r], x, out=block), out=block)
-        block += np.square(np.subtract.outer(y[r], y))
-        np.sqrt(block, out=block)
-    base.setflags(write=False)
-    labels = tuple(_pt_label(x, y) for x, y in coords)
-    return FiniteDSpace(base=base, edges=edges, labels=labels)
+    return _lattice_space(spec, spec.k + 1, _plane_rows, _edge_tuple)
 
 
 def square_zigzag_oracle(p, q):
@@ -210,15 +227,7 @@ def flat_torus_grid(spec: GridSpec) -> FiniteDSpace:
     (per-axis wraparound), not the coarser chain metric the gluing alone
     would induce on the sample points.
     """
-    k = spec.k
-    ti, tj = np.meshgrid(np.arange(k), np.arange(k), indexing="ij")
-    cx = ti.ravel() / k
-    cy = tj.ravel() / k
-    ax = np.abs(np.subtract.outer(cx, cx))
-    ay = np.abs(np.subtract.outer(cy, cy))
-    base = np.hypot(np.minimum(ax, 1.0 - ax), np.minimum(ay, 1.0 - ay))
-    labels = tuple(_pt_label(x, y) for x, y in zip(cx, cy))
-    return FiniteDSpace(base=base, edges=_glued_edges(*_step_edges(spec, k)), labels=labels)
+    return _lattice_space(spec, spec.k, _torus_rows, _glued_edges)
 
 
 def open_book(n: int, m: int) -> FiniteDSpace:

@@ -30,7 +30,7 @@ has exactly one point per class it is given.
 A space takes its base, and a DirectedMetricSpace its zz and reach,
 without copying when that is already an array of the right dtype
 (float64, bool for reach) that owns its data and is not writeable, as
-directed_square_grid and from_space hand over.  Anything else, a
+the grid constructors and from_space hand over.  Anything else, a
 read-only view of a writeable array included, is copied, so writes
 through a caller's writeable array never reach a space's matrices.
 Validation of dense matrices (base, zigzag), the symmetrizing step of

@@ -37,12 +37,13 @@ from .extended import INFINITY, ext_abs_diff
 from .gallery import (
     DEFAULT_STEPS,
     GridSpec,
+    _grid_coords,
+    _plane_rows,
+    _step_edges,
+    _torus_rows,
     directed_interval,
-    flat_torus_grid,
-    metric_ball,
     open_book,
     source_sink_interval,
-    square_grid_graph,
     square_zigzag_oracle,
     step_ratio,
 )
@@ -57,7 +58,6 @@ from .spaces import (
     max_triangle_defect,
     quotient,
     reverse,
-    zigzag_from_edges,
 )
 
 
@@ -380,30 +380,30 @@ def check_source_sink(seed: int, budget: SearchBudget):
 _IDENTITY_BATCH = 64
 
 
-def _identity_distortion(space: FiniteDSpace) -> float:
-    """max |base - Z| over all pairs, searching only the rows of Z that can raise it.
+def _identity_distortion(graph, base_rows: Callable[[np.ndarray], np.ndarray]) -> float:
+    """max |base - Z| over all pairs, reading only the rows that can raise it.
 
-    The rows of the zigzag Z come straight from Dijkstra, unsymmetrized.
-    Z >= base, so the value is never below the one on the symmetrized
-    compute_zigzag, and equals it where Dijkstra's output is symmetric, as
-    on the square grid.  Rows are pruned as in exact diameter search
-    (Takes and Kosters, 2011): Z >= base, Z is symmetric and both satisfy
-    the triangle inequality, so a searched row r bounds the maximum of
-    every row s by max_r + Z[r, s] + base[r, s].  After evenly spaced
-    sources, the unsearched rows with the largest bounds are searched
+    graph is the _weight_csr matrix of the edges and base_rows(rows) returns
+    base[rows]: one batch of rows is alive at a time, never an n x n matrix.
+    No edge may be shorter than its endpoints' base distance, so Z >= base.
+    Z's rows come straight from Dijkstra, unsymmetrized: the value is never
+    below the one on compute_zigzag, and equals it where Dijkstra's output
+    is symmetric, as on the square grid.  Rows are pruned as in exact
+    diameter search (Takes and Kosters, 2011): Z >= base, Z is symmetric and
+    both satisfy the triangle inequality, so a searched row r bounds the
+    maximum of every row s by max_r + Z[r, s] + base[r, s].  After evenly
+    spaced sources, the unsearched rows with the largest bounds are searched
     until every bound is below the maximum found, less DEFAULT_TOL for
-    rounding.  An inf bound prunes nothing.  One batch of rows is alive
-    at a time.
+    rounding.  An inf bound prunes nothing.
     """
-    n = space.n
-    graph = _weight_csr(n, space.src, space.dst, space.length)
+    n = graph.shape[0]
     bound = np.full(n, INFINITY)
     searched = np.zeros(n, dtype=bool)
     worst = 0.0
     batch = np.linspace(0, n - 1, min(n, _IDENTITY_BATCH)).astype(int)
     while batch.size and worst < INFINITY:
         Z = _zigzag(graph, batch)
-        base = space.base[batch]
+        base = base_rows(batch)
         row_max = ext_abs_diff(base, Z).max(axis=1)
         worst = max(worst, float(row_max.max()))
         searched[batch] = True
@@ -416,11 +416,14 @@ def _identity_distortion(space: FiniteDSpace) -> float:
 
 
 def check_square_identity(seed: int, budget: SearchBudget):
-    """k=64 grid: identity distortion between base and zigzag metrics."""
-    from .gallery import directed_square_grid
-
+    """k=64 grid: identity distortion between base and zigzag metrics, base rows from coordinates."""
+    k = 64
+    src, dst, length = _step_edges(GridSpec(k=k), k + 1)
+    x, y = _grid_coords(k, k + 1)
+    if (length < np.hypot(x[dst] - x[src], y[dst] - y[src]) - DEFAULT_TOL).any():
+        return False, {"error": "edge shorter than its endpoints' base distance"}
     # with identity maps, map_distortion and pair_codistortion are both max |base - Z|
-    dis_id = codis_id = _identity_distortion(directed_square_grid(GridSpec(k=64)))
+    dis_id = codis_id = _identity_distortion(_weight_csr(len(x), src, dst, length), lambda r: _plane_rows(x, y, r))
     target = 2.0 - math.sqrt(2.0)
     return abs(dis_id - target) <= 0.03, {
         "dis_identity": dis_id,
@@ -431,23 +434,21 @@ def check_square_identity(seed: int, budget: SearchBudget):
 
 
 def check_torus_balls(seed: int, budget: SearchBudget):
-    """Zigzag balls on the k=32 torus sit between scaled Euclidean balls."""
+    """Zigzag balls on the k=32 torus sit between scaled Euclidean balls: 16 centres' rows only."""
     k = 32
-    tor = flat_torus_grid(GridSpec(k=k))
-    X = DirectedMetricSpace.from_space(tor)
     band = 1.0 / k
-    centers = [tor.index_of(f"({i/4:.10g},{j/4:.10g})") for i in range(4) for j in range(4)]
+    x, y = _grid_coords(k, k)
+    centers = np.array([k // 4 * (i * k + j) for i in range(4) for j in range(4)])
+    zz = _zigzag(_weight_csr(k * k, *_step_edges(GridSpec(k=k), k)), centers)
     failures = 0
-    tested = 0
-    for c in centers:
+    for b, z in zip(_torus_rows(x, y, centers), zz):
         for r in (0.15, 0.30, 0.45):
-            inner = metric_ball(tor.base, c, r * math.sqrt(2.0) / 2.0 - band)
-            mid = metric_ball(X.zz, c, r)
-            outer = metric_ball(tor.base, c, r + band)
-            tested += 1
-            if (inner.members & ~mid.members).any() or (mid.members & ~outer.members).any():
+            inner = b <= r * math.sqrt(2.0) / 2.0 - band
+            mid = z <= r
+            outer = b <= r + band
+            if (inner & ~mid).any() or (mid & ~outer).any():
                 failures += 1
-    return failures == 0, {"centers": len(centers), "balls": tested, "violations": failures}
+    return failures == 0, {"centers": len(centers), "balls": 3 * len(centers), "violations": failures}
 
 
 def check_open_book(seed: int, budget: SearchBudget):
@@ -463,7 +464,7 @@ def check_open_book(seed: int, budget: SearchBudget):
 
 
 #: Sample for the grid convergence check: fixed generic points, snapped to
-#: each resolution.  Also the agreement envelope; see square_grid_graph.
+#: each resolution.  Also the agreement envelope; see step_ratio.
 _CONVERGENCE_SEED = 3
 _CONVERGENCE_POINTS = 40
 _CONVERGENCE_C = 3.0
@@ -489,8 +490,7 @@ def check_grid_oracle_convergence(seed: int, budget: SearchBudget):
         snap = np.round(pts * k).astype(int)
         idx = snap[:, 0] * (k + 1) + snap[:, 1]
         sp = snap / k
-        _, edges = square_grid_graph(GridSpec(k=k))
-        sub = zigzag_from_edges((k + 1) ** 2, edges, sources=idx)[:, idx]
+        sub = _zigzag(_weight_csr((k + 1) ** 2, *_step_edges(GridSpec(k=k), k + 1)), idx)[:, idx]
         O_snap = square_zigzag_oracle(sp[:, None], sp[None, :])
         if not ((sub >= O_snap - DEFAULT_TOL) & (sub <= ratio * O_snap + _CONVERGENCE_C / k + DEFAULT_TOL)).all():
             envelope_ok = False

@@ -10,6 +10,7 @@ product and quotient space files.
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -176,6 +177,19 @@ def test_torus_base_wraps_around():
     assert t.base[i0, far] == pytest.approx(1.0 / k)
     half = t.index_of("(0.5,0.5)")
     assert t.base[i0, half] == pytest.approx(math.sqrt(0.5))
+
+
+def test_torus_base_is_built_one_row_block_at_a_time():
+    # tracemalloc sees numpy's allocations: besides the base itself only a
+    # block of rows is alive, not the five n x n temporaries of a whole-matrix
+    # hypot of the wrapped differences (1024 points)
+    tracemalloc.start()
+    try:
+        t = flat_torus_grid(GridSpec(k=32))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * t.base.nbytes
 
 
 def test_torus_zigzag_between_scaled_euclidean_bounds():
