@@ -153,7 +153,7 @@ def cmd_gen(args) -> int:
 def cmd_zigzag(args) -> int:
     space = load_space(args.space)
     zz = compute_zigzag(space)
-    reach = compute_reachability(space).astype(int)
+    reach = compute_reachability(space)
     if args.out:
         zz_path = Path(args.out)
         reach_path = zz_path.with_name(zz_path.stem + ".reach" + (zz_path.suffix or ".csv"))
@@ -168,7 +168,7 @@ def cmd_zigzag(args) -> int:
         sys.stdout.write(dump_report({
             "labels": list(space.labels),
             "zigzag": zz,
-            "reachability": reach,
+            "reachability": reach.view(np.uint8),  # 0/1, not true/false
         }))
     return 0
 
@@ -326,6 +326,8 @@ def _zigzag_ball_row(space: FiniteDSpace, center: int, radius: float) -> np.ndar
 
 
 def cmd_ball(args) -> int:
+    if not (args.radius >= 0 and args.tol >= 0):  # false for nan; an infinite radius is a value
+        raise ValueError(f"radius and tol must be nonnegative numbers, got {args.radius} and {args.tol}")
     space = load_space(args.space)
     try:
         center = int(args.center)
@@ -333,8 +335,6 @@ def cmd_ball(args) -> int:
         center = space.index_of(args.center)
     if not 0 <= center < space.n:
         raise ValueError(f"center index {center} out of range for {space.n} points")
-    if args.radius < 0:
-        raise ValueError("radius must be nonnegative")
     radius = args.radius + args.tol
     row = space.base[center] if args.metric == "base" else _zigzag_ball_row(space, center, radius)
     members = row <= radius

@@ -18,8 +18,9 @@ Byte contract: ``dump_report(obj)`` equals
 ``json.dumps(jsonable(obj), sort_keys=True, indent=2) + "\n"``, and space
 files are ``dump_report(space_to_doc(space))``.  CSV float cells are
 ``repr(float)`` (so "inf" and "-inf"), integer and 0/1 cells ``str(int)``.
-The writers and the base-matrix reader work a list or an array at a time;
-the slower per-entry paths run only for input they cannot take whole.
+The writers format each distinct value of an array once (cell by cell when
+most are distinct), with the same bytes, and the base-matrix reader takes a
+list at a time; slower per-entry paths run only for input they cannot take.
 """
 
 from __future__ import annotations
@@ -126,12 +127,10 @@ def _base_in(base_doc: list) -> np.ndarray:
 
 
 def space_to_doc(space: FiniteDSpace) -> dict:
-    base = space.base.tolist()
-    if np.isinf(space.base).any():
-        base = [["inf" if math.isinf(v) else v for v in row] for row in base]
+    """The space file's document; its base stays an array for dump_report."""
     return {
         "labels": list(space.labels),
-        "base": base,
+        "base": space.base,
         "edges": [list(e) for e in zip(space.src.tolist(), space.dst.tolist(), space.length.tolist())],
     }
 
@@ -157,14 +156,36 @@ def save_space(space: FiniteDSpace, path: str) -> None:
 # matrix CSV
 
 
+def _cell_text(a: np.ndarray, json_text: bool) -> np.ndarray | None:
+    """Each cell's text in an object array shaped like ``a``, formatting each
+    distinct value once (floats keyed by their bits, so -0.0 stays apart from
+    0.0); None unless ``a`` is numeric with at most a quarter of it distinct."""
+    if a.dtype.kind not in "biuf" or a.itemsize > 8:
+        return None
+    bits = a.view(f"u{a.itemsize}") if a.dtype.kind == "f" else a
+    keys = np.sort(bits, axis=None)  # np.unique hashes ints: slow when most are distinct
+    keys = np.append(keys[:1], keys[1:][keys[1:] != keys[:-1]])
+    if 4 * keys.size > a.size:  # the table would cost more than it saves
+        return None
+    values = keys.view(a.dtype)
+    fmt = (json.dumps if json_text else int.__repr__) if a.dtype.kind == "b" else repr
+    text = np.array(list(map(fmt, values.tolist())), dtype=object)
+    if json_text and a.dtype.kind == "f":
+        odd = ~np.isfinite(values)
+        text[odd] = '"' + text[odd] + '"'  # JSON writes inf, -inf and nan as strings
+    return text[np.searchsorted(keys, bits)]
+
+
 def matrix_to_csv(matrix: np.ndarray, labels) -> str:
     """Matrix as CSV text: label header row, "inf" for unreachable pairs."""
     matrix = np.asarray(matrix)
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerow(labels)  # labels may hold commas
+    cells = _cell_text(matrix, json_text=False)
     # int.__repr__ writes bools as 0/1; repr(inf) == "inf"
     cell = int.__repr__ if matrix.dtype.kind in "biu" else repr
-    out.writelines(",".join(map(cell, row)) + "\n" for row in matrix.tolist())
+    rows = cells.tolist() if cells is not None else (map(cell, row) for row in matrix.tolist())
+    out.writelines(",".join(row) + "\n" for row in rows)
     return out.getvalue()
 
 
@@ -184,7 +205,7 @@ def jsonable(obj: Any) -> Any:
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind in "biu" or (obj.dtype.kind == "f" and np.isfinite(obj).all()):
             return obj.tolist()
-        return [jsonable(v) for v in obj.tolist()]
+        return jsonable(obj.tolist())  # a 0-d array's tolist() is a scalar
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (int, np.integer)):
@@ -215,6 +236,15 @@ def _encode(obj: Any, pad: str) -> str:
     if is_dataclass(obj) and not isinstance(obj, type):
         obj = asdict(obj)
     if isinstance(obj, np.ndarray):
+        cells = _cell_text(obj, json_text=True)  # None for 0-d arrays: one value, one cell
+        if cells is not None:
+            def lay_out(rows: list, pad: str) -> str:  # the list layout below, over cell text
+                if not rows:
+                    return "[]"
+                inner = pad + "  "
+                body = rows if isinstance(rows[0], str) else [lay_out(r, inner) for r in rows]
+                return "[\n" + inner + (",\n" + inner).join(body) + "\n" + pad + "]"
+            return lay_out(cells.tolist(), pad)
         obj = jsonable(obj)
     inner = pad + "  "
     sep = ",\n" + inner

@@ -402,7 +402,7 @@ def slow_base_cells(base_doc) -> np.ndarray:
 
 
 def slow_matrix_to_csv(matrix, labels) -> str:
-    """CSV through csv.writer cell by cell; writes -inf as "inf"."""
+    """CSV through csv.writer cell by cell; floats as repr (inf, -inf, nan)."""
     matrix = np.asarray(matrix)
     out = io.StringIO()
     w = csv.writer(out, lineterminator="\n")
@@ -412,5 +412,5 @@ def slow_matrix_to_csv(matrix, labels) -> str:
         if integral:
             w.writerow([int(v) for v in row])
         else:
-            w.writerow(["inf" if math.isinf(v) else repr(float(v)) for v in row])
+            w.writerow([repr(float(v)) for v in row])
     return out.getvalue()

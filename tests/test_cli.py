@@ -324,6 +324,27 @@ def test_ball_unknown_center_exits_one(capsys, tmp_path):
     assert code == 1 and "nowhere" in err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--radius", "nan"],
+    ["--radius", "0.1", "--tol", "-1"],
+    ["--radius", "0.1", "--tol", "nan"],
+])
+def test_ball_rejects_nan_radius_and_negative_or_nan_tol(capsys, tmp_path, flags):
+    space_path = tmp_path / "torus.json"
+    run(capsys, "gen", "torus", "--k", "4", "--out", str(space_path))
+    code, out, err = run(capsys, "ball", str(space_path), "--center", "0", *flags)
+    assert code == 1 and out == ""
+    assert "must be nonnegative numbers" in err
+
+
+def test_ball_infinite_radius_holds_every_point(capsys, tmp_path):
+    fx, _ = write_two_arm(tmp_path)
+    code, out, _ = run(capsys, "ball", fx, "--center", "0", "--radius", "inf")
+    rep = json.loads(out)
+    assert code == 0 and rep["radius"] == "inf"
+    assert rep["count"] == load_space(fx).n
+
+
 def test_zigzag_ball_row_decides_membership_like_the_full_matrix(monkeypatch):
     # radii set exactly to a zigzag distance put points on the boundary,
     # where Dijkstra's rows from the two ends can round apart
@@ -380,6 +401,26 @@ def test_cli_output_bytes_are_frozen(capsys, tmp_path):
         for name in FROZEN_OUTPUT_SHA256
     }
     assert got == FROZEN_OUTPUT_SHA256
+
+
+# sha256 of the lattice files the writers lay out from their value tables
+FROZEN_GRID_SHA256 = {
+    "torus.json": "a8cc5c580b2c8cd22e19a649a5429b9cead5838124edddf6fb820bbaa496ed21",
+    "torus_zz.csv": "2e199024438e6676e64c4884e080778d00511d58658e2dd36cfbdb6dca37ec3e",
+    "torus_zz.reach.csv": "a1fcd3358983d469770a240a596f6246f00f625f6b7cde476a69728214212165",
+    "square.json": "ced55bd56b7396edacd9dec2b296fff5cf96aef04e67e98734ebe1647081120b",
+    "square_zz.csv": "6154f3ad831e4035b33c7c4c74d8d11d3ddb55d8aa493a8fd3563c21357e5224",
+    "square_zz.reach.csv": "6accc1434aebc3579f1efd1a03722e6373484181a6820c8ba62a7cf7620b9219",
+}
+
+
+def test_grid_files_are_frozen(capsys, tmp_path):
+    for name, k in (("torus", "16"), ("square", "12")):
+        space_path = str(tmp_path / f"{name}.json")
+        assert run(capsys, "gen", name, "--k", k, "--out", space_path)[0] == 0
+        assert run(capsys, "zigzag", space_path, "--out", str(tmp_path / f"{name}_zz.csv"))[0] == 0
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in FROZEN_GRID_SHA256}
+    assert got == FROZEN_GRID_SHA256
 
 
 # ---------------------------------------------------------------------------

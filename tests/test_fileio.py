@@ -4,7 +4,8 @@ Claims covered: JSON round trips with and without an explicit base,
 "inf" handling in both formats, labels containing commas quoted in CSV,
 defaulted base being the edge shortest-path metric, format errors with
 useful messages, byte-stable report serialization, and the whole-array
-readers and writers matching the cell-by-cell references in oracles.py.
+readers and writers matching the cell-by-cell references in oracles.py,
+also at sizes where the writers format from a table of distinct values.
 """
 
 import json
@@ -21,15 +22,18 @@ from oracles import slow_base_cells, slow_dump_report, slow_jsonable, slow_matri
 from dirmetric import (
     INFINITY,
     FiniteDSpace,
+    GridSpec,
     SpaceFormatError,
+    directed_square_grid,
     disjoint_union,
     dump_report,
+    flat_torus_grid,
     load_space,
     matrix_to_csv,
     save_space,
 )
 from dirmetric import spaces
-from dirmetric.fileio import _base_in, doc_to_space, jsonable, space_to_doc
+from dirmetric.fileio import _base_in, _cell_text, doc_to_space, jsonable, space_to_doc
 
 TWO = FiniteDSpace(base=[[0.0, 1.0], [1.0, 0.0]], edges=((0, 1, 1.5),))
 
@@ -158,7 +162,7 @@ def test_malformed_base_messages_match_cell_loop(base_doc):
 
 
 def test_space_doc_uses_inf_strings():
-    doc = space_to_doc(disjoint_union(TWO, TWO))
+    doc = jsonable(space_to_doc(disjoint_union(TWO, TWO)))
     assert doc["base"][0][2] == "inf"
     assert doc["base"][0][1] == 1.0
 
@@ -203,6 +207,43 @@ def test_matrix_csv_matches_cell_writer(m):
     assert matrix_to_csv(m, labels) == slow_matrix_to_csv(m, labels)
 
 
+def _big_matrices():
+    """Matrices far past the hypothesis sizes: few distinct values (the
+    writers' value table), all distinct (cell by cell), and empty sides."""
+    rng = np.random.default_rng(17)
+    specials = np.array([0.0, -0.0, INFINITY, -INFINITY, math.nan, 0.1, 1.0 / 3, 2.5, 1e30, -7.0])
+    mixed = rng.choice(specials, size=(300, 300))
+    return {
+        "float64 mixed": mixed,
+        "float32 mixed": mixed.astype(np.float32),
+        "int64": rng.integers(-(2**40), 2**40, size=20)[rng.integers(20, size=(300, 300))],
+        "bool": rng.random((300, 300)) < 0.3,
+        "float64 all distinct": rng.standard_normal((256, 256)),
+        "300x0": np.zeros((300, 0)),
+        "0x300": np.zeros((0, 300)),
+        "int 300x0": np.zeros((300, 0), dtype=np.int64),
+    }
+
+
+@pytest.mark.parametrize("name", list(_big_matrices()))
+def test_big_matrices_match_cell_references(name):
+    m = _big_matrices()[name]
+    if name.startswith(("float64 mixed", "float32", "int64", "bool")):
+        assert _cell_text(m, json_text=False) is not None  # written from the table
+    if name == "float64 all distinct":
+        assert _cell_text(m, json_text=False) is None
+    labels = tuple(f"p{i}" for i in range(m.shape[1]))
+    # line by line: pytest's diff of two whole texts this long takes minutes
+    assert matrix_to_csv(m, labels).splitlines() == slow_matrix_to_csv(m, labels).splitlines()
+    doc = {"m": m, "row": m[:1].ravel(), "t": m.T}  # a 1-D array and a strided view too
+    assert dump_report(doc).splitlines() == slow_dump_report(doc).splitlines()
+
+
+def test_space_text_matches_the_cell_reference():
+    for s in (disjoint_union(TWO, TWO), flat_torus_grid(GridSpec(k=12)), directed_square_grid(GridSpec(k=5))):
+        assert dump_report(space_to_doc(s)) == slow_dump_report(space_to_doc(s))
+
+
 # ---------------------------------------------------------------------------
 # report JSON
 
@@ -216,6 +257,11 @@ def test_jsonable_handles_numpy_and_infinities():
         "nested": ({"v": np.float64(0.5)},),
     })
     assert out == {"arr": [1.0, "inf"], "neg": "-inf", "i": 3, "b": True, "nested": [{"v": 0.5}]}
+
+
+def test_zero_dimensional_arrays_are_scalars():
+    assert dump_report({"a": np.array(INFINITY), "b": np.array(np.nan), "c": np.array(1.5)}).split() == [
+        "{", '"a":', '"inf",', '"b":', '"nan",', '"c":', "1.5", "}"]
 
 
 def test_jsonable_rejects_unknown_types():
