@@ -114,8 +114,8 @@ def _build_space(args) -> tuple[FiniteDSpace, dict]:
         return source_sink_interval(args.k), extras
     if name == "open-book":
         s = open_book(args.n, args.m)
-        zz = compute_zigzag(s)
-        extras["spine_distance"] = float(zz[s.index_of("a"), s.index_of("b")])
+        # the book's base is its zigzag metric (open_book builds it so)
+        extras["spine_distance"] = float(s.base[s.index_of("a"), s.index_of("b")])
         return s, extras
     if name == "sncf":
         if not args.points:
@@ -464,6 +464,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (SpaceFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # numpy's message names the size it could not allocate; Python's own is empty
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 1
     except (ValueError, KeyError) as exc:
         msg = exc.args[0] if exc.args else exc

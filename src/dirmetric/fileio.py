@@ -90,19 +90,15 @@ def doc_to_space(doc: dict) -> FiniteDSpace:
             n = 1 + max(max(s, d) for (s, d, _) in edges)
         else:
             raise SpaceFormatError("cannot infer point count: give \"labels\" or \"base\"")
-        bad = [e for e in edges if not (0 <= e[0] < n and 0 <= e[1] < n)]
-        if bad:
-            raise SpaceFormatError(f"edge endpoint out of range for {n} points: {bad[0][:2]}")
-        base = zigzag_from_edges(n, tuple(edges))
-    else:
-        if not isinstance(base_doc, list):
-            raise SpaceFormatError("\"base\" must be a list of rows")
-        base = _base_in(base_doc)
-    # the parsed base is a fresh array nothing else holds: read-only, the
-    # space adopts it instead of copying it
-    base.setflags(write=False)
+    elif not isinstance(base_doc, list):
+        raise SpaceFormatError("\"base\" must be a list of rows")
     try:
-        return FiniteDSpace(base=base, edges=tuple(edges), labels=labels)
+        # the base-less base runs the space's own edge checks first
+        base = zigzag_from_edges(n, edges) if base_doc is None else _base_in(base_doc)
+        # the parsed base is a fresh array nothing else holds: read-only, the
+        # space adopts it instead of copying it
+        base.setflags(write=False)
+        return FiniteDSpace(base=base, edges=edges, labels=labels)
     except ValueError as exc:
         raise SpaceFormatError(str(exc)) from exc
 
@@ -131,7 +127,7 @@ def space_to_doc(space: FiniteDSpace) -> dict:
     return {
         "labels": list(space.labels),
         "base": space.base,
-        "edges": [list(e) for e in zip(space.src.tolist(), space.dst.tolist(), space.length.tolist())],
+        "edges": [list(e) for e in space.edges],
     }
 
 

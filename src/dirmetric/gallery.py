@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .extended import INFINITY
-from .spaces import Edge, FiniteDSpace, _edge_tuple, _glued_edges, _row_blocks, zigzag_from_edges
+from .spaces import Edge, FiniteDSpace, _glued_edges, _row_blocks, zigzag_from_edges
 
 #: Lattice steps used by the directed square grid unless overridden.  Each
 #: step moves weakly up and to the right, so every edge increases both the
@@ -135,7 +135,8 @@ def square_grid_graph(spec: GridSpec):
     with length equal to the Euclidean displacement.  Useful directly for
     resolutions where the dense base matrix would be oversized.
     """
-    return np.column_stack(_grid_coords(spec.k, spec.k + 1)), _edge_tuple(*_step_edges(spec, spec.k + 1))
+    src, dst, length = _step_edges(spec, spec.k + 1)
+    return np.column_stack(_grid_coords(spec.k, spec.k + 1)), tuple(zip(src.tolist(), dst.tolist(), length.tolist()))
 
 
 def _grid_coords(k: int, m: int):
@@ -159,7 +160,7 @@ def _torus_rows(x, y, rows, out=None) -> np.ndarray:
     return np.hypot(np.minimum(dx, 1.0 - dx, out=dx), np.minimum(dy, 1.0 - dy, out=dy), out=out)
 
 
-def _lattice_space(spec: GridSpec, m: int, rows_of, edges_of) -> FiniteDSpace:
+def _lattice_space(spec: GridSpec, m: int, rows_of, edges: np.ndarray) -> FiniteDSpace:
     """The m * m grid points, base filled by rows_of a row block at a time, read-only so the space adopts it."""
     x, y = _grid_coords(spec.k, m)
     base = np.empty((m * m, m * m))
@@ -167,12 +168,12 @@ def _lattice_space(spec: GridSpec, m: int, rows_of, edges_of) -> FiniteDSpace:
         rows_of(x, y, r, out=base[r])
     base.setflags(write=False)
     labels = tuple(_pt_label(a, b) for a, b in zip(x, y))
-    return FiniteDSpace(base=base, edges=edges_of(*_step_edges(spec, m)), labels=labels)
+    return FiniteDSpace(base=base, edges=edges, labels=labels)
 
 
 def directed_square_grid(spec: GridSpec) -> FiniteDSpace:
     """Unit square sampled at (k+1)^2 points, Euclidean base, monotone edges."""
-    return _lattice_space(spec, spec.k + 1, _plane_rows, _edge_tuple)
+    return _lattice_space(spec, spec.k + 1, _plane_rows, np.column_stack(_step_edges(spec, spec.k + 1)))
 
 
 def square_zigzag_oracle(p, q):
@@ -227,7 +228,7 @@ def flat_torus_grid(spec: GridSpec) -> FiniteDSpace:
     (per-axis wraparound), not the coarser chain metric the gluing alone
     would induce on the sample points.
     """
-    return _lattice_space(spec, spec.k, _torus_rows, _glued_edges)
+    return _lattice_space(spec, spec.k, _torus_rows, _glued_edges(*_step_edges(spec, spec.k)))
 
 
 def open_book(n: int, m: int) -> FiniteDSpace:

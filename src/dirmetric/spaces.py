@@ -20,8 +20,10 @@ spaces must respect it (see the distances module).
 
 A space parses its edges once, on construction, into the read-only
 arrays src, dst and length; every computation here and in the other
-modules reads those arrays.  The tuple `edges` is kept as the normalised
-constructor argument and file-format view.
+modules reads those arrays.  zigzag_from_edges runs the same parse, with
+the same checks, on the edge list it is given.  The tuple `edges` is
+built from those arrays as the normalised constructor argument and
+file-format view.
 
 All matrices handed out by this module are read-only numpy arrays.
 Operations never mutate their inputs; they build new spaces.  A quotient
@@ -130,17 +132,34 @@ def _as_readonly(a, dtype=float) -> np.ndarray:
     return a
 
 
-def _edge_tuple(src, dst, length) -> tuple[Edge, ...]:
-    """Edge arrays as the (src, dst, length) tuple a FiniteDSpace takes."""
-    return tuple(zip(src.tolist(), dst.tolist(), length.tolist()))
+def _parse_edges(edges, n: int):
+    """Read-only src, dst and length arrays of an edge list on n points.
+
+    edges holds (src, dst, length) triples or is an (m, 3) array.  Raises
+    ValueError unless every endpoint is a whole number in range(n), no
+    edge is a self-loop and every length is finite and positive.
+    """
+    arr = np.array(edges, dtype=float).reshape(-1, 3)
+    ends = arr[:, :2]
+    whole = (np.isfinite(ends) & (ends == np.floor(ends))).all(axis=1)
+    if not whole.all():
+        raise ValueError(f"edge {tuple(arr[np.argmin(whole)].tolist())} has a non-integer endpoint")
+    if ((ends < 0) | (ends >= n)).any():
+        raise ValueError("edge endpoint out of range")
+    src, dst, length = arr[:, 0].astype(np.int64), arr[:, 1].astype(np.int64), arr[:, 2].copy()
+    if (src == dst).any():
+        raise ValueError("self-loop edges are not allowed")
+    if not np.isfinite(length).all() or (length <= 0.0).any():
+        raise ValueError("edge lengths must be finite and positive")
+    for a in (src, dst, length):
+        a.setflags(write=False)
+    return src, dst, length
 
 
-def _glued_edges(src, dst, length) -> tuple[Edge, ...]:
-    """Edges whose endpoints were glued: self-loops and repeats dropped, sorted."""
+def _glued_edges(src, dst, length) -> np.ndarray:
+    """Edges whose endpoints were glued, as (src, dst, length) rows: self-loops and repeats dropped, sorted."""
     kept = src != dst
-    # unique rows come out in the order of the (src, dst, length) tuples
-    src, dst, length = np.unique(np.column_stack((src[kept], dst[kept], length[kept])), axis=0).T
-    return _edge_tuple(src.astype(np.int64), dst.astype(np.int64), length)
+    return np.unique(np.column_stack((src[kept], dst[kept], length[kept])), axis=0)
 
 
 @dataclass(frozen=True)
@@ -149,7 +168,8 @@ class FiniteDSpace:
 
     base   : (n, n) symmetric extended metric matrix
     edges  : directed edges (src, dst, length), length >= base[src][dst] > 0,
-             normalised to a tuple of (int, int, float)
+             as triples or an (m, 3) array, normalised to a tuple of
+             (int, int, float)
     labels : one name per point, unique; defaults to "0", "1", ...
 
     Built on construction, read-only, edge i in position i:
@@ -172,29 +192,18 @@ class FiniteDSpace:
         n = base.shape[0] if base.ndim == 2 else -1
         assert_extended_metric(base, check_triangle=(n <= TRIANGLE_CHECK_MAX))
 
-        arr = np.array(self.edges, dtype=float).reshape(-1, 3)
-        whole = (np.isfinite(arr[:, :2]) & (arr[:, :2] == np.floor(arr[:, :2]))).all(axis=1)
-        if not whole.all():
-            raise ValueError(f"edge {tuple(arr[np.argmin(whole)].tolist())} has a non-integer endpoint")
-        edges = tuple((int(s), int(d), float(l)) for (s, d, l) in self.edges)
-        object.__setattr__(self, "edges", edges)
-        src, dst, lens = _as_readonly(arr[:, 0], np.int64), _as_readonly(arr[:, 1], np.int64), _as_readonly(arr[:, 2])
+        src, dst, lens = _parse_edges(self.edges, n)
         for name, a in (("src", src), ("dst", dst), ("length", lens)):
             object.__setattr__(self, name, a)
-        if edges:
-            if src.min() < 0 or src.max() >= n or dst.min() < 0 or dst.max() >= n:
-                raise ValueError("edge endpoint out of range")
-            if (src == dst).any():
-                raise ValueError("self-loop edges are not allowed")
-            if not np.isfinite(lens).all() or (lens <= 0.0).any():
-                raise ValueError("edge lengths must be finite and positive")
-            short = lens < base[src, dst] - DEFAULT_TOL
-            if short.any():
-                i = int(np.argmax(short))
-                raise ValueError(
-                    f"edge {edges[i][:2]} shorter than base distance "
-                    f"({edges[i][2]:.6g} < {base[src[i], dst[i]]:.6g})"
-                )
+        edges = tuple(zip(src.tolist(), dst.tolist(), lens.tolist()))
+        object.__setattr__(self, "edges", edges)
+        short = lens < base[src, dst] - DEFAULT_TOL
+        if short.any():
+            i = int(np.argmax(short))
+            raise ValueError(
+                f"edge {edges[i][:2]} shorter than base distance "
+                f"({edges[i][2]:.6g} < {base[src[i], dst[i]]:.6g})"
+            )
 
         labels = tuple(str(l) for l in self.labels) if self.labels else tuple(str(i) for i in range(n))
         if len(labels) != n:
@@ -230,11 +239,10 @@ def zigzag_from_edges(n: int, edges, sources=None) -> np.ndarray:
     Shortest paths in the symmetrized weighted graph.  With sources=None
     the full symmetric (n, n) matrix is returned; otherwise one row per
     requested source index.  Meant for large graphs (fine grids) where a
-    dense base matrix would not fit.
+    dense base matrix would not fit.  The edges are checked as a space
+    checks them (ValueError on a bad endpoint or length).
     """
-    arr = np.array(edges, dtype=float).reshape(-1, 3)
-    graph = _weight_csr(n, arr[:, 0].astype(np.int64), arr[:, 1].astype(np.int64), arr[:, 2])
-    return _zigzag(graph, sources)
+    return _zigzag(_weight_csr(n, *_parse_edges(edges, n)), sources)
 
 
 def _zigzag(graph: sp.csr_matrix, sources=None) -> np.ndarray:
@@ -333,7 +341,8 @@ class DirectedMetricSpace:
 
 def reverse(space: FiniteDSpace) -> FiniteDSpace:
     """Same points and base metric, every edge direction flipped."""
-    return FiniteDSpace(base=space.base, edges=_edge_tuple(space.dst, space.src, space.length), labels=space.labels)
+    edges = np.column_stack((space.dst, space.src, space.length))
+    return FiniteDSpace(base=space.base, edges=edges, labels=space.labels)
 
 
 def disjoint_union(a: FiniteDSpace, b: FiniteDSpace) -> FiniteDSpace:
@@ -342,7 +351,7 @@ def disjoint_union(a: FiniteDSpace, b: FiniteDSpace) -> FiniteDSpace:
     base = np.full((na + nb, na + nb), INFINITY)
     base[:na, :na] = a.base
     base[na:, na:] = b.base
-    edges = _edge_tuple(np.r_[a.src, b.src + na], np.r_[a.dst, b.dst + na], np.r_[a.length, b.length])
+    edges = np.column_stack((np.r_[a.src, b.src + na], np.r_[a.dst, b.dst + na], np.r_[a.length, b.length]))
     labels = tuple(f"0:{l}" for l in a.labels) + tuple(f"1:{l}" for l in b.labels)
     return FiniteDSpace(base=base, edges=edges, labels=labels)
 
@@ -362,7 +371,7 @@ def product(a: FiniteDSpace, b: FiniteDSpace) -> FiniteDSpace:
     dst = np.r_[(a.dst[:, None] * nb + jb).ravel(), (ia + b.dst).ravel(), (a.dst[:, None] * nb + b.dst).ravel()]
     length = np.r_[np.repeat(a.length, nb), np.tile(b.length, na), (a.length[:, None] + b.length).ravel()]
     labels = tuple(f"({la},{lb})" for la in a.labels for lb in b.labels)
-    return FiniteDSpace(base=base, edges=_edge_tuple(src, dst, length), labels=labels)
+    return FiniteDSpace(base=base, edges=np.column_stack((src, dst, length)), labels=labels)
 
 
 def quotient(space: FiniteDSpace, classes: Sequence[Iterable[int]]) -> FiniteDSpace:
@@ -417,10 +426,3 @@ def quotient(space: FiniteDSpace, classes: Sequence[Iterable[int]]) -> FiniteDSp
     edges = _glued_edges(new_of[space.src], new_of[space.dst], space.length)
     return FiniteDSpace(base=dist[np.ix_(by_first, by_first)], edges=edges, labels=labels)
 
-
-def diameter(d: np.ndarray) -> float:
-    """Largest pairwise distance; inf on disconnected spaces.  Rejects empty."""
-    d = np.asarray(d, dtype=float)
-    if d.size == 0:
-        raise ValueError("diameter of an empty space is undefined")
-    return float(np.max(d))

@@ -51,7 +51,6 @@ from .spaces import (
     DEFAULT_TOL,
     DirectedMetricSpace,
     FiniteDSpace,
-    _edge_tuple,
     _weight_csr,
     _zigzag,
     compute_zigzag,
@@ -280,7 +279,7 @@ def check_disometry_detection(seed: int, budget: SearchBudget):
         inv[sigma] = np.arange(n)
         relabelled = FiniteDSpace(
             base=s.base[np.ix_(sigma, sigma)],
-            edges=_edge_tuple(inv[s.src], inv[s.dst], s.length),
+            edges=np.column_stack((inv[s.src], inv[s.dst], s.length)),
             labels=tuple(s.labels[j] for j in sigma),
         )
         X = DirectedMetricSpace.from_space(s)
@@ -297,9 +296,7 @@ def check_disometry_detection(seed: int, budget: SearchBudget):
     for _ in range(20):
         n = int(rng.integers(2, 5))
         s = random_space(rng, n, connected=True)
-        inflated = FiniteDSpace(
-            base=s.base, edges=_edge_tuple(s.src, s.dst, s.length + 0.1), labels=s.labels
-        )
+        inflated = FiniteDSpace(base=s.base, edges=np.column_stack((s.src, s.dst, s.length + 0.1)), labels=s.labels)
         X = DirectedMetricSpace.from_space(s)
         Y = DirectedMetricSpace.from_space(inflated)
         r = distortion_distance(X, Y, budget)

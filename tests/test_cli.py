@@ -2,7 +2,8 @@
 
 Claims covered: every subcommand emits exactly one JSON object on
 standard output, files appear only with --out, certificates re-evaluate
-to the reported value, error paths exit 1, failed suites would exit 2,
+to the reported value, error paths exit 1 (a bad base-less edge and an
+out-of-memory error among them), failed suites would exit 2,
 gh and dis on a 1024-point interval finish without a traceback, ball's
 one-row zigzag decides membership as the full matrix does, and
 repeated seeded runs are byte-identical.
@@ -12,7 +13,10 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -126,6 +130,32 @@ def test_zigzag_stdout_marks_disconnected_pairs(capsys, tmp_path):
 def test_zigzag_missing_file_exits_one(capsys, tmp_path):
     code, _, err = run(capsys, "zigzag", str(tmp_path / "nope.json"))
     assert code == 1 and "error" in err
+
+
+@pytest.mark.parametrize("length", [-1.0, 0.0])
+def test_zigzag_base_less_file_with_a_bad_length_exits_one(tmp_path, length):
+    # in a subprocess with a timeout, so that a hang inside Dijkstra fails
+    # this test instead of stalling the suite
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"edges": [[0, 1, 1.0], [1, 2, length]]}))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dirmetric.cli", "zigzag", str(path)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1 and "finite and positive" in proc.stderr and str(path) in proc.stderr
+    assert "Traceback" not in proc.stderr and "negative weights" not in proc.stderr
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 116. TiB", ""])
+def test_memory_error_exits_one_with_a_message(capsys, monkeypatch, message):
+    def no_memory(args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "_build_space", no_memory)
+    code, _, err = run(capsys, "gen", "torus", "--k", "2000")
+    assert code == 1 and "error: out of memory" in err and message in err and "Traceback" not in err
 
 
 def test_zigzag_malformed_file_exits_one(capsys, tmp_path):

@@ -20,7 +20,6 @@ from dirmetric import (
     FiniteDSpace,
     compute_reachability,
     compute_zigzag,
-    diameter,
     disjoint_union,
     dump_report,
     ext_abs_diff,
@@ -68,6 +67,15 @@ def test_builder_rejects_non_integer_endpoint():
     # integral values of any type are endpoints, normalised to int
     s = FiniteDSpace(base=[[0.0, 1.0], [1.0, 0.0]], edges=((np.int64(0), 1.0, 1),))
     assert s.edges == ((0, 1, 1.0),) and type(s.edges[0][1]) is int
+
+
+def test_builder_takes_an_edge_array_as_it_takes_triples():
+    triples = ((0, 1, 1.0), (2, 1, 1.5), (0, 2, 2.0))
+    from_triples = FiniteDSpace(base=LINE3, edges=triples)
+    from_array = FiniteDSpace(base=LINE3, edges=np.array(triples))
+    assert from_array.edges == from_triples.edges == triples
+    assert all(tuple(map(type, e)) == (int, int, float) for e in from_array.edges)
+    assert np.array_equal(from_array.src, from_triples.src) and np.array_equal(from_array.length, from_triples.length)
 
 
 def test_builder_rejects_short_edge():
@@ -259,6 +267,26 @@ def test_zigzag_from_edges_source_rows():
     assert np.array_equal(rows, full[[1, 3]])
 
 
+@pytest.mark.parametrize(
+    "edge, message",
+    [
+        ((0, 1.5, 1.0), "non-integer endpoint"),
+        ((0, 3, 1.0), "out of range"),
+        ((-1, 1, 1.0), "out of range"),
+        ((1, 1, 1.0), "self-loop"),
+        ((0, 1, 0.0), "finite and positive"),
+        ((0, 1, -1.0), "finite and positive"),
+        ((0, 1, INFINITY), "finite and positive"),
+        ((0, 1, float("nan")), "finite and positive"),
+    ],
+)
+def test_zigzag_from_edges_checks_edges_as_a_space_does(edge, message):
+    with pytest.raises(ValueError, match=message):
+        zigzag_from_edges(3, [(1, 2, 1.0), edge])
+    with pytest.raises(ValueError, match=message):
+        FiniteDSpace(base=LINE3, edges=[(1, 2, 1.0), edge])
+
+
 def test_blocked_symmetrizing_matches_the_full_size_reference():
     tor = flat_torus_grid(GridSpec(k=20))
     raw = dijkstra(_weight_csr(tor.n, tor.src, tor.dst, tor.length), directed=False)
@@ -362,13 +390,6 @@ def test_directed_space_wrapper_checks_shapes():
     assert X.reach[0, 1] and not X.reach[1, 0]
     with pytest.raises(ValueError):
         DirectedMetricSpace(space=TWO, zz=np.zeros((3, 3)), reach=np.zeros((2, 2), dtype=bool))
-
-
-def test_diameter():
-    assert diameter(compute_zigzag(TWO)) == 1.0
-    assert diameter(np.array([[0.0, INFINITY], [INFINITY, 0.0]])) == INFINITY
-    with pytest.raises(ValueError):
-        diameter(np.zeros((0, 0)))
 
 
 def test_every_exported_name_resolves():
