@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
-import json
 import math
 import sys
 from dataclasses import dataclass, field
@@ -33,6 +33,7 @@ from .distances import (
 )
 from .fileio import (
     SpaceFormatError,
+    _read_json,
     dump_report,
     load_space,
     matrix_to_csv,
@@ -178,11 +179,7 @@ def cmd_zigzag(args) -> int:
 
 
 def _load_subsets(path: str, X: DirectedMetricSpace):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise SpaceFormatError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from exc
+    doc = _read_json(path)
     if not (isinstance(doc, dict) and set(doc) == {"a", "b"}):
         raise SpaceFormatError(f"{path}: expected an object with exactly the keys \"a\" and \"b\"")
 
@@ -225,6 +222,8 @@ def _certificate_value(report, X: DirectedMetricSpace, Y: DirectedMetricSpace):
     if hasattr(cert, "pairs"):
         if not cert.is_correspondence or (report.kind == "cdis" and not cert.is_dcorrespondence(X.reach, Y.reach)):
             return math.nan
+        if not cert.pairs:  # the empty correspondence of two empty spaces
+            return 0.0
         return 0.5 * distortion_relation(list(cert.pairs), X.zz, Y.zz)
     if not (VertexMap(X, Y, cert.forward).is_dmap and VertexMap(Y, X, cert.backward).is_dmap):
         return math.nan
@@ -401,6 +400,7 @@ def cmd_verify(args) -> int:
 # parser and entry point
 
 
+@functools.cache  # parse_args leaves the parser as it was; building it costs about 1 ms
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="dirmetric",

@@ -10,6 +10,12 @@ Matrices are row-major and follow point index order.  "inf" encodes an
 unreachable pair.  CSV matrix files carry a label header row and use the
 same "inf" literal; reachability files hold 0/1 cells.
 
+Input files (space files, dist's subset files) are read as bytes and
+parsed by orjson, which takes standard JSON only: NaN, Infinity and
+numbers that overflow a double are invalid JSON, so infinity is always
+the string "inf".  Output is written with the standard library's json
+module, which the byte contract below is defined by.
+
 Report JSON is canonical: keys sorted, two-space indent, non-finite
 floats replaced by the strings "inf" / "-inf" / "nan", numpy scalars
 unwrapped.  Identical inputs therefore produce byte-identical reports.
@@ -29,12 +35,12 @@ import csv
 import io
 import json
 import math
-from collections import Counter
 from dataclasses import asdict, is_dataclass
 from itertools import chain
 from typing import Any
 
 import numpy as np
+import orjson
 
 from .extended import INFINITY
 from .spaces import FiniteDSpace, zigzag_from_edges
@@ -109,8 +115,10 @@ def _base_in(base_doc: list) -> np.ndarray:
         # one numpy conversion, straight into an (n, n) array that owns its
         # data, when every cell is a plain number or "inf" (numpy parses the
         # string "inf"); bool is its own type here
-        kinds = Counter(map(type, chain.from_iterable(base_doc)))
-        if kinds.keys() <= {int, float, str} and kinds[str] == sum(row.count("inf") for row in base_doc):
+        kinds = set(map(type, chain.from_iterable(base_doc)))
+        if kinds <= {int, float, str} and (
+            str not in kinds or {v for v in chain.from_iterable(base_doc) if type(v) is str} == {"inf"}
+        ):
             return np.array(base_doc, dtype=float)
     # anything else gets the cell-by-cell check and its exact message
     base = np.empty((n, n))
@@ -131,12 +139,18 @@ def space_to_doc(space: FiniteDSpace) -> dict:
     }
 
 
-def load_space(path: str) -> FiniteDSpace:
+def _read_json(path: str) -> Any:
+    """The JSON document in the file at path; standard JSON only."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+        return orjson.loads(data)
+    except orjson.JSONDecodeError as exc:  # a json.JSONDecodeError
         raise SpaceFormatError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from exc
+
+
+def load_space(path: str) -> FiniteDSpace:
+    doc = _read_json(path)
     try:
         return doc_to_space(doc)
     except SpaceFormatError as exc:

@@ -401,6 +401,14 @@ def slow_base_cells(base_doc) -> np.ndarray:
     return base
 
 
+def json_load_space(path: str):
+    """load_space with the standard library's json parser in place of orjson."""
+    from dirmetric.fileio import doc_to_space
+
+    with open(path, encoding="utf-8") as fh:
+        return doc_to_space(json.load(fh))
+
+
 def slow_matrix_to_csv(matrix, labels) -> str:
     """CSV through csv.writer cell by cell; floats as repr (inf, -inf, nan)."""
     matrix = np.asarray(matrix)

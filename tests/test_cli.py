@@ -3,13 +3,16 @@
 Claims covered: every subcommand emits exactly one JSON object on
 standard output, files appear only with --out, certificates re-evaluate
 to the reported value, error paths exit 1 (a bad base-less edge and an
-out-of-memory error among them), failed suites would exit 2,
+out-of-memory error among them), non-standard JSON numbers are invalid
+JSON, gen loads no scipy, dist on two empty spaces reports an exact 0,
+one cached parser serves every call, failed suites would exit 2,
 gh and dis on a 1024-point interval finish without a traceback, ball's
 one-row zigzag decides membership as the full matrix does, and
 repeated seeded runs are byte-identical.
 """
 
 import argparse
+import csv
 import hashlib
 import json
 import math
@@ -21,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import relax_zigzag
 
 from dirmetric import (
     Correspondence,
@@ -165,8 +169,55 @@ def test_zigzag_malformed_file_exits_one(capsys, tmp_path):
     assert code == 1 and "line 1" in err
 
 
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "1e400"])
+def test_non_standard_json_numbers_are_invalid_json(capsys, tmp_path, number):
+    path = tmp_path / "odd.json"
+    path.write_text('{"base": [[0, %s], [%s, 0]],\n "edges": []}' % (number, number))
+    code, _, err = run(capsys, "zigzag", str(path))
+    assert code == 1 and "invalid JSON at line 1" in err and "Traceback" not in err
+
+
+def test_scipy_loads_on_the_first_graph_search(tmp_path):
+    # gen writes a file without a graph search, so it must not pay for
+    # importing scipy; zigzag needs it and loads it
+    script = (
+        "import sys\n"
+        "from dirmetric.cli import main\n"
+        "space, csv_path = sys.argv[1:]\n"
+        "assert main(['gen', 'torus', '--k', '4', '--out', space]) == 0\n"
+        "print('scipy' in sys.modules, file=sys.stderr)\n"
+        "assert main(['zigzag', space, '--out', csv_path]) == 0\n"
+        "print('scipy' in sys.modules, file=sys.stderr)\n"
+    )
+    space, csv_path = tmp_path / "torus.json", tmp_path / "zz.csv"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(space), str(csv_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.split()[-2:] == ["False", "True"]
+    s = load_space(str(space))
+    rows = list(csv.reader(csv_path.read_text().splitlines()))
+    assert rows[0] == list(s.labels)
+    zz = np.array(rows[1:], dtype=float)
+    assert np.allclose(zz, relax_zigzag(s.n, s.edges), rtol=0, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # dist
+
+
+@pytest.mark.parametrize("kind", ["gh", "dis", "cdis"])
+def test_dist_of_two_empty_spaces_is_zero_exact(capsys, tmp_path, kind):
+    fx, fy = tmp_path / "x.json", tmp_path / "y.json"
+    fx.write_text('{"labels": [], "edges": []}')
+    fy.write_text('{"base": [], "edges": []}')
+    code, out, err = run(capsys, "dist", kind, str(fx), str(fy))
+    assert code == 0, err
+    rep = json.loads(out)
+    assert rep["value"] == 0.0 and rep["exact"] is True and rep["certificate_check"] is True
 
 
 def test_dist_gh_self_is_zero_exact(capsys, tmp_path):
@@ -501,6 +552,21 @@ def test_every_flag_the_readme_names_is_accepted():
     subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     accepted = {opt for sub in subparsers.choices.values() for opt in sub._option_string_actions}
     assert named and named <= accepted
+
+
+def test_one_parser_serves_every_call_without_leaking_arguments(capsys, monkeypatch, tmp_path):
+    assert build_parser() is build_parser()
+    seen = []
+    build = cli._build_space
+    monkeypatch.setattr(cli, "_build_space", lambda args: seen.append(vars(args).copy()) or build(args))
+    fx, fy = write_two_arm(tmp_path)
+    assert run(capsys, "gen", "square", "--k", "3", "--steps", "1,0;0,1", "--out", str(tmp_path / "sq.json"))[0] == 0
+    assert run(capsys, "dist", "gh", fx, fy, "--budget-exhaustive-gh", "0")[0] == 0
+    assert run(capsys, "gen", "interval")[0] == 0
+    assert seen[1] == {"subcommand": "gen", "constructor": "interval", "k": 8, "steps": None, "n": 3, "m": 3,
+                       "points": None, "subdivisions": 1, "out": None, "func": cli.cmd_gen}
+    args = build_parser().parse_args(["dist", "gh", "a.json", "b.json"])
+    assert RunConfig.from_args(args).budget == DEFAULT_BUDGET
 
 
 def test_help_exits_zero(capsys):

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import slow_base_cells, slow_dump_report, slow_jsonable, slow_matrix_to_csv
+from oracles import json_load_space, slow_base_cells, slow_dump_report, slow_jsonable, slow_matrix_to_csv
 
 from dirmetric import (
     INFINITY,
@@ -30,6 +30,7 @@ from dirmetric import (
     flat_torus_grid,
     load_space,
     matrix_to_csv,
+    random_space,
     save_space,
 )
 from dirmetric import spaces
@@ -159,6 +160,19 @@ def test_malformed_base_messages_match_cell_loop(base_doc):
     with pytest.raises(SpaceFormatError) as got:
         doc_to_space({"base": base_doc, "edges": []})
     assert str(got.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: flat_torus_grid(GridSpec(k=8)),
+    lambda: disjoint_union(TWO, TWO),  # "inf" cells
+    lambda: random_space(np.random.default_rng(5), 40),  # nearly every cell distinct
+])
+def test_load_space_matches_the_json_module_reference(tmp_path, make):
+    path = str(tmp_path / "space.json")
+    save_space(make(), path)
+    got, ref = load_space(path), json_load_space(path)
+    assert got.base.tobytes() == ref.base.tobytes()
+    assert got.edges == ref.edges and got.labels == ref.labels
 
 
 def test_space_doc_uses_inf_strings():
