@@ -38,13 +38,16 @@ through a caller's writeable array never reach a space's matrices.
 Validation of dense matrices (base, zigzag), the symmetrizing step of
 the zigzag and the reachability closure run over blocks of _BLOCK_ROWS
 rows, so that on a large grid the only n x n arrays alive are the
-matrices themselves.
+matrices themselves.  Shortest-path searches run in a pure-Python
+Dijkstra when small and in scipy's when large (see _PYTHON_SEARCH_MAX),
+with the same rows bit for bit, so small searches never import scipy.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -62,11 +65,17 @@ TRIANGLE_CHECK_MAX = 192
 
 Edge = tuple[int, int, float]
 
-# scipy is imported by the functions that build or search a graph: it is
-# 0.45 s of the CLI's 0.78 s start-up (2 cores), which gen commands but
-# open-book never need.
-if TYPE_CHECKING:
-    import scipy.sparse as sp
+# A search of R source rows over E stored edges runs in _python_dijkstra
+# when R * E is at most this, else in scipy's dijkstra, which is imported
+# only then: importing scipy.sparse.csgraph adds 0.36 s to the CLI's
+# 0.28 s start-up (medians of 9, 2 cores).  Once scipy is loaded, the
+# Python kernel is faster below R * E of about 600 and slower above it:
+# a full zigzag plus reachability takes 0.12 against 0.27 ms on 4 points
+# (R * E = 36) but 5.5 against 1.2 ms on 64 points (R * E = 8000).  This
+# bound keeps a one-row ball on the k = 32 torus (5056 edges) and the
+# whole open book n = 10, m = 8 (72 rows x 80 edges) in Python, and the
+# 8-row batches on the k = 64 square (20480 edges) in scipy.
+_PYTHON_SEARCH_MAX = 8192
 
 
 def _row_blocks(n: int):
@@ -227,16 +236,80 @@ class FiniteDSpace:
             raise KeyError(f"no point labelled {label!r}") from None
 
 
-def _weight_csr(n: int, src: np.ndarray, dst: np.ndarray, length: np.ndarray) -> sp.csr_matrix:
-    """Sparse weight matrix, parallel edges reduced to their minimum length."""
-    import scipy.sparse as sp
+class _Graph(NamedTuple):
+    """Directed weight graph as CSR arrays on n points.
 
+    The edges leaving u go to indices[indptr[u]:indptr[u + 1]], with the
+    lengths in the same slice of weights; parallel edges are reduced to
+    their minimum length.
+    """
+
+    n: int
+    indptr: np.ndarray
+    indices: np.ndarray
+    weights: np.ndarray
+
+
+def _weight_csr(n: int, src: np.ndarray, dst: np.ndarray, length: np.ndarray) -> _Graph:
+    """Weight graph of the edges, parallel edges reduced to their minimum length."""
     key = src * n + dst
     order = np.lexsort((length, key))
-    key, src, dst, length = key[order], src[order], dst[order], length[order]
+    key, length = key[order], length[order]
     first = np.ones(len(key), dtype=bool)
     first[1:] = key[1:] != key[:-1]
-    return sp.csr_matrix((length[first], (src[first], dst[first])), shape=(n, n))
+    key, length = key[first], length[first]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key // n, minlength=n), out=indptr[1:])
+    return _Graph(n, indptr, key % n, length)
+
+
+def _adjacency(graph: _Graph, directed: bool) -> list[list[tuple[int, float]]]:
+    """(target, length) lists per point, following edges both ways unless directed."""
+    if not directed:
+        src = np.repeat(np.arange(graph.n), np.diff(graph.indptr))
+        both = (np.r_[src, graph.indices], np.r_[graph.indices, src], np.r_[graph.weights, graph.weights])
+        graph = _weight_csr(graph.n, *both)
+    pairs = list(zip(graph.indices.tolist(), graph.weights.tolist()))
+    ptr = graph.indptr.tolist()
+    return [pairs[a:b] for a, b in zip(ptr, ptr[1:])]
+
+
+def _python_dijkstra(graph: _Graph, sources: np.ndarray, directed: bool) -> np.ndarray:
+    """Label-setting Dijkstra on a binary heap, one row per source.
+
+    Every length is positive, so each label is final when it leaves the
+    heap, at min over settled neighbours u of fl(d[u] + w(u, v)).  That
+    fixed point does not depend on the order ties are settled in, so the
+    rows are bit for bit those of scipy's dijkstra.
+    """
+    adj = _adjacency(graph, directed)
+    rows = np.empty((len(sources), graph.n))
+    for i, s in enumerate(sources.tolist()):
+        dist = [INFINITY] * graph.n
+        dist[s] = 0.0
+        heap = [(0.0, s)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d > dist[u]:
+                continue  # a stale entry: u was settled at a shorter distance
+            for v, w in adj[u]:
+                dv = d + w
+                if dv < dist[v]:
+                    dist[v] = dv
+                    heapq.heappush(heap, (dv, v))
+        rows[i] = dist
+    return rows
+
+
+def _search(graph: _Graph, sources: np.ndarray, directed: bool = False) -> np.ndarray:
+    """Shortest-path rows from sources: the Python kernel on small searches, else scipy's."""
+    if len(sources) * len(graph.indices) <= _PYTHON_SEARCH_MAX:
+        return _python_dijkstra(graph, sources, directed)
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import dijkstra
+
+    matrix = sp.csr_matrix((graph.weights, graph.indices, graph.indptr), shape=(graph.n, graph.n))
+    return dijkstra(matrix, directed=directed, indices=sources)
 
 
 def zigzag_from_edges(n: int, edges, sources=None) -> np.ndarray:
@@ -251,11 +324,9 @@ def zigzag_from_edges(n: int, edges, sources=None) -> np.ndarray:
     return _zigzag(_weight_csr(n, *_parse_edges(edges, n)), sources)
 
 
-def _zigzag(graph: sp.csr_matrix, sources=None) -> np.ndarray:
-    """zigzag_from_edges on a weight matrix from _weight_csr."""
-    from scipy.sparse.csgraph import dijkstra
-
-    n = graph.shape[0]
+def _zigzag(graph: _Graph, sources=None) -> np.ndarray:
+    """zigzag_from_edges on a graph from _weight_csr."""
+    n = graph.n
     if n == 0:
         return np.zeros((0, 0))
     if sources is None:
@@ -264,7 +335,7 @@ def _zigzag(graph: sp.csr_matrix, sources=None) -> np.ndarray:
         # returns a view, which a space would have to copy)
         dist = np.empty((n, n))
         for r in _row_blocks(n):
-            dist[r] = dijkstra(graph, directed=False, indices=np.arange(r.start, r.stop))
+            dist[r] = _search(graph, np.arange(r.start, r.stop))
         # tie-break rounding can differ between rows, so symmetrize explicitly,
         # in place: min is idempotent, so a block that reads entries an earlier
         # block already lowered gets the same value
@@ -272,8 +343,7 @@ def _zigzag(graph: sp.csr_matrix, sources=None) -> np.ndarray:
             np.minimum(dist[r], dist[:, r].T, out=dist[r])
         np.fill_diagonal(dist, 0.0)
         return dist
-    idx = np.atleast_1d(np.asarray(sources, dtype=int))
-    return np.atleast_2d(dijkstra(graph, directed=False, indices=idx))
+    return _search(graph, np.atleast_1d(np.asarray(sources, dtype=int)))
 
 
 def compute_zigzag(space: FiniteDSpace) -> np.ndarray:
@@ -284,17 +354,15 @@ def compute_zigzag(space: FiniteDSpace) -> np.ndarray:
 def compute_reachability(space: FiniteDSpace) -> np.ndarray:
     """Reflexive-transitive closure of the edge relation, as a bool matrix.
 
-    Filled one row block of hop counts at a time, so no n x n float
-    matrix is held next to it.
+    The pairs at finite distance in the directed graph, filled one row
+    block at a time, so no n x n float matrix is held next to it.
     """
     n = space.n
     reach = np.eye(n, dtype=bool)
     if space.edges:
-        from scipy.sparse.csgraph import dijkstra
-
         graph = _weight_csr(n, space.src, space.dst, space.length)
         for r in _row_blocks(n):
-            reach[r] |= np.isfinite(dijkstra(graph, directed=True, unweighted=True, indices=np.arange(r.start, r.stop)))
+            reach[r] |= np.isfinite(_search(graph, np.arange(r.start, r.stop), directed=True))
     return reach
 
 

@@ -372,15 +372,17 @@ def check_source_sink(seed: int, budget: SearchBudget):
     }
 
 
-#: Rows per Dijkstra call in _identity_distortion; also the number of
-#: evenly spaced rows searched first.
-_IDENTITY_BATCH = 64
+#: Evenly spaced rows _identity_distortion searches first, then rows per
+#: Dijkstra call after them: small batches follow the bounds closely (on
+#: the k = 64 square, 264 rows searched against 512 in batches of 64).
+_IDENTITY_SEEDS = 64
+_IDENTITY_BATCH = 8
 
 
 def _identity_distortion(graph, base_rows: Callable[[np.ndarray], np.ndarray]) -> float:
     """max |base - Z| over all pairs, reading only the rows that can raise it.
 
-    graph is the _weight_csr matrix of the edges and base_rows(rows) returns
+    graph is the _weight_csr graph of the edges and base_rows(rows) returns
     base[rows]: one batch of rows is alive at a time, never an n x n matrix.
     No edge may be shorter than its endpoints' base distance, so Z >= base.
     Z's rows come straight from Dijkstra, unsymmetrized: the value is never
@@ -393,11 +395,11 @@ def _identity_distortion(graph, base_rows: Callable[[np.ndarray], np.ndarray]) -
     until every bound is below the maximum found, less DEFAULT_TOL for
     rounding.  An inf bound prunes nothing.
     """
-    n = graph.shape[0]
+    n = graph.n
     bound = np.full(n, INFINITY)
     searched = np.zeros(n, dtype=bool)
     worst = 0.0
-    batch = np.linspace(0, n - 1, min(n, _IDENTITY_BATCH)).astype(int)
+    batch = np.linspace(0, n - 1, min(n, _IDENTITY_SEEDS)).astype(int)
     while batch.size and worst < INFINITY:
         Z = _zigzag(graph, batch)
         base = base_rows(batch)

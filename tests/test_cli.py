@@ -4,7 +4,9 @@ Claims covered: every subcommand emits exactly one JSON object on
 standard output, files appear only with --out, certificates re-evaluate
 to the reported value, error paths exit 1 (a bad base-less edge and an
 out-of-memory error among them), non-standard JSON numbers are invalid
-JSON, gen loads no scipy, dist on two empty spaces reports an exact 0,
+JSON, gen, ball on the k = 32 torus and the open book's zigzag load no
+scipy while an all-pairs zigzag past the Python search bound does, dist
+on two empty spaces reports an exact 0,
 one cached parser serves every call, failed suites would exit 2,
 gh and dis on a 1024-point interval finish without a traceback, ball's
 one-row zigzag decides membership as the full matrix does, and
@@ -177,32 +179,39 @@ def test_non_standard_json_numbers_are_invalid_json(capsys, tmp_path, number):
     assert code == 1 and "invalid JSON at line 1" in err and "Traceback" not in err
 
 
-def test_scipy_loads_on_the_first_graph_search(tmp_path):
-    # gen writes a file without a graph search, so it must not pay for
-    # importing scipy; zigzag needs it and loads it
+def test_scipy_loads_only_for_searches_above_the_python_bound(tmp_path):
+    # gen, a one-row ball on the k = 32 torus and the open book run their
+    # searches in Python; an all-pairs zigzag of the k = 8 torus (64 rows
+    # x 320 edges) is past spaces._PYTHON_SEARCH_MAX and loads scipy
     script = (
         "import sys\n"
         "from dirmetric.cli import main\n"
-        "space, csv_path = sys.argv[1:]\n"
-        "assert main(['gen', 'torus', '--k', '4', '--out', space]) == 0\n"
-        "print('scipy' in sys.modules, file=sys.stderr)\n"
-        "assert main(['zigzag', space, '--out', csv_path]) == 0\n"
-        "print('scipy' in sys.modules, file=sys.stderr)\n"
+        "d = sys.argv[1]\n"
+        "def step(*argv):\n"
+        "    assert main(list(argv)) == 0\n"
+        "    print('scipy loaded:', 'scipy' in sys.modules, file=sys.stderr)\n"
+        "step('gen', 'torus', '--k', '32', '--out', d + '/t32.json')\n"
+        "step('ball', d + '/t32.json', '--center', '(0.5,0.5)', '--radius', '0.3', '--out', d + '/ball.csv')\n"
+        "step('gen', 'open-book', '--n', '10', '--m', '8', '--out', d + '/book.json')\n"
+        "step('zigzag', d + '/book.json', '--out', d + '/book.csv')\n"
+        "step('gen', 'torus', '--k', '8', '--out', d + '/t8.json')\n"
+        "step('zigzag', d + '/t8.json', '--out', d + '/t8.csv')\n"
     )
-    space, csv_path = tmp_path / "torus.json", tmp_path / "zz.csv"
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", script, str(space), str(csv_path)],
+        [sys.executable, "-c", script, str(tmp_path)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.split()[-2:] == ["False", "True"]
-    s = load_space(str(space))
-    rows = list(csv.reader(csv_path.read_text().splitlines()))
-    assert rows[0] == list(s.labels)
-    zz = np.array(rows[1:], dtype=float)
-    assert np.allclose(zz, relax_zigzag(s.n, s.edges), rtol=0, atol=1e-12)
+    loaded = [line.split()[-1] for line in proc.stderr.splitlines() if line.startswith("scipy loaded:")]
+    assert loaded == ["False"] * 5 + ["True"]
+    for name in ("book", "t8"):
+        s = load_space(str(tmp_path / f"{name}.json"))
+        rows = list(csv.reader((tmp_path / f"{name}.csv").read_text().splitlines()))
+        assert rows[0] == list(s.labels)
+        zz = np.array(rows[1:], dtype=float)
+        assert np.allclose(zz, relax_zigzag(s.n, s.edges), rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from conftest import small_spaces
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import recursive_reachability, relax_zigzag, symmetrized_min
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from dirmetric import (
@@ -29,9 +30,19 @@ from dirmetric import (
     reverse,
     zigzag_from_edges,
 )
+from dirmetric import spaces
 from dirmetric.fileio import space_to_doc
-from dirmetric.gallery import GridSpec, flat_torus_grid
-from dirmetric.spaces import _weight_csr
+from dirmetric.gallery import (
+    GridSpec,
+    directed_interval,
+    directed_square_grid,
+    flat_torus_grid,
+    hollow_square,
+    open_book,
+    sncf_plane,
+    source_sink_interval,
+)
+from dirmetric.spaces import _python_dijkstra, _weight_csr
 
 TWO = FiniteDSpace(base=[[0.0, 1.0], [1.0, 0.0]], edges=((0, 1, 1.0),))
 
@@ -289,9 +300,80 @@ def test_zigzag_from_edges_checks_edges_as_a_space_does(edge, message):
 
 def test_blocked_symmetrizing_matches_the_full_size_reference():
     tor = flat_torus_grid(GridSpec(k=20))
-    raw = dijkstra(_weight_csr(tor.n, tor.src, tor.dst, tor.length), directed=False)
+    assert len(set(zip(tor.src.tolist(), tor.dst.tolist()))) == len(tor.src)  # no parallel edges to reduce
+    raw = dijkstra(csr_matrix((tor.length, (tor.src, tor.dst)), shape=(tor.n, tor.n)), directed=False)
     assert (raw != raw.T).any()  # tie-break rounding gives the step work to do
     assert np.array_equal(compute_zigzag(tor).view(np.int64), symmetrized_min(raw).view(np.int64))
+
+
+# lengths whose sums round onto each other along different routes
+COLLIDING = np.array([1 / 3, 0.1, 0.2, 0.3, 0.1 * (1 + 1e-15), 0.2 * (1 + 1e-15), 0.3 * (1 + 1e-15), 2 / 3, 1.0])
+
+
+def random_edge_arrays(rng, n):
+    """Edges on n points: some repeated with other lengths, some reversed,
+    sometimes confined to two halves so the graph falls apart, sometimes none."""
+    m = int(rng.integers(0, 3 * n + 1)) if rng.random() >= 0.1 else 0
+    src, dst = rng.integers(0, n, m), rng.integers(0, n, m)
+    if rng.random() < 0.3:
+        half = max(n // 2, 1)
+        dst = np.where(src < half, dst % half, half + dst % max(n - half, 1))
+    keep = src != dst
+    src, dst = src[keep], dst[keep]
+    rep = rng.random(len(src)) < 0.3
+    rev = rng.random(len(src)) < 0.3
+    src, dst = np.r_[src, src[rep], dst[rev]], np.r_[dst, dst[rep], src[rev]]
+    if rng.random() < 0.5:
+        length = rng.choice(COLLIDING, len(src))
+    else:
+        length = rng.random(len(src)) + 1e-3
+    return src, dst, length
+
+
+def scipy_rows(n, src, dst, length, sources, directed):
+    """scipy's Dijkstra on a weight matrix holding each pair's shortest edge."""
+    shortest = {}
+    for u, v, w in zip(src.tolist(), dst.tolist(), length.tolist()):
+        shortest[u, v] = min(w, shortest.get((u, v), w))
+    rows, cols = [u for u, _ in shortest], [v for _, v in shortest]
+    graph = csr_matrix((list(shortest.values()), (rows, cols)), shape=(n, n))
+    return dijkstra(graph, directed=directed, indices=sources)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_python_dijkstra_rows_equal_scipy_bit_for_bit(directed):
+    rng = np.random.default_rng(20)
+    for _ in range(400):
+        n = int(rng.integers(1, 25))
+        src, dst, length = random_edge_arrays(rng, n)
+        sources = rng.integers(0, n, int(rng.integers(1, 2 * n + 1)))  # repeats included
+        rows = _python_dijkstra(_weight_csr(n, src, dst, length), sources, directed)
+        assert np.array_equal(rows, scipy_rows(n, src, dst, length, sources, directed))
+
+
+def test_python_and_scipy_branches_agree_on_the_gallery(monkeypatch):
+    calls = []
+    kernel = spaces._python_dijkstra
+    monkeypatch.setattr(spaces, "_python_dijkstra", lambda *a: calls.append(1) or kernel(*a))
+    gallery = [
+        directed_interval(6),
+        directed_square_grid(GridSpec(k=6)),
+        flat_torus_grid(GridSpec(k=6)),
+        source_sink_interval(4),
+        open_book(10, 8),
+        hollow_square(2),
+        sncf_plane([(1, 0), (2, 0), (0, 1)]),
+        disjoint_union(open_book(2, 3), reverse(directed_interval(3))),
+    ]
+    for s in gallery:
+        results = []
+        for bound, python_runs in ((10**12, True), (-1, False)):
+            monkeypatch.setattr(spaces, "_PYTHON_SEARCH_MAX", bound)
+            calls.clear()
+            results.append((compute_zigzag(s), compute_reachability(s)))
+            assert bool(calls) == python_runs
+        (zz_py, reach_py), (zz_sp, reach_sp) = results
+        assert np.array_equal(zz_py, zz_sp) and np.array_equal(reach_py, reach_sp)
 
 
 def test_reversal_keeps_zigzag_bitwise():

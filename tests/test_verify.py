@@ -69,8 +69,9 @@ def test_naive_oracle_on_identical_spaces():
 
 def test_square_identity_check_holds_no_dense_matrix():
     # tracemalloc sees numpy's allocations: the k = 64 check reads edge
-    # arrays and one batch of 64 base and Dijkstra rows at a time, never
-    # the 4225 x 4225 base (136 MiB) the dense space held
+    # arrays and one batch of base and Dijkstra rows at a time (64 evenly
+    # spaced rows, then 8 per batch: 264 rows in all), never the
+    # 4225 x 4225 base (136 MiB) the dense space held
     tracemalloc.start()
     try:
         passed, details = verify.check_square_identity(0, DEFAULT_BUDGET)
@@ -113,8 +114,9 @@ def test_square_grid_reachability_holds_no_float_matrix():
 def test_pruned_identity_distortion_equals_the_full_reduction(monkeypatch, batch):
     # seeded spaces of 1-120 points, 30% not weakly connected (inf rows),
     # plus disjoint unions, whose cross pairs are inf in both metrics so
-    # the value stays finite while inf bounds prune nothing.  Batches of 4
-    # rows let the bounds prune below 64 points too.
+    # the value stays finite while inf bounds prune nothing.  Seeds and
+    # batches of 4 rows let the bounds prune below 64 points too.
+    monkeypatch.setattr(verify, "_IDENTITY_SEEDS", batch)
     monkeypatch.setattr(verify, "_IDENTITY_BATCH", batch)
     rng = np.random.default_rng(14)
     for _ in range(120):
