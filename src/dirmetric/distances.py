@@ -28,10 +28,14 @@ is decided by depth-first search for a covering set of pairs, every two
 of cost at most t (and, for cdis, compatible), branching on the uncovered
 row or column with the fewest live pairs and forward-checking each
 choice.  An infeasible t proves a lower bound; a feasible one gives a
-certificate.  Only per-space matrices are read: the thresholds are the
-distinct |a - b| over values a of dX and b of dY, a chosen pair's row of
-costs is computed when it is tried, and two pairs are compatible when
-their reachability types (reach + 2 * reach.T) agree.  For cdis,
+certificate.  Sets of pairs are Python ints, bit p for pair p: a node's
+live pairs, the pairs of each row and column, and the pairs that fit
+with each pair tried under t, cached until t changes; a node counts the
+live pairs of each uncovered line with one AND and one popcount.  Only
+per-space matrices are read: the thresholds are the distinct |a - b|
+over values a of dX and b of dY, a pair's row of costs is computed when
+it is first tried under t, and two pairs are compatible when their
+reachability types (reach + 2 * reach.T) agree.  For cdis,
 constraint propagation first drops pairs that fit in no d-correspondence,
 which proves infeasibility when a point is left without partner.  gh runs
 branch and bound up to its exhaustive cap, the threshold search up to
@@ -82,8 +86,8 @@ MAP_PAIR_LIMIT = 10_000_000
 #: Search nodes of the threshold search (gh and cdis) above their exhaustive caps.
 NODE_LIMIT = 20_000
 #: Largest |X|*|Y| the threshold search takes; cdis refuses larger inputs.
-#: It bounds the search's (|X| + |Y|) x |X|*|Y| arrays: the cost and type
-#: columns of every pair, and one live-pair mask per search depth.
+#: It bounds the search's (|X| + |Y|) x |X|*|Y| arrays, the cost and type
+#: columns of every pair, and its |X|*|Y|-bit sets of pairs.
 PAIR_LIMIT = 4096
 
 # The map-pair local search (gh above PAIR_LIMIT, dis where the chain
@@ -868,46 +872,51 @@ def _threshold_correspondence(dX, dY, types, cand, floor: float, node_limit: flo
     if types is not None:
         KX, KY = types[0][:, xs], types[1][:, ys]  # pair p's partners: KX[xs[p]] == KY[ys[p]]
     T = _thresholds(dX, dY)
+    # bit p of an int is pair p: the pairs of each row, then of each column
+    lines = tuple(_bits(xs == x) for x in range(nX)) + tuple(_bits(ys == y) for y in range(nY))
     nodes_left = node_limit
     chosen: list[int] = []
 
     def cover(t) -> bool:
-        # a frame: a node's live pairs (changed in place), covered rows and
-        # columns, and the pairs of its branching line left to try, last first
+        # a frame: a node's live pairs (a bit cleared as each choice
+        # fails), its uncovered lines and the pairs of its branching line
+        # left to try, lowest first
         nonlocal nodes_left
         chosen.clear()
+        fits: dict[int, int] = {}  # pair -> the pairs that fit with it under t
         # every pair is live at first: it costs 0 against itself (zero
         # diagonals) and has its own type (reach is reflexive)
-        live, rows, cols = np.ones(P.size, dtype=bool), np.zeros(nX, dtype=bool), np.zeros(nY, dtype=bool)
+        live, uncovered = (1 << P.size) - 1, lines
         frames = []
         while True:
-            if rows.all() and cols.all():
+            if not uncovered:
                 return True
             nodes_left -= 1
-            todo = []
+            todo = 0
             if nodes_left >= 0:
-                row_live = np.where(rows, P.size + 1, np.bincount(xs[live], minlength=nX))
-                col_live = np.where(cols, P.size + 1, np.bincount(ys[live], minlength=nY))
-                if row_live.min() <= col_live.min():
-                    line = live & (xs == row_live.argmin())
-                else:
-                    line = live & (ys == col_live.argmin())
-                todo = np.flatnonzero(line).tolist()[::-1]
-            frames.append((live, rows, cols, todo))
-            while not frames[-1][3]:
+                # fewest live pairs; min keeps the first, so rows win ties
+                todo = min(map(live.__and__, uncovered), key=int.bit_count)
+            frames.append([live, uncovered, todo])
+            while not frames[-1][2]:
                 frames.pop()
                 if not frames:
                     return False
-                frames[-1][0][chosen.pop()] = False  # every cover with that pair was just ruled out
-            live, rows, cols, todo = frames[-1]
-            p = todo.pop()
+                frames[-1][0] &= ~(1 << chosen.pop())  # every cover with that pair was just ruled out
+            frame = frames[-1]
+            live, uncovered, todo = frame
+            frame[2] = todo & (todo - 1)
+            p = (todo ^ frame[2]).bit_length() - 1
             chosen.append(p)
-            rows, cols = rows.copy(), cols.copy()
-            rows[xs[p]] = cols[ys[p]] = True
-            ok = _abs_diff(DX[xs[p]], DY[ys[p]]) <= t
-            if types is not None:
-                ok &= KX[xs[p]] == KY[ys[p]]
-            live = live & ok
+            uncovered = list(uncovered)
+            for m in (lines[xs[p]], lines[nX + ys[p]]):
+                if m in uncovered:  # a line equal to m holds p: it is p's row or column
+                    uncovered.remove(m)
+            if p not in fits:
+                ok = _abs_diff(DX[xs[p]], DY[ys[p]]) <= t
+                if types is not None:
+                    ok &= KX[xs[p]] == KY[ys[p]]
+                fits[p] = _bits(ok)
+            live &= fits[p]
 
     # T[lo] <= optimum <= T[hi]; the largest finite value goes first, for
     # an early certificate or a proof that none of finite distortion exists
@@ -923,6 +932,11 @@ def _threshold_correspondence(dX, dY, types, cand, floor: float, node_limit: flo
             lo = mid + 1
     pairs = None if best is None else sorted((int(xs[p]), int(ys[p])) for p in best)
     return float(T[lo]), float(T[hi]), pairs
+
+
+def _bits(mask: np.ndarray) -> int:
+    """A bool array as an int whose bit i is mask[i]."""
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
 def is_disometry(f: VertexMap) -> bool:

@@ -46,6 +46,7 @@ with the same rows bit for bit, so small searches never import scipy.
 from __future__ import annotations
 
 import heapq
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
@@ -66,16 +67,19 @@ TRIANGLE_CHECK_MAX = 192
 Edge = tuple[int, int, float]
 
 # A search of R source rows over E stored edges runs in _python_dijkstra
-# when R * E is at most this, else in scipy's dijkstra, which is imported
-# only then: importing scipy.sparse.csgraph adds 0.36 s to the CLI's
-# 0.28 s start-up (medians of 9, 2 cores).  Once scipy is loaded, the
-# Python kernel is faster below R * E of about 600 and slower above it:
+# when R * E is at most _PYTHON_SEARCH_MAX and scipy.sparse.csgraph is not
+# loaded yet, else in scipy's dijkstra, which is imported only then:
+# importing it adds 0.36 s to the CLI's 0.28 s start-up (medians of 9,
+# 2 cores).  That bound keeps a one-row ball on the k = 32 torus (5056
+# edges) and the whole open book n = 10, m = 8 (72 rows x 80 edges) in
+# Python, and the 8-row batches on the k = 64 square (20480 edges) in
+# scipy.  Once scipy is loaded, as after a grid check in verify or in a
+# caller that imports it, there is no import left to save, and the Python
+# kernel is faster only below R * E of about 600, _PYTHON_SEARCH_WARM_MAX:
 # a full zigzag plus reachability takes 0.12 against 0.27 ms on 4 points
-# (R * E = 36) but 5.5 against 1.2 ms on 64 points (R * E = 8000).  This
-# bound keeps a one-row ball on the k = 32 torus (5056 edges) and the
-# whole open book n = 10, m = 8 (72 rows x 80 edges) in Python, and the
-# 8-row batches on the k = 64 square (20480 edges) in scipy.
+# (R * E = 36) but 5.5 against 1.2 ms on 64 points (R * E = 8000).
 _PYTHON_SEARCH_MAX = 8192
+_PYTHON_SEARCH_WARM_MAX = 600
 
 
 def _row_blocks(n: int):
@@ -303,7 +307,8 @@ def _python_dijkstra(graph: _Graph, sources: np.ndarray, directed: bool) -> np.n
 
 def _search(graph: _Graph, sources: np.ndarray, directed: bool = False) -> np.ndarray:
     """Shortest-path rows from sources: the Python kernel on small searches, else scipy's."""
-    if len(sources) * len(graph.indices) <= _PYTHON_SEARCH_MAX:
+    limit = _PYTHON_SEARCH_WARM_MAX if "scipy.sparse.csgraph" in sys.modules else _PYTHON_SEARCH_MAX
+    if len(sources) * len(graph.indices) <= limit:
         return _python_dijkstra(graph, sources, directed)
     import scipy.sparse as sp
     from scipy.sparse.csgraph import dijkstra

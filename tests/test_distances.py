@@ -459,6 +459,41 @@ def test_row_search_equals_the_full_table_reference():
     assert min(outcomes.values()) >= 10, outcomes
 
 
+def test_row_search_stops_where_the_full_table_reference_stops():
+    # node caps of 1, 7, 30 and 200 on pairs of 9 to 12 points with more
+    # than 64 point pairs each, so every set of pairs spans several machine
+    # words: cdis and gh on stretched copies, gh on independent pairs and
+    # on the square grids k = 2 v 3.  Each capped search spends its nodes
+    # as the reference does, so it stops at the same threshold with the
+    # same best certificate
+    rng = np.random.default_rng(93)
+    grids = tuple(DirectedMetricSpace.from_space(directed_square_grid(GridSpec(k=k))) for k in (2, 3))
+    cases = [(*grids, "gh")]
+    for i in range(16):
+        s = random_space(rng, int(rng.integers(9, 13)), connected=i % 2 == 0)
+        X = DirectedMetricSpace.from_space(s)
+        cases.append((X, stretched_copy(rng, s)[0], "cdis"))
+        cases.append((X, dspace_random(rng, int(rng.integers(9, 13))), "gh"))
+    outcomes = dict.fromkeys([("cdis", "exact"), ("cdis", "capped"), ("gh", "exact"), ("gh", "capped")], 0)
+    for X, Y, kind in cases:
+        mn = X.n * Y.n
+        if kind == "cdis":
+            table = reach_compat_matrix(X.reach, Y.reach)
+            types = (_reach_types(X.reach), _reach_types(Y.reach))
+            cand = table_arc_consistent_candidates(table, X.n, Y.n)
+        else:
+            table, types, cand = np.ones((mn, mn), dtype=bool), None, np.ones(mn, dtype=bool)
+        if cand.sum() <= 64:
+            continue
+        floor, T = _value_gap_lower(X.zz, Y.zz), _thresholds(X.zz, Y.zz)
+        for limit in (1, 7, 30, 200):
+            got = _threshold_correspondence(X.zz, Y.zz, types, cand, floor, limit)
+            ref = full_table_threshold_correspondence(X.zz, Y.zz, table, cand, T, floor, limit)
+            assert got == ref, (X.n, Y.n, kind, limit)
+            outcomes[kind, "exact" if got[0] == got[1] else "capped"] += 1
+    assert min(outcomes.values()) >= 5, outcomes
+
+
 def compatibility_spaces():
     """Seeded random spaces of 1 to 5 points, every third disconnected,
     stretched copies, open books and two-arm intervals with their

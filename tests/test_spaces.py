@@ -6,6 +6,8 @@ leaving zigzag values bitwise unchanged, the frozen values of the
 union / product / quotient constructions, and one quotient point per class.
 """
 
+import sys
+
 import numpy as np
 import pytest
 from conftest import small_spaces
@@ -369,11 +371,35 @@ def test_python_and_scipy_branches_agree_on_the_gallery(monkeypatch):
         results = []
         for bound, python_runs in ((10**12, True), (-1, False)):
             monkeypatch.setattr(spaces, "_PYTHON_SEARCH_MAX", bound)
+            monkeypatch.setattr(spaces, "_PYTHON_SEARCH_WARM_MAX", bound)
             calls.clear()
             results.append((compute_zigzag(s), compute_reachability(s)))
             assert bool(calls) == python_runs
         (zz_py, reach_py), (zz_sp, reach_sp) = results
         assert np.array_equal(zz_py, zz_sp) and np.array_equal(reach_py, reach_sp)
+
+
+def test_search_bound_drops_once_scipy_is_loaded(monkeypatch):
+    # scipy.sparse.csgraph is loaded here, so only searches of R * E up to
+    # _PYTHON_SEARCH_WARM_MAX run in Python; with it unloaded, as in a cold
+    # CLI run, every search up to _PYTHON_SEARCH_MAX does, with equal rows
+    calls = []
+    kernel = spaces._python_dijkstra
+    monkeypatch.setattr(spaces, "_python_dijkstra", lambda *a: calls.append(len(a[1])) or kernel(*a))
+    s = open_book(10, 8)
+    graph = _weight_csr(s.n, s.src, s.dst, s.length)
+    edges = len(graph.indices)
+    warm_rows, cold_rows = spaces._PYTHON_SEARCH_WARM_MAX // edges, spaces._PYTHON_SEARCH_MAX // edges
+    assert 0 < warm_rows < cold_rows
+    small, large = np.arange(warm_rows) % s.n, np.arange(cold_rows) % s.n
+    assert "scipy.sparse.csgraph" in sys.modules
+    warm = spaces._search(graph, small), spaces._search(graph, large)
+    assert calls == [small.size]
+    monkeypatch.delitem(sys.modules, "scipy.sparse.csgraph")
+    calls.clear()
+    cold = spaces._search(graph, small), spaces._search(graph, large)
+    assert calls == [small.size, large.size]
+    assert all(np.array_equal(a, b) for a, b in zip(warm, cold))
 
 
 def test_reversal_keeps_zigzag_bitwise():
