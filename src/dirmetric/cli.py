@@ -55,8 +55,8 @@ from .spaces import (
     DEFAULT_TOL,
     DirectedMetricSpace,
     FiniteDSpace,
-    _weight_csr,
     _zigzag,
+    _zigzag_graph,
     compute_reachability,
     compute_zigzag,
 )
@@ -316,7 +316,7 @@ def _zigzag_ball_row(space: FiniteDSpace, center: int, radius: float) -> np.ndar
     outside the radius seen from the center can fall inside, and only
     they get a search of their own.
     """
-    graph = _weight_csr(space.n, space.src, space.dst, space.length)
+    graph = _zigzag_graph(space.n, space.src, space.dst, space.length)
     row = _zigzag(graph, center)[0]
     near = np.flatnonzero((row > radius) & (row <= radius + 1e-9 * max(radius, 1.0)))
     if near.size:

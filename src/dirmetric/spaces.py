@@ -38,9 +38,12 @@ through a caller's writeable array never reach a space's matrices.
 Validation of dense matrices (base, zigzag), the symmetrizing step of
 the zigzag and the reachability closure run over blocks of _BLOCK_ROWS
 rows, so that on a large grid the only n x n arrays alive are the
-matrices themselves.  Shortest-path searches run in a pure-Python
-Dijkstra when small and in scipy's when large (see _PYTHON_SEARCH_MAX),
-with the same rows bit for bit, so small searches never import scipy.
+matrices themselves.  Zigzag searches walk a two-way graph that lists
+each edge in both directions, built once per edge set (_zigzag_graph);
+reachability walks the forward graph.  Shortest-path searches run in a
+pure-Python Dijkstra when small and in scipy's when large (see
+_PYTHON_SEARCH_MAX), with the same rows bit for bit, so small searches
+never import scipy.
 """
 
 from __future__ import annotations
@@ -66,20 +69,22 @@ TRIANGLE_CHECK_MAX = 192
 
 Edge = tuple[int, int, float]
 
-# A search of R source rows over E stored edges runs in _python_dijkstra
-# when R * E is at most _PYTHON_SEARCH_MAX and scipy.sparse.csgraph is not
-# loaded yet, else in scipy's dijkstra, which is imported only then:
-# importing it adds 0.36 s to the CLI's 0.28 s start-up (medians of 9,
-# 2 cores).  That bound keeps a one-row ball on the k = 32 torus (5056
-# edges) and the whole open book n = 10, m = 8 (72 rows x 80 edges) in
-# Python, and the 8-row batches on the k = 64 square (20480 edges) in
-# scipy.  Once scipy is loaded, as after a grid check in verify or in a
-# caller that imports it, there is no import left to save, and the Python
-# kernel is faster only below R * E of about 600, _PYTHON_SEARCH_WARM_MAX:
-# a full zigzag plus reachability takes 0.12 against 0.27 ms on 4 points
-# (R * E = 36) but 5.5 against 1.2 ms on 64 points (R * E = 8000).
-_PYTHON_SEARCH_MAX = 8192
-_PYTHON_SEARCH_WARM_MAX = 600
+# A search of R source rows over a graph of E stored entries runs in
+# _python_dijkstra when R * E is at most _PYTHON_SEARCH_MAX and
+# scipy.sparse.csgraph is not loaded yet, else in scipy's dijkstra, which
+# is imported only then: importing it adds 0.36 s to the CLI's 0.28 s
+# start-up (medians of 9, 2 cores).  A zigzag graph stores each edge both
+# ways, so it holds up to twice as many entries as its space has edges.
+# The bound keeps a one-row ball on the k = 32 torus (10112 entries) and
+# the whole open book n = 10, m = 8 (72 rows x 160 entries) in Python, and
+# the batches on the k = 64 square (40960 entries) in scipy.  Once scipy
+# is loaded, as after a grid check in verify or in a caller that imports
+# it, there is no import left to save, and the Python kernel is faster
+# only below R * E of about 1200, _PYTHON_SEARCH_WARM_MAX: a full zigzag
+# plus reachability takes 0.15 against 0.48 ms on 4 points (R * E = 40
+# and 20) but 9.1 against 1.7 ms on 64 points (R * E = 15488 and 7872).
+_PYTHON_SEARCH_MAX = 16384
+_PYTHON_SEARCH_WARM_MAX = 1200
 
 
 def _row_blocks(n: int):
@@ -179,7 +184,7 @@ def _glued_edges(src, dst, length) -> np.ndarray:
     return np.unique(np.column_stack((src[kept], dst[kept], length[kept])), axis=0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteDSpace:
     """Finite point set with a base metric and directed weighted edges.
 
@@ -193,7 +198,8 @@ class FiniteDSpace:
     src, dst : int arrays of edge endpoints
     length   : float array of edge lengths
     These arrays are the form every computation reads; `edges` is the
-    constructor argument and the view written to space files.
+    constructor argument and the view written to space files.  Spaces
+    compare and hash by identity.
     """
 
     base: np.ndarray
@@ -267,18 +273,12 @@ def _weight_csr(n: int, src: np.ndarray, dst: np.ndarray, length: np.ndarray) ->
     return _Graph(n, indptr, key % n, length)
 
 
-def _adjacency(graph: _Graph, directed: bool) -> list[list[tuple[int, float]]]:
-    """(target, length) lists per point, following edges both ways unless directed."""
-    if not directed:
-        src = np.repeat(np.arange(graph.n), np.diff(graph.indptr))
-        both = (np.r_[src, graph.indices], np.r_[graph.indices, src], np.r_[graph.weights, graph.weights])
-        graph = _weight_csr(graph.n, *both)
-    pairs = list(zip(graph.indices.tolist(), graph.weights.tolist()))
-    ptr = graph.indptr.tolist()
-    return [pairs[a:b] for a, b in zip(ptr, ptr[1:])]
+def _zigzag_graph(n: int, src: np.ndarray, dst: np.ndarray, length: np.ndarray) -> _Graph:
+    """Two-way weight graph of the edges: each listed in both directions, then reduced."""
+    return _weight_csr(n, np.r_[src, dst], np.r_[dst, src], np.r_[length, length])
 
 
-def _python_dijkstra(graph: _Graph, sources: np.ndarray, directed: bool) -> np.ndarray:
+def _python_dijkstra(graph: _Graph, sources: np.ndarray) -> np.ndarray:
     """Label-setting Dijkstra on a binary heap, one row per source.
 
     Every length is positive, so each label is final when it leaves the
@@ -286,7 +286,9 @@ def _python_dijkstra(graph: _Graph, sources: np.ndarray, directed: bool) -> np.n
     fixed point does not depend on the order ties are settled in, so the
     rows are bit for bit those of scipy's dijkstra.
     """
-    adj = _adjacency(graph, directed)
+    pairs = list(zip(graph.indices.tolist(), graph.weights.tolist()))
+    ptr = graph.indptr.tolist()
+    adj = [pairs[a:b] for a, b in zip(ptr, ptr[1:])]
     rows = np.empty((len(sources), graph.n))
     for i, s in enumerate(sources.tolist()):
         dist = [INFINITY] * graph.n
@@ -305,16 +307,16 @@ def _python_dijkstra(graph: _Graph, sources: np.ndarray, directed: bool) -> np.n
     return rows
 
 
-def _search(graph: _Graph, sources: np.ndarray, directed: bool = False) -> np.ndarray:
-    """Shortest-path rows from sources: the Python kernel on small searches, else scipy's."""
+def _search(graph: _Graph, sources: np.ndarray) -> np.ndarray:
+    """Shortest-path rows from sources along the graph's stored arcs: the Python kernel when small, else scipy's."""
     limit = _PYTHON_SEARCH_WARM_MAX if "scipy.sparse.csgraph" in sys.modules else _PYTHON_SEARCH_MAX
     if len(sources) * len(graph.indices) <= limit:
-        return _python_dijkstra(graph, sources, directed)
+        return _python_dijkstra(graph, sources)
     import scipy.sparse as sp
     from scipy.sparse.csgraph import dijkstra
 
     matrix = sp.csr_matrix((graph.weights, graph.indices, graph.indptr), shape=(graph.n, graph.n))
-    return dijkstra(matrix, directed=directed, indices=sources)
+    return dijkstra(matrix, directed=True, indices=sources)
 
 
 def zigzag_from_edges(n: int, edges, sources=None) -> np.ndarray:
@@ -326,11 +328,11 @@ def zigzag_from_edges(n: int, edges, sources=None) -> np.ndarray:
     dense base matrix would not fit.  The edges are checked as a space
     checks them (ValueError on a bad endpoint or length).
     """
-    return _zigzag(_weight_csr(n, *_parse_edges(edges, n)), sources)
+    return _zigzag(_zigzag_graph(n, *_parse_edges(edges, n)), sources)
 
 
 def _zigzag(graph: _Graph, sources=None) -> np.ndarray:
-    """zigzag_from_edges on a graph from _weight_csr."""
+    """zigzag_from_edges on a graph from _zigzag_graph."""
     n = graph.n
     if n == 0:
         return np.zeros((0, 0))
@@ -353,7 +355,7 @@ def _zigzag(graph: _Graph, sources=None) -> np.ndarray:
 
 def compute_zigzag(space: FiniteDSpace) -> np.ndarray:
     """Full zigzag distance matrix of a space (extended metric, zz >= base)."""
-    return _zigzag(_weight_csr(space.n, space.src, space.dst, space.length))
+    return _zigzag(_zigzag_graph(space.n, space.src, space.dst, space.length))
 
 
 def compute_reachability(space: FiniteDSpace) -> np.ndarray:
@@ -367,11 +369,11 @@ def compute_reachability(space: FiniteDSpace) -> np.ndarray:
     if space.edges:
         graph = _weight_csr(n, space.src, space.dst, space.length)
         for r in _row_blocks(n):
-            reach[r] |= np.isfinite(_search(graph, np.arange(r.start, r.stop), directed=True))
+            reach[r] |= np.isfinite(_search(graph, np.arange(r.start, r.stop)))
     return reach
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DirectedMetricSpace:
     """A space bundled with its derived zigzag metric and reachability.
 

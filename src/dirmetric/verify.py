@@ -51,8 +51,8 @@ from .spaces import (
     DEFAULT_TOL,
     DirectedMetricSpace,
     FiniteDSpace,
-    _weight_csr,
     _zigzag,
+    _zigzag_graph,
     compute_zigzag,
     max_triangle_defect,
     quotient,
@@ -382,7 +382,7 @@ _IDENTITY_BATCH = 8
 def _identity_distortion(graph, base_rows: Callable[[np.ndarray], np.ndarray]) -> float:
     """max |base - Z| over all pairs, reading only the rows that can raise it.
 
-    graph is the _weight_csr graph of the edges and base_rows(rows) returns
+    graph is the _zigzag_graph of the edges and base_rows(rows) returns
     base[rows]: one batch of rows is alive at a time, never an n x n matrix.
     No edge may be shorter than its endpoints' base distance, so Z >= base.
     Z's rows come straight from Dijkstra, unsymmetrized: the value is never
@@ -422,7 +422,7 @@ def check_square_identity(seed: int, budget: SearchBudget):
     if (length < np.hypot(x[dst] - x[src], y[dst] - y[src]) - DEFAULT_TOL).any():
         return False, {"error": "edge shorter than its endpoints' base distance"}
     # with identity maps, map_distortion and pair_codistortion are both max |base - Z|
-    dis_id = codis_id = _identity_distortion(_weight_csr(len(x), src, dst, length), lambda r: _plane_rows(x, y, r))
+    dis_id = codis_id = _identity_distortion(_zigzag_graph(len(x), src, dst, length), lambda r: _plane_rows(x, y, r))
     target = 2.0 - math.sqrt(2.0)
     return abs(dis_id - target) <= 0.03, {
         "dis_identity": dis_id,
@@ -438,7 +438,7 @@ def check_torus_balls(seed: int, budget: SearchBudget):
     band = 1.0 / k
     x, y = _grid_coords(k, k)
     centers = np.array([k // 4 * (i * k + j) for i in range(4) for j in range(4)])
-    zz = _zigzag(_weight_csr(k * k, *_step_edges(GridSpec(k=k), k)), centers)
+    zz = _zigzag(_zigzag_graph(k * k, *_step_edges(GridSpec(k=k), k)), centers)
     failures = 0
     for b, z in zip(_torus_rows(x, y, centers), zz):
         for r in (0.15, 0.30, 0.45):
@@ -489,7 +489,7 @@ def check_grid_oracle_convergence(seed: int, budget: SearchBudget):
         snap = np.round(pts * k).astype(int)
         idx = snap[:, 0] * (k + 1) + snap[:, 1]
         sp = snap / k
-        sub = _zigzag(_weight_csr((k + 1) ** 2, *_step_edges(GridSpec(k=k), k + 1)), idx)[:, idx]
+        sub = _zigzag(_zigzag_graph((k + 1) ** 2, *_step_edges(GridSpec(k=k), k + 1)), idx)[:, idx]
         O_snap = square_zigzag_oracle(sp[:, None], sp[None, :])
         if not ((sub >= O_snap - DEFAULT_TOL) & (sub <= ratio * O_snap + _CONVERGENCE_C / k + DEFAULT_TOL)).all():
             envelope_ok = False

@@ -312,9 +312,9 @@ def full_table_threshold_correspondence(dX, dY, compat, cand, T, floor, node_lim
 def full_identity_distortion(space) -> float:
     """max |base - Z| over every row of Dijkstra's unsymmetrized zigzag,
     one row block at a time: the reduction the pruned row search replaced."""
-    from dirmetric.spaces import _row_blocks, _weight_csr, _zigzag
+    from dirmetric.spaces import _row_blocks, _zigzag, _zigzag_graph
 
-    graph = _weight_csr(space.n, space.src, space.dst, space.length)
+    graph = _zigzag_graph(space.n, space.src, space.dst, space.length)
     worst = 0.0
     for r in _row_blocks(space.n):
         Z = _zigzag(graph, np.arange(r.start, r.stop))

@@ -3,7 +3,8 @@
 Claims covered: builder validation, zigzag distances against a slow
 relaxation oracle, reachability against recursive search, reversal
 leaving zigzag values bitwise unchanged, the frozen values of the
-union / product / quotient constructions, and one quotient point per class.
+union / product / quotient constructions, one quotient point per class,
+and spaces comparing and hashing by identity.
 """
 
 import sys
@@ -21,6 +22,7 @@ from dirmetric import (
     INFINITY,
     DirectedMetricSpace,
     FiniteDSpace,
+    VertexMap,
     compute_reachability,
     compute_zigzag,
     disjoint_union,
@@ -33,6 +35,7 @@ from dirmetric import (
     zigzag_from_edges,
 )
 from dirmetric import spaces
+from dirmetric.cli import main
 from dirmetric.fileio import space_to_doc
 from dirmetric.gallery import (
     GridSpec,
@@ -44,7 +47,7 @@ from dirmetric.gallery import (
     sncf_plane,
     source_sink_interval,
 )
-from dirmetric.spaces import _python_dijkstra, _weight_csr
+from dirmetric.spaces import _python_dijkstra, _weight_csr, _zigzag_graph
 
 TWO = FiniteDSpace(base=[[0.0, 1.0], [1.0, 0.0]], edges=((0, 1, 1.0),))
 
@@ -344,13 +347,34 @@ def scipy_rows(n, src, dst, length, sources, directed):
 
 @pytest.mark.parametrize("directed", [False, True])
 def test_python_dijkstra_rows_equal_scipy_bit_for_bit(directed):
+    # the kernel walks the graph it is given: a forward graph against
+    # scipy's directed search, a two-way graph against its undirected one
+    build = _weight_csr if directed else _zigzag_graph
     rng = np.random.default_rng(20)
     for _ in range(400):
         n = int(rng.integers(1, 25))
         src, dst, length = random_edge_arrays(rng, n)
         sources = rng.integers(0, n, int(rng.integers(1, 2 * n + 1)))  # repeats included
-        rows = _python_dijkstra(_weight_csr(n, src, dst, length), sources, directed)
+        rows = _python_dijkstra(build(n, src, dst, length), sources)
         assert np.array_equal(rows, scipy_rows(n, src, dst, length, sources, directed))
+
+
+def test_each_edge_set_is_reduced_once_per_direction(monkeypatch, tmp_path):
+    s = open_book(2, 3)
+    calls = []
+    build = spaces._weight_csr
+    monkeypatch.setattr(spaces, "_weight_csr", lambda *a: calls.append(1) or build(*a))
+    DirectedMetricSpace.from_space(s)
+    assert len(calls) == 2  # the two-way graph of the zigzag, the forward one of reachability
+    graph = _zigzag_graph(s.n, s.src, s.dst, s.length)
+    calls.clear()
+    _python_dijkstra(graph, np.arange(s.n))
+    assert calls == []
+    torus = tmp_path / "t32.json"
+    assert main(["gen", "torus", "--k", "32", "--out", str(torus)]) == 0
+    calls.clear()
+    assert main(["ball", str(torus), "--center", "(0.5,0.5)", "--radius", "0.3", "--out", str(tmp_path / "b.csv")]) == 0
+    assert len(calls) == 1
 
 
 def test_python_and_scipy_branches_agree_on_the_gallery(monkeypatch):
@@ -387,9 +411,9 @@ def test_search_bound_drops_once_scipy_is_loaded(monkeypatch):
     kernel = spaces._python_dijkstra
     monkeypatch.setattr(spaces, "_python_dijkstra", lambda *a: calls.append(len(a[1])) or kernel(*a))
     s = open_book(10, 8)
-    graph = _weight_csr(s.n, s.src, s.dst, s.length)
-    edges = len(graph.indices)
-    warm_rows, cold_rows = spaces._PYTHON_SEARCH_WARM_MAX // edges, spaces._PYTHON_SEARCH_MAX // edges
+    graph = _zigzag_graph(s.n, s.src, s.dst, s.length)
+    entries = len(graph.indices)
+    warm_rows, cold_rows = spaces._PYTHON_SEARCH_WARM_MAX // entries, spaces._PYTHON_SEARCH_MAX // entries
     assert 0 < warm_rows < cold_rows
     small, large = np.arange(warm_rows) % s.n, np.arange(cold_rows) % s.n
     assert "scipy.sparse.csgraph" in sys.modules
@@ -400,6 +424,16 @@ def test_search_bound_drops_once_scipy_is_loaded(monkeypatch):
     cold = spaces._search(graph, small), spaces._search(graph, large)
     assert calls == [small.size, large.size]
     assert all(np.array_equal(a, b) for a, b in zip(warm, cold))
+
+
+def test_spaces_and_maps_compare_and_hash_by_identity():
+    a, b = directed_interval(3), directed_interval(3)
+    assert a == a and a != b and len({a, b, a}) == 2
+    A, B = DirectedMetricSpace.from_space(a), DirectedMetricSpace.from_space(a)
+    assert A == A and A != B and len({A, B, A}) == 2
+    f = VertexMap(A, A, (0, 1, 2, 3))
+    assert f == VertexMap(A, A, [0, 1, 2, 3]) and hash(f) == hash(VertexMap(A, A, (0, 1, 2, 3)))
+    assert f != VertexMap(A, B, (0, 1, 2, 3)) and f != VertexMap(A, A, (0, 0, 2, 3))
 
 
 def test_reversal_keeps_zigzag_bitwise():

@@ -17,14 +17,14 @@ from dirmetric.gallery import (
     source_sink_interval,
 )
 from dirmetric.distances import DEFAULT_BUDGET
-from dirmetric.spaces import _weight_csr, compute_reachability, disjoint_union
+from dirmetric.spaces import _zigzag_graph, compute_reachability, disjoint_union
 from dirmetric.verify import _identity_distortion, naive_min_correspondence_distortion
 from oracles import full_identity_distortion
 
 
 def _space_identity_distortion(s):
     """The pruned row search on a space's edges and dense base."""
-    return _identity_distortion(_weight_csr(s.n, s.src, s.dst, s.length), lambda rows: s.base[rows])
+    return _identity_distortion(_zigzag_graph(s.n, s.src, s.dst, s.length), lambda rows: s.base[rows])
 
 
 def test_core_suite_passes():
