@@ -187,6 +187,8 @@ def _load_subsets(path: str, X: DirectedMetricSpace):
         vals = doc[side]
         if not isinstance(vals, list):
             raise SpaceFormatError(f"{path}: \"{side}\" must be a list of indices or labels")
+        if not vals:
+            raise SpaceFormatError(f"{path}: \"{side}\" must not be empty")
         out = []
         for v in vals:
             if isinstance(v, bool) or not isinstance(v, (int, str)):

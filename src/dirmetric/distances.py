@@ -39,10 +39,12 @@ reachability types (reach + 2 * reach.T) agree.  For cdis,
 constraint propagation first drops pairs that fit in no d-correspondence,
 which proves infeasibility when a point is left without partner.  gh runs
 branch and bound up to its exhaustive cap, the threshold search up to
-PAIR_LIMIT pairs, and a map-pair local search above that.  Both threshold
-searches stop after NODE_LIMIT nodes above their exhaustive caps and then
-report the best certificate and the proven lower bound, exact only if
-they meet.
+PAIR_LIMIT pairs, and a map-pair local search above that.  The branch and
+bound takes pairs in row-major order and cuts a branch that leaves a row
+or column uncovered once its position shows that line has no pair left.
+Both threshold searches stop after NODE_LIMIT nodes above their
+exhaustive caps and then report the best certificate and the proven
+lower bound, exact only if they meet.
 
 The map-pair distance enumerates map pairs while that is small.  Above
 that and up to PAIR_LIMIT pairs it is closed from the chain: gh's lower
@@ -290,21 +292,15 @@ def _value_gap_lower(dX: np.ndarray, dY: np.ndarray) -> float:
 
 
 def _bnb_correspondence(dX: np.ndarray, dY: np.ndarray):
-    """Exact minimum-distortion correspondence via branch and bound."""
+    """Exact minimum-distortion correspondence via branch and bound.
+
+    Pair x * nY + y is decided at that depth, included before excluded.  From
+    pair i on, the rows before i // nY and the last row's columns before
+    i - (nX - 1) * nY have no pair left: leaving one uncovered cuts the branch.
+    """
     nX, nY = dX.shape[0], dY.shape[0]
     m = nX * nY
     C = ext_abs_diff(dX[:, None, :, None], dY[None, :, None, :]).reshape(m, m)
-
-    # how many pairs of each row/column sit at or after position i
-    row_of = np.arange(m) // nY
-    col_of = np.arange(m) % nY
-    row_suffix = np.zeros((m + 1, nX), dtype=int)
-    col_suffix = np.zeros((m + 1, nY), dtype=int)
-    for i in range(m - 1, -1, -1):
-        row_suffix[i] = row_suffix[i + 1]
-        col_suffix[i] = col_suffix[i + 1]
-        row_suffix[i, row_of[i]] += 1
-        col_suffix[i, col_of[i]] += 1
 
     # incumbents: the identity when nX == nY, and every x to 0 with 0 to every y
     incumbents = [[x * nY for x in range(nX)] + list(range(1, nY))]
@@ -318,41 +314,37 @@ def _bnb_correspondence(dX: np.ndarray, dY: np.ndarray):
             best_val, best = val, ps
 
     chosen: list[int] = []
-
-    def covered_ok(i: int, rows_missing, cols_missing) -> bool:
-        return not (rows_missing & (row_suffix[i] == 0)).any() and not (cols_missing & (col_suffix[i] == 0)).any()
-
-    rows_have = np.zeros(nX, dtype=int)
-    cols_have = np.zeros(nY, dtype=int)
+    rows_have = [0] * nX
+    cols_have = [0] * nY
 
     def rec(i: int, partial: float):
         nonlocal best_val, best
         if partial >= best_val:
             return
+        if 0 in rows_have[: i // nY] or 0 in cols_have[: max(0, i - (nX - 1) * nY)]:
+            return
         if i == m:
-            if (rows_have > 0).all() and (cols_have > 0).all():
-                best_val, best = partial, list(chosen)
+            best_val, best = partial, list(chosen)
             return
-        if not covered_ok(i, rows_have == 0, cols_have == 0):
-            return
+        x, y = divmod(i, nY)
         # include pair i
         add = float(np.max(C[i, chosen])) if chosen else 0.0
         new_partial = max(partial, add)
         if new_partial < best_val:
             chosen.append(i)
-            rows_have[row_of[i]] += 1
-            cols_have[col_of[i]] += 1
+            rows_have[x] += 1
+            cols_have[y] += 1
             rec(i + 1, new_partial)
             chosen.pop()
-            rows_have[row_of[i]] -= 1
-            cols_have[col_of[i]] -= 1
+            rows_have[x] -= 1
+            cols_have[y] -= 1
         # exclude pair i
         rec(i + 1, partial)
 
     rec(0, 0.0)
     if best is None:
         return INFINITY, None
-    return best_val, sorted((int(p // nY), int(p % nY)) for p in best)
+    return best_val, sorted(divmod(p, nY) for p in best)
 
 
 def _reach_types(reach: np.ndarray) -> np.ndarray:
@@ -665,7 +657,7 @@ def gh_distance(X: DirectedMetricSpace, Y: DirectedMetricSpace, budget: SearchBu
     cert = None  # no map pair of finite objective: the value is inf
     if f is not None:
         pairs = tuple(sorted({(x, f[x]) for x in range(nX)} | {(g[y], y) for y in range(nY)}))
-        val = distortion_relation(pairs, dX, dY)  # the induced correspondence can only be better
+        val = distortion_relation(pairs, dX, dY)  # graph(f) and graph(g)^T: the map-pair objective, term for term
         cert = Correspondence(nX, nY, pairs)
     value = 0.5 * val
     exact = value <= lower + 1e-12

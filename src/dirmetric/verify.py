@@ -569,6 +569,8 @@ def run_checks(suite: str, seed: int = 0, budget: SearchBudget = DEFAULT_BUDGET)
     """Run one suite (or all) and return structured results."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; pick one of {', '.join(SUITES)}")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     results = []
     for group, name, fn in CHECKS:
         if suite != "all" and group != suite:

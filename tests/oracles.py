@@ -13,10 +13,11 @@ import io
 import json
 import math
 from dataclasses import asdict, is_dataclass
+from typing import Optional
 
 import numpy as np
 
-from dirmetric import SpaceFormatError, ext_abs_diff
+from dirmetric import INFINITY, SpaceFormatError, ext_abs_diff
 
 INF = float("inf")
 
@@ -221,6 +222,78 @@ def slow_min_dcorrespondence(dX, dY, reach_source, reach_target) -> float:
                     worst = max(worst, abs(a - b))
         best = min(best, worst)
     return best
+
+
+def table_bnb_correspondence(dX: np.ndarray, dY: np.ndarray):
+    """Exact minimum-distortion correspondence via branch and bound.
+
+    Coverability is read from (m + 1) x |X| and (m + 1) x |Y| tables of
+    how many pairs of each row and column sit at or after each position:
+    the reference for the library's search, which reads it off the
+    position and must return the same value and pairs.
+    """
+    nX, nY = dX.shape[0], dY.shape[0]
+    m = nX * nY
+    C = ext_abs_diff(dX[:, None, :, None], dY[None, :, None, :]).reshape(m, m)
+
+    # how many pairs of each row/column sit at or after position i
+    row_of = np.arange(m) // nY
+    col_of = np.arange(m) % nY
+    row_suffix = np.zeros((m + 1, nX), dtype=int)
+    col_suffix = np.zeros((m + 1, nY), dtype=int)
+    for i in range(m - 1, -1, -1):
+        row_suffix[i] = row_suffix[i + 1]
+        col_suffix[i] = col_suffix[i + 1]
+        row_suffix[i, row_of[i]] += 1
+        col_suffix[i, col_of[i]] += 1
+
+    # incumbents: the identity when nX == nY, and every x to 0 with 0 to every y
+    incumbents = [[x * nY for x in range(nX)] + list(range(1, nY))]
+    if nX == nY:
+        incumbents.insert(0, [x * nY + x for x in range(nX)])
+    best_val = INFINITY
+    best: Optional[list[int]] = None
+    for ps in incumbents:
+        val = float(np.max(C[np.ix_(ps, ps)]))
+        if val < best_val:
+            best_val, best = val, ps
+
+    chosen: list[int] = []
+
+    def covered_ok(i: int, rows_missing, cols_missing) -> bool:
+        return not (rows_missing & (row_suffix[i] == 0)).any() and not (cols_missing & (col_suffix[i] == 0)).any()
+
+    rows_have = np.zeros(nX, dtype=int)
+    cols_have = np.zeros(nY, dtype=int)
+
+    def rec(i: int, partial: float):
+        nonlocal best_val, best
+        if partial >= best_val:
+            return
+        if i == m:
+            if (rows_have > 0).all() and (cols_have > 0).all():
+                best_val, best = partial, list(chosen)
+            return
+        if not covered_ok(i, rows_have == 0, cols_have == 0):
+            return
+        # include pair i
+        add = float(np.max(C[i, chosen])) if chosen else 0.0
+        new_partial = max(partial, add)
+        if new_partial < best_val:
+            chosen.append(i)
+            rows_have[row_of[i]] += 1
+            cols_have[col_of[i]] += 1
+            rec(i + 1, new_partial)
+            chosen.pop()
+            rows_have[row_of[i]] -= 1
+            cols_have[col_of[i]] -= 1
+        # exclude pair i
+        rec(i + 1, partial)
+
+    rec(0, 0.0)
+    if best is None:
+        return INFINITY, None
+    return best_val, sorted((int(p // nY), int(p % nY)) for p in best)
 
 
 def reach_compat_matrix(reach_source, reach_target) -> np.ndarray:

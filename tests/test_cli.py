@@ -48,7 +48,7 @@ from dirmetric import cli, distances
 from dirmetric.cli import RunConfig, _certificate_value, _zigzag_ball_row, build_parser, main
 from dirmetric.distances import DEFAULT_BUDGET
 from dirmetric.spaces import compute_zigzag
-from dirmetric.verify import check_source_sink
+from dirmetric.verify import check_source_sink, run_checks
 
 
 def run(capsys, *argv):
@@ -353,6 +353,16 @@ def test_dist_hausdorff_subsets_by_label_and_index(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_dist_hausdorff_names_the_file_of_an_empty_subset(capsys, tmp_path, side):
+    fx, _ = write_two_arm(tmp_path, k=2)
+    subs = tmp_path / "subs.json"
+    subs.write_text(json.dumps({"a": [0], "b": [1], side: []}))
+    code, out, err = run(capsys, "dist", "hausdorff", fx, str(subs))
+    assert (code, out) == (1, "")
+    assert err == f'error: {subs}: "{side}" must not be empty\n'
+
+
 def test_dist_runs_are_byte_identical(capsys, tmp_path):
     fx, fy = write_two_arm(tmp_path, k=3)
     _, out1, _ = run(capsys, "dist", "dis", fx, fy)
@@ -538,6 +548,17 @@ def test_verify_writes_report_with_out(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", "core", "--out", str(path))
     assert code == 0
     assert path.read_text() == out
+
+
+@pytest.mark.parametrize("suite", ["examples", "core", "distances", "all"])
+def test_verify_rejects_a_negative_seed_in_every_suite(capsys, suite):
+    # examples draws no random ensemble and core draws from numpy; both
+    # kinds refuse the seed before any check runs, with the same message
+    with pytest.raises(ValueError, match="got -3"):
+        run_checks(suite, seed=-3)
+    code, out, err = run(capsys, "verify", suite, "--seed", "-1")
+    assert (code, out) == (1, "")
+    assert err == "error: seed must be a non-negative integer, got -1\n"
 
 
 def test_verify_rejects_unknown_suite(capsys):

@@ -38,6 +38,7 @@ import numpy as np
 import pytest
 from conftest import small_spaces
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from oracles import (
     diameter_value_gap_lower,
     full_table_threshold_correspondence,
@@ -48,6 +49,7 @@ from oracles import (
     slow_min_dcorrespondence,
     slow_random_greedy_map,
     table_arc_consistent_candidates,
+    table_bnb_correspondence,
 )
 
 from dirmetric import (
@@ -266,6 +268,34 @@ def test_bnb_agrees_with_naive_enumeration():
         assert r.exact
         naive = 0.5 * naive_min_correspondence_distortion(X.zz, Y.zz)
         assert r.value == pytest.approx(naive, abs=1e-9)
+
+
+def test_positional_bnb_equals_the_suffix_table_reference():
+    # the same value and certificate as the search that read per-position
+    # suffix tables, on 1056 seeded zigzag pairs with |X|*|Y| <= 20, every
+    # third one of two disconnected spaces: every 1 x n and n x 1 shape, where
+    # one position rule does all the cutting, four times; independent spaces
+    # of the other shapes, 60 times each up to 12 pairs and four times above;
+    # and relabelled copies of a space and of its reversal, whose many optimal
+    # correspondences make ties
+    rng = np.random.default_rng(233)
+    lines = [(1, n) for n in range(1, 21)] + [(n, 1) for n in range(2, 21)]
+    grids = [(nx, ny) for nx in range(2, 11) for ny in range(2, 20 // nx + 1)]
+    cases = [(nx, ny, "independent") for nx, ny in lines] * 4
+    cases += [(nx, ny, "independent") for nx, ny in grids if nx * ny <= 12] * 60
+    cases += [(nx, ny, "independent") for nx, ny in grids if nx * ny > 12] * 4
+    cases += [(n, n, kind) for n in (2, 3, 4) for kind in ("relabelled", "reversed")] * 20
+    for count, (nx, ny, kind) in enumerate(cases):
+        connected = count % 3 != 0
+        s = random_space(rng, nx, connected=connected)
+        dX = DirectedMetricSpace.from_space(s).zz
+        if kind == "independent":
+            dY = DirectedMetricSpace.from_space(random_space(rng, ny, connected=connected)).zz
+        else:
+            sigma = rng.permutation(nx)
+            dY = DirectedMetricSpace.from_space(s if kind == "relabelled" else reverse(s)).zz[np.ix_(sigma, sigma)]
+        assert distances._bnb_correspondence(dX, dY) == table_bnb_correspondence(dX, dY), (nx, ny, kind)
+    assert len(cases) == 1056
 
 
 def dspace_random(rng, n) -> DirectedMetricSpace:
@@ -765,6 +795,19 @@ def test_frozen_pair_where_base_comparison_exceeds_zigzag():
     assert base.exact and base.value > rep.gh.value + DEFAULT_TOL
     assert rep.gh.value == pytest.approx(0.05)
     assert base.value == pytest.approx(0.25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_spaces(max_n=6), small_spaces(max_n=6), st.data())
+def test_map_pair_objective_is_the_distortion_of_its_graphs(X, Y, data):
+    # the correspondence graph(f) with graph(g) transposed has the same
+    # terms as the map-pair objective (f's and g's distortions and the
+    # codistortion, both ways on symmetric zigzag matrices), so gh's
+    # local-search certificate scores to the same float
+    f = data.draw(st.lists(st.integers(0, Y.n - 1), min_size=X.n, max_size=X.n))
+    g = data.draw(st.lists(st.integers(0, X.n - 1), min_size=Y.n, max_size=Y.n))
+    pairs = {(x, f[x]) for x in range(X.n)} | {(g[y], y) for y in range(Y.n)}
+    assert distortion_relation(sorted(pairs), X.zz, Y.zz) == MapPair(tuple(f), tuple(g)).objective(X.zz, Y.zz)
 
 
 def test_local_search_without_a_finite_map_pair_reports_inf(monkeypatch):
