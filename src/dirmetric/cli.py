@@ -60,7 +60,7 @@ from .spaces import (
     compute_reachability,
     compute_zigzag,
 )
-from .verify import SUITES, run_checks
+from .verify import SUITES, CheckError, run_checks
 
 GEN_IDS = ("interval", "square", "source-sink", "torus", "open-book", "sncf", "hollow-square")
 
@@ -464,7 +464,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (SpaceFormatError, OSError) as exc:
+    except (SpaceFormatError, OSError, CheckError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

@@ -108,17 +108,19 @@ def max_triangle_defect(d: np.ndarray) -> float:
     """Largest violation of d[i,j] <= d[i,k] + d[k,j] over all triples.
 
     <= 0 means the (extended) triangle inequality holds.  An inf right
-    hand side never counts as violated, whatever the left side is.
+    hand side never counts as violated, whatever the left side is; a nan
+    anywhere in d gives nan.  Only the least right hand side over k is
+    kept per (i, j): fl(d - r) never rises as r does, so its defect is
+    the largest, bit for bit.
     """
     d = np.asarray(d, dtype=float)
-    n = d.shape[0]
-    worst = -INFINITY
-    for k in range(n):
-        rhs = np.add.outer(d[:, k], d[k, :])
-        with np.errstate(invalid="ignore"):
-            defect = np.where(np.isinf(rhs), -INFINITY, d - rhs)
-        worst = max(worst, float(np.max(defect))) if defect.size else worst
-    return worst
+    if not d.size:
+        return -INFINITY
+    rhs = np.full(d.shape, INFINITY)
+    for k in range(d.shape[0]):
+        np.minimum(rhs, np.add.outer(d[:, k], d[k, :]), out=rhs)
+    with np.errstate(invalid="ignore"):
+        return float(np.max(np.where(np.isinf(rhs), -INFINITY, d - rhs)))
 
 
 def assert_extended_metric(d: np.ndarray, *, check_triangle: bool = True) -> None:

@@ -6,11 +6,19 @@ property, and returns a pass flag plus a small numeric summary.  The
 command line front end groups them into suites (core / distances /
 examples); the test suite runs the same functions, so the shipped
 verifier and the development tests cannot drift apart.
+
+run_checks runs the chosen checks in forked worker processes, one per
+CPU the process may use, and returns their results in CHECKS order, so
+verify's stdout is byte for byte what one process running them in turn
+wrote.  When an examples check is chosen, scipy is imported once before
+the fork instead of once per worker, and the grid checks' arrays live in
+the workers, not in the calling process.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import time
 import zlib
 from dataclasses import dataclass
@@ -565,17 +573,46 @@ CHECKS: tuple[tuple[str, str, Callable], ...] = (
 SUITES = ("core", "distances", "examples", "all")
 
 
+def _run_check(i: int, seed: int, budget: SearchBudget) -> CheckResult:
+    """Run and time CHECKS[i]; a forked worker reads its own copy of CHECKS."""
+    group, name, fn = CHECKS[i]
+    t0 = time.perf_counter()
+    passed, details = fn(seed, budget)
+    return CheckResult(group, name, bool(passed), details, time.perf_counter() - t0)
+
+
+class CheckError(RuntimeError):
+    """A check raised, or the worker running it died."""
+
+
 def run_checks(suite: str, seed: int = 0, budget: SearchBudget = DEFAULT_BUDGET) -> list[CheckResult]:
-    """Run one suite (or all) and return structured results."""
+    """Run one suite (or all) in forked workers and return results in CHECKS order.
+
+    A fork copies only the calling thread: call it from a process that
+    runs no other threads.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; pick one of {', '.join(SUITES)}")
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    results = []
-    for group, name, fn in CHECKS:
-        if suite != "all" and group != suite:
-            continue
-        t0 = time.perf_counter()
-        passed, details = fn(seed, budget)
-        results.append(CheckResult(group, name, bool(passed), details, time.perf_counter() - t0))
-    return results
+    chosen = [i for i, (group, _, _) in enumerate(CHECKS) if suite in ("all", group)]
+    if suite in ("all", "examples"):
+        # the grid checks search in scipy: import it once, before the fork
+        import scipy.sparse.csgraph
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(usable, len(chosen))
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        futures = [pool.submit(_run_check, i, seed, budget) for i in chosen]
+        results = []
+        for i, future in zip(chosen, futures):
+            try:
+                results.append(future.result())
+            except Exception as exc:
+                raise CheckError(f"check {CHECKS[i][1]} did not finish: {exc!r}") from exc
+        return results
+    finally:
+        pool.shutdown(cancel_futures=True)

@@ -12,12 +12,15 @@ import csv
 import io
 import json
 import math
+import time
 from dataclasses import asdict, is_dataclass
 from typing import Optional
 
 import numpy as np
 
 from dirmetric import INFINITY, SpaceFormatError, ext_abs_diff
+from dirmetric.distances import DEFAULT_BUDGET, SearchBudget
+from dirmetric.verify import CHECKS, SUITES, CheckResult
 
 INF = float("inf")
 
@@ -495,3 +498,34 @@ def slow_matrix_to_csv(matrix, labels) -> str:
         else:
             w.writerow([repr(float(v)) for v in row])
     return out.getvalue()
+
+
+def loop_max_triangle_defect(d) -> float:
+    """max_triangle_defect as it was: one masked n x n defect per middle
+    point k, reduced to a Python float each time."""
+    d = np.asarray(d, dtype=float)
+    n = d.shape[0]
+    worst = -INFINITY
+    for k in range(n):
+        rhs = np.add.outer(d[:, k], d[k, :])
+        with np.errstate(invalid="ignore"):
+            defect = np.where(np.isinf(rhs), -INFINITY, d - rhs)
+        worst = max(worst, float(np.max(defect))) if defect.size else worst
+    return worst
+
+
+def serial_run_checks(suite: str, seed: int = 0, budget: SearchBudget = DEFAULT_BUDGET) -> list[CheckResult]:
+    """verify.run_checks as it was: every chosen check in this process, in
+    CHECKS order."""
+    if suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}; pick one of {', '.join(SUITES)}")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    results = []
+    for group, name, fn in CHECKS:
+        if suite != "all" and group != suite:
+            continue
+        t0 = time.perf_counter()
+        passed, details = fn(seed, budget)
+        results.append(CheckResult(group, name, bool(passed), details, time.perf_counter() - t0))
+    return results

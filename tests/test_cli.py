@@ -7,7 +7,9 @@ out-of-memory error among them), non-standard JSON numbers are invalid
 JSON, gen, ball on the k = 32 torus and the open book's zigzag load no
 scipy while an all-pairs zigzag past the Python search bound does, dist
 on two empty spaces reports an exact 0,
-one cached parser serves every call, failed suites would exit 2,
+one cached parser serves every call, importing the CLI loads no process
+pool and verify core no scipy, verify's stdout is frozen on three seeds,
+failed suites would exit 2,
 gh and dis on a 1024-point interval finish without a traceback, ball's
 one-row zigzag decides membership as the full matrix does, and
 repeated seeded runs are byte-identical.
@@ -212,6 +214,26 @@ def test_scipy_loads_only_for_searches_above_the_python_bound(tmp_path):
         assert rows[0] == list(s.labels)
         zz = np.array(rows[1:], dtype=float)
         assert np.allclose(zz, relax_zigzag(s.n, s.edges), rtol=0, atol=1e-12)
+
+
+def test_cli_import_loads_no_process_pool_and_verify_loads_scipy_only_for_examples():
+    # every grid-io command and benchmark set-up imports dirmetric.cli, so
+    # run_checks imports its pool itself; the core checks search in Python
+    # and the examples suite loads scipy once, before the fork
+    script = (
+        "import sys\n"
+        "from dirmetric.cli import main\n"
+        "print('pool loaded:', any(m in sys.modules for m in ('multiprocessing', 'concurrent.futures')), file=sys.stderr)\n"
+        "for suite in ('core', 'examples'):\n"
+        "    assert main(['verify', suite]) == 0\n"
+        "    print('scipy loaded:', 'scipy' in sys.modules, file=sys.stderr)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = [line for line in proc.stderr.splitlines() if line.endswith(("True", "False"))]
+    assert loaded == ["pool loaded: False", "scipy loaded: False", "scipy loaded: True"]
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +503,14 @@ FROZEN_OUTPUT_SHA256 = {
     "gh stdout": "0c4c6c09b2b4dbf89013dba3226b8969d3e0ad10158463b2aab43a8f252b7a51",
 }
 
+# sha256 of verify's stdout, which the forked workers must leave as the
+# serial loop wrote it
+FROZEN_VERIFY_SHA256 = {
+    0: "135fa40e3f2a1763fef6d0fe952910599bc03cfbe466910fe9de82a21c610e03",
+    3: "5dc8debf35036e0ac806278a9142e8bfa8a18175a8ecb01379626b844b4d9974",
+    7: "0dee434a550d3179171761128ab05a89ff75f8fedd57b583f6c70820d7d55537",
+}
+
 
 def test_cli_output_bytes_are_frozen(capsys, tmp_path):
     def path(name):
@@ -501,6 +531,15 @@ def test_cli_output_bytes_are_frozen(capsys, tmp_path):
         for name in FROZEN_OUTPUT_SHA256
     }
     assert got == FROZEN_OUTPUT_SHA256
+
+
+def test_verify_output_bytes_are_frozen(capsys):
+    got = {}
+    for seed in FROZEN_VERIFY_SHA256:
+        code, out, _ = run(capsys, "verify", "--seed", str(seed))
+        assert code == 0
+        got[seed] = hashlib.sha256(out.encode()).hexdigest()
+    assert got == FROZEN_VERIFY_SHA256
 
 
 # sha256 of the lattice files the writers lay out from their value tables

@@ -9,12 +9,13 @@ and spaces comparing and hashing by identity.
 
 import sys
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
 from conftest import small_spaces
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import recursive_reachability, relax_zigzag, symmetrized_min
+from oracles import loop_max_triangle_defect, recursive_reachability, relax_zigzag, symmetrized_min
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
@@ -257,6 +258,30 @@ def test_zigzag_is_extended_metric_and_dominates_base():
         with np.errstate(invalid="ignore"):
             gap = np.where(np.isinf(zz), 0.0, s.base - zz)
         assert gap.max() <= 1e-9
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["cells", "zigzag", "perturbed"]), st.data())
+def test_triangle_defect_equals_the_per_k_loop_bit_for_bit(kind, data):
+    # arbitrary cells with inf entries, zigzag matrices (inf across
+    # components) and zigzag matrices scaled cell by cell, which break the
+    # triangle inequality; repr tells -inf, -0.0 and 0.0 apart
+    if kind == "cells":
+        n = data.draw(st.integers(0, 7))
+        d = data.draw(hnp.arrays(float, (n, n), elements=st.one_of(st.floats(0.0, 4.0), st.just(INFINITY))))
+    else:
+        d = data.draw(small_spaces(8)).zz
+        if kind == "perturbed":
+            d = d * data.draw(hnp.arrays(float, d.shape, elements=st.floats(0.5, 1.5)))
+    assert repr(max_triangle_defect(d)) == repr(loop_max_triangle_defect(d))
+
+
+def test_triangle_defect_of_a_matrix_with_a_nan_is_nan():
+    # the loop dropped every k whose defects held a nan, so it read -inf here
+    for cell in ((0, 1), (1, 1), (2, 0)):
+        d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+        d[cell] = np.nan
+        assert np.isnan(max_triangle_defect(d))
 
 
 def test_parallel_edges_take_the_minimum():

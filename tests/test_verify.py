@@ -1,5 +1,9 @@
-"""Self-check harness: suites run green and deterministically."""
+"""Self-check harness: suites run green and deterministically, the forked
+workers return what the serial loop did, and a failing check or worker
+exits 1 with a message."""
 
+import multiprocessing
+import os
 import tracemalloc
 
 import numpy as np
@@ -16,10 +20,11 @@ from dirmetric.gallery import (
     open_book,
     source_sink_interval,
 )
+from dirmetric.cli import main
 from dirmetric.distances import DEFAULT_BUDGET
 from dirmetric.spaces import _zigzag_graph, compute_reachability, disjoint_union
 from dirmetric.verify import _identity_distortion, naive_min_correspondence_distortion
-from oracles import full_identity_distortion
+from oracles import full_identity_distortion, serial_run_checks
 
 
 def _space_identity_distortion(s):
@@ -44,6 +49,31 @@ def test_runs_are_deterministic():
     assert [(r.name, r.passed, r.details) for r in a] == [
         (r.name, r.passed, r.details) for r in b
     ]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_pooled_checks_equal_the_serial_loop(seed):
+    for suite in SUITES:
+        pooled = [(r.suite, r.name, r.passed, r.details) for r in run_checks(suite, seed=seed)]
+        assert pooled == [(r.suite, r.name, r.passed, r.details) for r in serial_run_checks(suite, seed=seed)]
+
+
+@pytest.mark.parametrize("failure", ["ZeroDivisionError", "BrokenProcessPool"])
+def test_a_check_that_raises_or_kills_its_worker_exits_1_with_a_message(capsys, monkeypatch, failure):
+    # the workers are forked after the patch, so they read the patched
+    # CHECKS; the broken check goes first, so the first result in CHECKS
+    # order is its own.  os._exit kills the worker, which breaks the pool.
+    def broken(seed, budget):
+        if failure == "ZeroDivisionError":
+            raise ZeroDivisionError("broken check")
+        os._exit(3)
+
+    monkeypatch.setattr(verify, "CHECKS", (("core", "broken", broken),) + verify.CHECKS[:4])
+    code = main(["verify", "core"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: check broken did not finish: {failure}(") and "Traceback" not in err
+    assert multiprocessing.active_children() == []
 
 
 def test_unknown_suite_rejected():
