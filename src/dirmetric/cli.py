@@ -330,10 +330,13 @@ def cmd_ball(args) -> int:
     if not (args.radius >= 0 and args.tol >= 0):  # false for nan; an infinite radius is a value
         raise ValueError(f"radius and tol must be nonnegative numbers, got {args.radius} and {args.tol}")
     space = load_space(args.space)
-    try:
-        center = int(args.center)
-    except ValueError:
+    if args.center in space.labels:
         center = space.index_of(args.center)
+    else:
+        try:
+            center = int(args.center)  # an index only when no point carries that label
+        except ValueError:
+            center = space.index_of(args.center)  # KeyError: no point labelled so
     if not 0 <= center < space.n:
         raise ValueError(f"center index {center} out of range for {space.n} points")
     radius = args.radius + args.tol

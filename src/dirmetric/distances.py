@@ -23,28 +23,30 @@ many weak components, e.g. for a disconnected space against a connected one.
 
 Search strategy.  gh and the d-correspondence distance share one
 threshold search over point pairs; cdis adds a reachability rule.  It
-bisects a sorted threshold list, largest finite first: each threshold t
-is decided by depth-first search for a covering set of pairs, every two
-of cost at most t (and, for cdis, compatible), branching on the uncovered
-row or column with the fewest live pairs and forward-checking each
-choice.  An infeasible t proves a lower bound; a feasible one gives a
-certificate.  Sets of pairs are Python ints, bit p for pair p: a node's
-live pairs, the pairs of each row and column, and the pairs that fit
-with each pair tried under t, cached until t changes; a node counts the
-live pairs of each uncovered line with one AND and one popcount.  Only
-per-space matrices are read: the thresholds are the distinct |a - b|
-over values a of dX and b of dY, a pair's row of costs is computed when
-it is first tried under t, and two pairs are compatible when their
-reachability types (reach + 2 * reach.T) agree.  For cdis,
-constraint propagation first drops pairs that fit in no d-correspondence,
-which proves infeasibility when a point is left without partner.  gh runs
-branch and bound up to its exhaustive cap, the threshold search up to
-PAIR_LIMIT pairs, and a map-pair local search above that.  The branch and
-bound takes pairs in row-major order and cuts a branch that leaves a row
-or column uncovered once its position shows that line has no pair left.
-Both threshold searches stop after NODE_LIMIT nodes above their
-exhaustive caps and then report the best certificate and the proven
-lower bound, exact only if they meet.
+bisects a sorted threshold list, largest finite first, and asks
+decide(t, budget) of each threshold t: a depth-first search for a
+covering set of pairs, every two of cost at most t (and, for cdis,
+compatible), branching on the uncovered row or column with the fewest
+live pairs and forward-checking each choice.  It finds a cover (a
+certificate), proves t infeasible (a lower bound) or, past its node
+budget, leaves t undecided.  Sets of pairs are Python ints, bit p for
+pair p: a node's live pairs, the pairs of each row and column, and the
+pairs that fit with each pair tried under t, cached until t changes; a
+node counts the live pairs of each uncovered line with one AND and one
+popcount.  Only per-space matrices are read: the thresholds are the
+distinct |a - b| over values a of dX and b of dY, a pair's row of costs
+is computed when it is first tried under t, and two pairs are compatible
+when their reachability types (reach + 2 * reach.T) agree.  For cdis,
+constraint propagation first drops pairs that fit in no
+d-correspondence, which proves infeasibility when a point is left
+without partner.  gh runs branch and bound up to its exhaustive cap, the
+threshold search up to PAIR_LIMIT pairs, and a map-pair local search
+above that.  The branch and bound takes pairs in row-major order and
+cuts a branch that leaves a row or column uncovered once its position
+shows that line has no pair left.  Above their exhaustive caps both
+threshold searches stop after NODE_LIMIT nodes, one cap shared by all
+the probes of a call, and then report the best certificate and the
+proven lower bound, exact only if they meet.
 
 The map-pair distance enumerates map pairs while that is small.  Above
 that and up to PAIR_LIMIT pairs it is closed from the chain: gh's lower
@@ -111,6 +113,8 @@ def hausdorff(d: np.ndarray, a, b) -> float:
     b = np.atleast_1d(np.asarray(b, dtype=int))
     if a.size == 0 or b.size == 0:
         raise ValueError("hausdorff distance needs non-empty subsets")
+    if min(a.min(), b.min()) < 0 or max(a.max(), b.max()) >= d.shape[0]:
+        raise ValueError(f"hausdorff subsets hold an index outside range({d.shape[0]})")
     sub = d[np.ix_(a, b)]
     return float(max(sub.min(axis=1).max(), sub.min(axis=0).max()))
 
@@ -833,20 +837,18 @@ def _thresholds(dX: np.ndarray, dY: np.ndarray) -> np.ndarray:
     return np.append(np.unique(np.abs(vX[:, None] - vY[None, :])), INFINITY)
 
 
-@np.errstate(invalid="ignore")  # inf - inf in _abs_diff
-def _threshold_correspondence(dX, dY, types, cand, floor: float, node_limit: float):
-    """Least-distortion correspondence by bisection on the threshold.
+def _cover_search(dX, dY, types, cand):
+    """The decision procedure of the threshold search, as decide(t, budget).
 
     Only pairs in cand (an |X| x |Y| mask, or its ravel) are used.  types
     None lets every two pairs sit together (gh); for cdis it is (typesX,
     typesY) from _reach_types, and (x, y), (x2, y2) sit together only when
-    typesX[x, x2] == typesY[y, y2].  floor is a proven lower bound.
-    Returns (lower, value, pairs) in distortion units; value is inf and
-    pairs None when no certificate of finite distortion was found, and
-    lower == value unless more than node_limit search nodes (inf: no cap)
-    were needed.  Only per-space matrices are read: the thresholds come
-    from _thresholds, and a chosen pair's rows of costs and types from
-    columns gathered once.
+    typesX[x, x2] == typesY[y, y2].  decide(t, budget) returns (pairs,
+    spent): pairs the sorted (x, y) of a cover, every two of cost at most
+    t and sitting together, or None; spent the search nodes used.  None
+    with spent > budget leaves t undecided.  Only per-space matrices are
+    read: a chosen pair's rows of costs and types come from columns
+    gathered once.
     """
     nX, nY = dX.shape[0], dY.shape[0]
     P = np.flatnonzero(cand)
@@ -854,36 +856,32 @@ def _threshold_correspondence(dX, dY, types, cand, floor: float, node_limit: flo
     DX, DY = dX[:, xs], dY[:, ys]  # pair p's costs: ext_abs_diff(DX[xs[p]], DY[ys[p]])
     if types is not None:
         KX, KY = types[0][:, xs], types[1][:, ys]  # pair p's partners: KX[xs[p]] == KY[ys[p]]
-    T = _thresholds(dX, dY)
     # bit p of an int is pair p: the pairs of each row, then of each column
     lines = tuple(_bits(xs == x) for x in range(nX)) + tuple(_bits(ys == y) for y in range(nY))
-    nodes_left = node_limit
-    chosen: list[int] = []
 
-    def cover(t) -> bool:
+    @np.errstate(invalid="ignore")  # inf - inf in _abs_diff
+    def decide(t, budget):
         # a frame: a node's live pairs (a bit cleared as each choice
         # fails), its uncovered lines and the pairs of its branching line
-        # left to try, lowest first
-        nonlocal nodes_left
-        chosen.clear()
+        # left to try, lowest first (none once the budget is spent)
         fits: dict[int, int] = {}  # pair -> the pairs that fit with it under t
         # every pair is live at first: it costs 0 against itself (zero
         # diagonals) and has its own type (reach is reflexive)
         live, uncovered = (1 << P.size) - 1, lines
-        frames = []
+        frames, chosen, spent = [], [], 0
         while True:
             if not uncovered:
-                return True
-            nodes_left -= 1
+                return sorted((int(xs[p]), int(ys[p])) for p in chosen), spent
+            spent += 1
             todo = 0
-            if nodes_left >= 0:
+            if spent <= budget:
                 # fewest live pairs; min keeps the first, so rows win ties
                 todo = min(map(live.__and__, uncovered), key=int.bit_count)
             frames.append([live, uncovered, todo])
             while not frames[-1][2]:
                 frames.pop()
                 if not frames:
-                    return False
+                    return None, spent
                 frames[-1][0] &= ~(1 << chosen.pop())  # every cover with that pair was just ruled out
             frame = frames[-1]
             live, uncovered, todo = frame
@@ -901,20 +899,31 @@ def _threshold_correspondence(dX, dY, types, cand, floor: float, node_limit: flo
                 fits[p] = _bits(ok)
             live &= fits[p]
 
+    return decide
+
+
+def _threshold_correspondence(dX, dY, types, cand, floor: float, node_limit: float):
+    """Least-distortion correspondence by bisection on the threshold.
+
+    _cover_search decides each threshold of _thresholds; floor is a proven
+    lower bound.  Returns (lower, value, pairs) in distortion units; value
+    is inf and pairs None when no certificate of finite distortion was
+    found, and lower == value unless the probes together needed more than
+    node_limit search nodes (inf: no cap).
+    """
+    decide, T = _cover_search(dX, dY, types, cand), _thresholds(dX, dY)
     # T[lo] <= optimum <= T[hi]; the largest finite value goes first, for
     # an early certificate or a proof that none of finite distortion exists
-    lo, hi, best = int(np.searchsorted(T, floor)), T.size - 1, None
-    while lo < hi:
+    lo, hi, best, left = int(np.searchsorted(T, floor)), T.size - 1, None, node_limit
+    while lo < hi and left >= 0:
         mid = (lo + hi) // 2 if best is not None else hi - 1
-        if cover(T[mid]):
-            best = list(chosen)
-            hi = int(np.searchsorted(T, distortion_relation(zip(xs[best], ys[best]), dX, dY)))
-        elif nodes_left < 0:
-            break
-        else:
+        pairs, spent = decide(T[mid], left)
+        left -= spent
+        if pairs is not None:
+            best, hi = pairs, int(np.searchsorted(T, distortion_relation(pairs, dX, dY)))
+        elif left >= 0:
             lo = mid + 1
-    pairs = None if best is None else sorted((int(xs[p]), int(ys[p])) for p in best)
-    return float(T[lo]), float(T[hi]), pairs
+    return float(T[lo]), float(T[hi]), best
 
 
 def _bits(mask: np.ndarray) -> int:

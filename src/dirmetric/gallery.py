@@ -353,6 +353,6 @@ def metric_ball(d: np.ndarray, center: int, radius: float) -> BallGrid:
     d = np.asarray(d, dtype=float)
     if not 0 <= center < d.shape[0]:
         raise ValueError("center out of range")
-    if radius < 0:
+    if not radius >= 0:  # false for nan
         raise ValueError("radius must be >= 0")
     return BallGrid(center=center, radius=float(radius), members=d[center] <= radius)

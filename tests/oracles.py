@@ -227,6 +227,32 @@ def slow_min_dcorrespondence(dX, dY, reach_source, reach_target) -> float:
     return best
 
 
+def subset_cover_distortions(dX, dY, compat=None) -> np.ndarray:
+    """The distortion of every relation that covers both sides, by brute force.
+
+    Walks all 2^(|X|*|Y|) subsets of the pair grid at once, as rows of a
+    bool matrix (pair p = x * |Y| + y), and keeps those meeting every row
+    and column; with compat, the (|X|*|Y|)^2 table of reach_compat_matrix,
+    only those whose every two pairs it allows.  A cover under threshold t
+    exists iff some returned distortion is at most t.  |X|*|Y| <= 16 only.
+    """
+    nX, nY = len(dX), len(dY)
+    mn = nX * nY
+    assert mn <= 16, "2^(|X||Y|) relations; keep |X|*|Y| <= 16"
+    S = (np.arange(1 << mn)[:, None] >> np.arange(mn) & 1).astype(bool)
+    grid = S.reshape(-1, nX, nY)
+    keep = grid.any(axis=2).all(axis=1) & grid.any(axis=1).all(axis=1)
+    worst = np.zeros(S.shape[0])
+    for p in range(mn):
+        for q in range(mn):
+            both = S[:, p] & S[:, q]
+            a, b = dX[p // nY, q // nY], dY[p % nY, q % nY]
+            worst[both] = np.maximum(worst[both], 0.0 if a == b == INF else abs(a - b))
+            if compat is not None and not compat[p, q]:
+                keep &= ~both
+    return worst[keep]
+
+
 def table_bnb_correspondence(dX: np.ndarray, dY: np.ndarray):
     """Exact minimum-distortion correspondence via branch and bound.
 

@@ -11,8 +11,9 @@ one cached parser serves every call, importing the CLI loads no process
 pool and verify core no scipy, verify's stdout is frozen on three seeds,
 failed suites would exit 2,
 gh and dis on a 1024-point interval finish without a traceback, ball's
-one-row zigzag decides membership as the full matrix does, and
-repeated seeded runs are byte-identical.
+one-row zigzag decides membership as the full matrix does, ball's
+--center names a label before an index, and repeated seeded runs are
+byte-identical.
 """
 
 import argparse
@@ -457,6 +458,27 @@ def test_ball_rejects_nan_radius_and_negative_or_nan_tol(capsys, tmp_path, flags
     code, out, err = run(capsys, "ball", str(space_path), "--center", "0", *flags)
     assert code == 1 and out == ""
     assert "must be nonnegative numbers" in err
+
+
+def test_ball_center_is_a_label_before_an_index(capsys, tmp_path):
+    # labels that read as other points' indices, and one past the last index
+    path = tmp_path / "labelled.json"
+    save_space(FiniteDSpace(base=np.array([[0.0, 1, 2], [1, 0, 1], [2, 1, 0]]),
+                            edges=((0, 1, 1.0), (1, 2, 1.0)), labels=("2", "0", "7")), str(path))
+    for center, index in (("2", 0), ("0", 1), ("7", 2), ("1", 1)):
+        code, out, err = run(capsys, "ball", str(path), "--center", center, "--radius", "0")
+        rep = json.loads(out)
+        assert code == 0 and err == "", (center, err)
+        assert rep["center_index"] == index and rep["members"] == [rep["center"]]
+    code, out, err = run(capsys, "ball", str(path), "--center", "3", "--radius", "0")
+    assert code == 1 and out == "" and "center index 3 out of range for 3 points" in err
+
+
+def test_ball_on_source_sink_centres_on_the_origin(capsys, tmp_path):
+    fx, _ = write_two_arm(tmp_path)
+    code, out, _ = run(capsys, "ball", fx, "--center", "0", "--radius", "0")
+    rep = json.loads(out)
+    assert code == 0 and rep["center"] == "0" and rep["center_index"] == 2
 
 
 def test_ball_infinite_radius_holds_every_point(capsys, tmp_path):

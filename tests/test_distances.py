@@ -1,15 +1,18 @@
 """Comparison distances, certificates, and search determinism.
 
-Claims covered: subset distances on a path, distortion helpers against a
-slow oracle, the branch-and-bound correspondence search against naive
-enumeration, frozen two-point values for all three distances, the
+Claims covered: subset distances on a path (indices outside the space
+rejected), distortion helpers against a slow oracle, the
+branch-and-bound correspondence search against naive enumeration,
+frozen two-point values for all three distances, the
 INFINITY certificate for the two-arm interval against its reversal by
 both proof routes, finite cdis certificates checked as
 d-correspondences, the cdis threshold search against enumeration of
 d-correspondences (seeded and as a property) and, with every pair
 allowed, of correspondences, its bracket under a forced node cap, its
-refusal above the pair limit, its exact value on a 12-point copy above
-the exhaustive cap, reachability types against the slow d-correspondence
+decide at every threshold and under node budgets against brute force
+over pair subsets, its refusal above the pair limit, its exact value on
+a 12-point copy above the exhaustive cap, reachability types against
+the slow d-correspondence
 rule, type-based propagation against the table form, the value-set
 thresholds against the full pair-cost table, the value-gap lower bound
 against its former form with a diameter term (seeded and as a property),
@@ -48,6 +51,7 @@ from oracles import (
     slow_map_distortion,
     slow_min_dcorrespondence,
     slow_random_greedy_map,
+    subset_cover_distortions,
     table_arc_consistent_candidates,
     table_bnb_correspondence,
 )
@@ -89,6 +93,7 @@ from dirmetric.distances import (
     _abs_diff,
     _arc_consistent_candidates,
     _batch_map_distortion,
+    _cover_search,
     _descend,
     _legal_moves,
     _move_scores,
@@ -147,6 +152,18 @@ def test_hausdorff_rejects_empty_subsets():
         hausdorff(PATH.zz, [], [0])
     with pytest.raises(ValueError):
         hausdorff(PATH.zz, [0], [])
+
+
+def test_hausdorff_rejects_indices_outside_the_space():
+    # -1 would read the last point, and 5 fall outside the array, of the
+    # five-point interval
+    X = DirectedMetricSpace.from_space(directed_interval(4))
+    for a, b in (([-1], [0]), ([0], [5]), ([0, 5], [1]), ([2], [1, -3])):
+        with pytest.raises(ValueError, match=r"outside range\(5\)"):
+            hausdorff(X.zz, a, b)
+        with pytest.raises(ValueError, match=r"outside range\(5\)"):
+            directed_hausdorff(X, a, b)
+    assert hausdorff(X.zz, [4], [0]) == directed_hausdorff(X, [0], [4]) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +539,46 @@ def test_row_search_stops_where_the_full_table_reference_stops():
             assert got == ref, (X.n, Y.n, kind, limit)
             outcomes[kind, "exact" if got[0] == got[1] else "capped"] += 1
     assert min(outcomes.values()) >= 5, outcomes
+
+
+def test_decide_finds_a_cover_exactly_where_brute_force_does():
+    # 36 seeded pairs of 1 to 4 points, every third disconnected, half of
+    # them stretched copies; gh (every pair, any two together), cdis with
+    # the reach rule on every pair and on the arc-consistent candidates.
+    # At every threshold, decide without a cap finds a cover iff some
+    # subset of the pair grid is one, and each cover it returns is a
+    # (d-)correspondence of distortion at most t.  Under budgets of 0 to 8
+    # nodes, a None within the budget is a proof, a budget of at least the
+    # nodes the uncapped call spent gives its answer, and a cover found by
+    # the walk over siblings left when the budget ran out is still checked
+    rng = np.random.default_rng(101)
+    outcomes = dict.fromkeys(["cover", "none", "cover past the budget", "undecided"], 0)
+    for i in range(36):
+        s = random_space(rng, int(rng.integers(1, 5)), connected=i % 3 != 2)
+        Y = stretched_copy(rng, s)[0] if i % 2 else dspace_random(rng, int(rng.integers(1, 5)))
+        X = DirectedMetricSpace.from_space(s)
+        types = (_reach_types(X.reach), _reach_types(Y.reach))
+        every = np.ones(X.n * Y.n, dtype=bool)
+        compat = reach_compat_matrix(X.reach, Y.reach)
+        for mask, table, cand in ((None, None, every), (types, compat, every), (types, compat, _arc_consistent_candidates(*types))):
+            decide, distortions = _cover_search(X.zz, Y.zz, mask, cand), subset_cover_distortions(X.zz, Y.zz, table)
+            for t in _thresholds(X.zz, Y.zz):
+                feasible = bool((distortions <= t).any())
+                answer = decide(t, INFINITY)
+                for budget in (INFINITY, 0, 1, 2, 3, 5, 8):
+                    pairs, spent = got = decide(t, budget)
+                    if budget >= answer[1]:
+                        assert got == answer and (pairs is not None) == feasible, (i, t, budget)
+                    if pairs is None:
+                        assert spent > budget or not feasible, (i, t, budget)
+                    else:
+                        c = Correspondence(X.n, Y.n, tuple(pairs))
+                        assert list(pairs) == sorted(set(pairs)) and c.is_correspondence
+                        assert mask is None or c.is_dcorrespondence(X.reach, Y.reach)
+                        assert distortion_relation(pairs, X.zz, Y.zz) <= t
+                    late = " past the budget" if spent > budget else ""
+                    outcomes["undecided" if pairs is None and late else ("none" if pairs is None else "cover") + late] += 1
+    assert min(outcomes.values()) >= 10, outcomes
 
 
 def compatibility_spaces():

@@ -284,6 +284,8 @@ def test_metric_ball_membership_and_validation():
         metric_ball(zz, 9, 0.5)
     with pytest.raises(ValueError):
         metric_ball(zz, 0, -0.1)
+    with pytest.raises(ValueError):
+        metric_ball(zz, 0, float("nan"))
 
 
 def test_label_coords_round_trip():
