@@ -40,8 +40,8 @@ when their reachability types (reach + 2 * reach.T) agree.  For cdis,
 constraint propagation first drops pairs that fit in no
 d-correspondence, which proves infeasibility when a point is left
 without partner.  gh runs branch and bound up to its exhaustive cap, the
-threshold search up to PAIR_LIMIT pairs, and a map-pair local search
-above that.  The branch and bound takes pairs in row-major order and
+threshold search up to PAIR_LIMIT pairs, and above that dis's map-pair
+local search with the direction rule off.  The branch and bound takes pairs in row-major order and
 cuts a branch that leaves a row or column uncovered once its position
 shows that line has no pair left.  Above their exhaustive caps both
 threshold searches stop after NODE_LIMIT nodes, one cap shared by all
@@ -68,7 +68,7 @@ from typing import Optional
 import numpy as np
 
 from .extended import INFINITY, ext_abs_diff
-from .spaces import DEFAULT_TOL, DirectedMetricSpace
+from .spaces import DEFAULT_TOL, DirectedMetricSpace, _point_indices
 
 
 @dataclass(frozen=True)
@@ -109,12 +109,9 @@ _SEED = 0
 def hausdorff(d: np.ndarray, a, b) -> float:
     """Hausdorff distance between two non-empty index subsets under d."""
     d = np.asarray(d, dtype=float)
-    a = np.atleast_1d(np.asarray(a, dtype=int))
-    b = np.atleast_1d(np.asarray(b, dtype=int))
+    a, b = (np.atleast_1d(_point_indices(s, d.shape[0])) for s in (a, b))
     if a.size == 0 or b.size == 0:
         raise ValueError("hausdorff distance needs non-empty subsets")
-    if min(a.min(), b.min()) < 0 or max(a.max(), b.max()) >= d.shape[0]:
-        raise ValueError(f"hausdorff subsets hold an index outside range({d.shape[0]})")
     sub = d[np.ix_(a, b)]
     return float(max(sub.min(axis=1).max(), sub.min(axis=0).max()))
 
@@ -130,7 +127,7 @@ def directed_hausdorff(X: DirectedMetricSpace, a, b) -> float:
 
 def map_distortion(images, dX: np.ndarray, dY: np.ndarray) -> float:
     """Sup-norm distortion of the vertex map x -> images[x]."""
-    im = np.asarray(images, dtype=int)
+    im = _point_indices(images, dY.shape[0], dX.shape[0])
     if im.size == 0:
         return 0.0
     return float(np.max(ext_abs_diff(dX, dY[np.ix_(im, im)])))
@@ -142,8 +139,8 @@ def pair_codistortion(f_images, g_images, dX: np.ndarray, dY: np.ndarray) -> flo
     sup over (x, y) of |dX(x, g y) - dY(f x, y)|; zero iff the two maps
     move each cross pair coherently.
     """
-    f = np.asarray(f_images, dtype=int)
-    g = np.asarray(g_images, dtype=int)
+    f = _point_indices(f_images, dY.shape[0], dX.shape[0])
+    g = _point_indices(g_images, dX.shape[0], dY.shape[0])
     if f.size == 0 or g.size == 0:
         return 0.0
     return float(np.max(ext_abs_diff(dX[:, g], dY[f, :])))
@@ -151,10 +148,10 @@ def pair_codistortion(f_images, g_images, dX: np.ndarray, dY: np.ndarray) -> flo
 
 def distortion_relation(pairs, dX: np.ndarray, dY: np.ndarray) -> float:
     """Sup-norm distortion of a non-empty relation given as (x, y) pairs."""
-    P = np.asarray(list(pairs), dtype=int).reshape(-1, 2)
+    P = np.asarray(list(pairs)).reshape(-1, 2)
     if P.shape[0] == 0:
         raise ValueError("distortion of an empty relation is undefined")
-    xs, ys = P[:, 0], P[:, 1]
+    xs, ys = _point_indices(P[:, 0], dX.shape[0]), _point_indices(P[:, 1], dY.shape[0])
     return float(np.max(ext_abs_diff(dX[np.ix_(xs, xs)], dY[np.ix_(ys, ys)])))
 
 
@@ -167,12 +164,8 @@ class VertexMap:
     images: tuple[int, ...]
 
     def __post_init__(self):
-        images = tuple(int(i) for i in self.images)
-        object.__setattr__(self, "images", images)
-        if len(images) != self.source.n:
-            raise ValueError("one image per source point required")
-        if any(not 0 <= i < self.target.n for i in images):
-            raise ValueError("image index out of range")
+        images = _point_indices(self.images, self.target.n, self.source.n)
+        object.__setattr__(self, "images", tuple(images.tolist()))
 
     @cached_property
     def is_dmap(self) -> bool:
@@ -203,11 +196,9 @@ class Correspondence:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        pairs = tuple((int(x), int(y)) for (x, y) in self.pairs)
-        object.__setattr__(self, "pairs", pairs)
-        for x, y in pairs:
-            if not (0 <= x < self.n_source and 0 <= y < self.n_target):
-                raise ValueError("pair index out of range")
+        P = np.asarray(self.pairs).reshape(len(self.pairs), 2)  # fails unless each entry is a pair
+        xs, ys = _point_indices(P[:, 0], self.n_source), _point_indices(P[:, 1], self.n_target)
+        object.__setattr__(self, "pairs", tuple(zip(xs.tolist(), ys.tolist())))
 
     @cached_property
     def is_correspondence(self) -> bool:
@@ -415,10 +406,8 @@ def _abs_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _legal_moves(u: int, images: np.ndarray, out, inn, reach: np.ndarray) -> np.ndarray:
     """Mask of the images y for point u that keep every edge at u inside reach.
 
-    Under gh there are no edges, so every image is legal.
+    With no edges at u (always, under gh) every image is legal.
     """
-    if out[u].size == 0 and inn[u].size == 0:
-        return np.ones(reach.shape[0], dtype=bool)
     return reach[:, images[out[u]]].all(axis=1) & reach[images[inn[u]], :].all(axis=0)
 
 
@@ -554,12 +543,13 @@ def _descend(f, g, dX, dY, nbX, nbY, reachX, reachY):
 
 
 @np.errstate(invalid="ignore")  # inf - inf in _abs_diff and the greedy step
-def _local_search_map_pair(dX: np.ndarray, dY: np.ndarray, *, reachX: np.ndarray, reachY: np.ndarray, edgesX, edgesY):
+def _local_search_map_pair(X: DirectedMetricSpace, Y: DirectedMetricSpace, dmaps: bool):
     """Best map pair (f, g) by alternating pointwise descent.
 
-    Objective: max of the two distortions and the codistortion.  Moves
-    keep the edges edgesX, edgesY ((src, dst) arrays) inside reachY,
-    reachX; constant starting maps always do.  gh passes no edges.
+    Objective: max of the two distortions and the codistortion of the
+    zigzag metrics.  With dmaps (dis) every move keeps each edge of the
+    source inside the target's reach, which constant starting maps always
+    do; without (gh) no edge is kept, so reach is never read.
 
     Each sweep visits the points of f, then those of g, and moves each to
     its best image.  Moving one point changes one row and one column of
@@ -571,7 +561,10 @@ def _local_search_map_pair(dX: np.ndarray, dY: np.ndarray, *, reachX: np.ndarray
     the rng seeded by _SEED, the move order and tie-breaking are fixed.
     Greedy starting maps and descent run under one np.errstate, set here.
     """
-    nX, nY = dX.shape[0], dY.shape[0]
+    dX, dY, reachX, reachY = X.zz, Y.zz, X.reach, Y.reach
+    nX, nY = X.n, Y.n
+    kept = slice(None) if dmaps else slice(0)
+    edgesX, edgesY = (X.space.src[kept], X.space.dst[kept]), (Y.space.src[kept], Y.space.dst[kept])
     rng = np.random.default_rng(_SEED)
     nbX = _neighbours(nX, edgesX)
     nbY = _neighbours(nY, edgesY)
@@ -637,9 +630,9 @@ def gh_distance(X: DirectedMetricSpace, Y: DirectedMetricSpace, budget: SearchBu
 
     Branch and bound (exact) when |X|*|Y| <= budget.exhaustive_gh; up to
     PAIR_LIMIT the threshold search with every two pairs compatible, capped
-    at NODE_LIMIT nodes; above that a local-search upper bound.  Past the
-    branch and bound, a report is exact only if its value meets its proven
-    lower bound.
+    at NODE_LIMIT nodes; above that dis's map-pair local search with the
+    direction rule off.  Past the branch and bound, a report is exact only
+    if its value meets its proven lower bound.
     """
     dX, dY = X.zz, Y.zz
     nX, nY = X.n, Y.n
@@ -653,19 +646,21 @@ def gh_distance(X: DirectedMetricSpace, Y: DirectedMetricSpace, budget: SearchBu
         return DistanceReport("gh", 0.5 * val, True, 0.5 * val, cert, "branch-and-bound")
     if nX * nY <= PAIR_LIMIT:
         return _threshold_report("gh", dX, dY, None, np.ones((nX, nY), dtype=bool), NODE_LIMIT)
-    lower = 0.5 * _value_gap_lower(dX, dY)
-    no_edges = (np.zeros(0, dtype=int),) * 2
-    val, f, g = _local_search_map_pair(
-        dX, dY, reachX=np.ones((nX, nX), bool), reachY=np.ones((nY, nY), bool), edgesX=no_edges, edgesY=no_edges
-    )
-    cert = None  # no map pair of finite objective: the value is inf
-    if f is not None:
-        pairs = tuple(sorted({(x, f[x]) for x in range(nX)} | {(g[y], y) for y in range(nY)}))
-        val = distortion_relation(pairs, dX, dY)  # graph(f) and graph(g)^T: the map-pair objective, term for term
-        cert = Correspondence(nX, nY, pairs)
-    value = 0.5 * val
+    val, f, g = _local_search_map_pair(X, Y, dmaps=False)
+    cert = _graph_correspondence(f, g) if f is not None else None  # None: no map pair of finite objective
+    return _bracket("gh", 0.5 * val, 0.5 * _value_gap_lower(dX, dY), cert, "local-search")
+
+
+def _graph_correspondence(f, g) -> Correspondence:
+    """graph(f) and graph(g)^T: its distortion is the objective of (f, g), term for term."""
+    pairs = {(x, y) for x, y in enumerate(f)} | {(x, y) for y, x in enumerate(g)}
+    return Correspondence(len(f), len(g), tuple(sorted(pairs)))
+
+
+def _bracket(kind: str, value: float, lower: float, cert, method: str) -> DistanceReport:
+    """A report of value over the proven lower bound, exact once they meet (to 1e-12)."""
     exact = value <= lower + 1e-12
-    return DistanceReport("gh", value, exact, value if exact else lower, cert, "local-search")
+    return DistanceReport(kind, value, exact, value if exact else lower, cert, method)
 
 
 def distortion_distance(
@@ -701,27 +696,23 @@ def _distortion_report(X: DirectedMetricSpace, Y: DirectedMetricSpace, chain_rep
         if f is None:
             return DistanceReport("dis", INFINITY, True, INFINITY, None, "exhaustive")
         return DistanceReport("dis", 0.5 * val, True, 0.5 * val, MapPair(f, g), "exhaustive")
-    lower = 0.5 * _value_gap_lower(X.zz, Y.zz)
     val, f, g = INFINITY, None, None
     chained = nX * nY <= PAIR_LIMIT
     if chained:
         gh, cdis = chain_reports()
-        lower = max(lower, gh.lower)
+        lower = gh.lower  # gh's searches start from the value gap, so this is at least it
         if cdis.certificate is not None:
             f, g = _choice_functions(cdis.certificate)
             val = MapPair(f, g).objective(X.zz, Y.zz)
+    else:
+        lower = 0.5 * _value_gap_lower(X.zz, Y.zz)
     method = "chain"
     if not chained or 0.5 * val > lower + 1e-12:
         method = "local-search"
-        val_ls, f_ls, g_ls = _local_search_map_pair(
-            X.zz, Y.zz, reachX=X.reach, reachY=Y.reach, edgesX=(X.space.src, X.space.dst), edgesY=(Y.space.src, Y.space.dst)
-        )
+        val_ls, f_ls, g_ls = _local_search_map_pair(X, Y, dmaps=True)
         if val_ls < val:
             val, f, g = val_ls, f_ls, g_ls
-    value = 0.5 * val
-    exact = value <= lower + 1e-12
-    cert = MapPair(tuple(f), tuple(g)) if f is not None else None
-    return DistanceReport("dis", value, exact, value if exact else lower, cert, method)
+    return _bracket("dis", 0.5 * val, lower, MapPair(f, g) if f is not None else None, method)
 
 
 def _choice_functions(c: Correspondence) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -767,9 +758,7 @@ def _codistortions(f: np.ndarray, cross: np.ndarray, dY: np.ndarray) -> np.ndarr
 
 def _exhaustive_map_pair(X: DirectedMetricSpace, Y: DirectedMetricSpace):
     F = _enumerate_dmaps(X, Y)
-    G = _enumerate_dmaps(Y, X)
-    if F.shape[0] == 0 or G.shape[0] == 0:
-        return INFINITY, None, None
+    G = _enumerate_dmaps(Y, X)  # never empty: constant maps are d-maps
     dX, dY = X.zz, Y.zz
     disF = _batch_map_distortion(dX, dY, F)
     disG = _batch_map_distortion(dY, dX, G)
@@ -937,20 +926,12 @@ def is_disometry(f: VertexMap) -> bool:
     Requires the inverse to respect direction as well, so the two spaces
     are indistinguishable as directed metric spaces.
     """
-    nX, nY = f.source.n, f.target.n
-    if nX != nY:
+    n, images = f.source.n, np.asarray(f.images, dtype=int)
+    if f.target.n != n or np.unique(images).size != n or not f.is_dmap:
         return False
-    images = np.asarray(f.images, dtype=int)
-    if np.unique(images).size != nX:
-        return False
-    if not f.is_dmap:
-        return False
-    inv = np.empty(nX, dtype=int)
-    inv[images] = np.arange(nX)
-    g = VertexMap(source=f.target, target=f.source, images=tuple(int(i) for i in inv))
-    if not g.is_dmap:
-        return False
-    return f.distortion <= DEFAULT_TOL
+    inv = np.empty(n, dtype=int)
+    inv[images] = np.arange(n)
+    return VertexMap(source=f.target, target=f.source, images=inv).is_dmap and f.distortion <= DEFAULT_TOL
 
 
 @dataclass(frozen=True)
@@ -986,7 +967,16 @@ def verify_chain(X: DirectedMetricSpace, Y: DirectedMetricSpace, budget: SearchB
     Meant for sizes where every search is exhaustive; with budgets too
     small for that the report comes back inconclusive, never failed.
     dis reuses the gh and cdis reports instead of searching for them again.
+    Inexact reports then share witnesses down the chain: gh takes the
+    graphs of dis's map pair when they score lower (method "chain"), and
+    cdis takes gh's lower bound when it is higher.
     """
     gh = gh_distance(X, Y, budget)
     cdis = dcorrespondence_distance(X, Y, budget)
-    return ChainReport(gh=gh, dis=_distortion_report(X, Y, lambda: (gh, cdis)), cdis=cdis)
+    dis = _distortion_report(X, Y, lambda: (gh, cdis))
+    if not gh.exact and dis.value < gh.value:
+        witness = _graph_correspondence(dis.certificate.forward, dis.certificate.backward)
+        gh = _bracket("gh", dis.value, gh.lower, witness, "chain")
+    if not cdis.exact and gh.lower > cdis.lower:
+        cdis = _bracket("cdis", cdis.value, gh.lower, cdis.certificate, cdis.method)
+    return ChainReport(gh=gh, dis=dis, cdis=cdis)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .extended import INFINITY
-from .spaces import Edge, FiniteDSpace, _glued_edges, _row_blocks, zigzag_from_edges
+from .spaces import Edge, FiniteDSpace, _glued_edges, _point_indices, _row_blocks, zigzag_from_edges
 
 #: Lattice steps used by the directed square grid unless overridden.  Each
 #: step moves weakly up and to the right, so every edge increases both the
@@ -351,8 +351,7 @@ class BallGrid:
 def metric_ball(d: np.ndarray, center: int, radius: float) -> BallGrid:
     """Closed ball {x : d(center, x) <= radius} for any distance matrix."""
     d = np.asarray(d, dtype=float)
-    if not 0 <= center < d.shape[0]:
-        raise ValueError("center out of range")
+    center = int(_point_indices(center, d.shape[0]))
     if not radius >= 0:  # false for nan
         raise ValueError("radius must be >= 0")
     return BallGrid(center=center, radius=float(radius), members=d[center] <= radius)

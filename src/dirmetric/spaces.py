@@ -156,6 +156,20 @@ def _as_readonly(a, dtype=float) -> np.ndarray:
     return a
 
 
+def _point_indices(values, n: int, count=None) -> np.ndarray:
+    """values as an int array of indices into n points, count of them if given.
+
+    Raises ValueError unless every entry is an integer (a bool is not) in
+    range(n): numpy would truncate a float and read -1 as the last point.
+    """
+    a = np.asarray(values)
+    if a.size and (a.dtype.kind not in "iu" or a.min() < 0 or a.max() >= n):
+        raise ValueError(f"point indices must be integers, none outside range({n})")
+    if count is not None and a.shape != (count,):
+        raise ValueError(f"one image per source point required: {count} points, images of shape {a.shape}")
+    return a.astype(int, copy=False)
+
+
 def _parse_edges(edges, n: int):
     """Read-only src, dst and length arrays of an edge list on n points.
 
@@ -488,15 +502,9 @@ def quotient(space: FiniteDSpace, classes: Sequence[Iterable[int]]) -> FiniteDSp
     for ci, c in enumerate(members):
         cls_of[c] = ci
 
-    # least base distance between classes, via a grouped min over all pairs
-    key = (cls_of[:, None] * m + cls_of[None, :]).ravel()
-    vals = space.base.ravel()
-    order = np.argsort(key, kind="stable")
-    key_s, vals_s = key[order], vals[order]
-    starts = np.flatnonzero(np.r_[True, key_s[1:] != key_s[:-1]])
-    cost = np.full(m * m, INFINITY)
-    cost[key_s[starts]] = np.minimum.reduceat(vals_s, starts)
-    cost = cost.reshape(m, m)
+    # least base distance between classes, over all pairs of members
+    cost = np.full((m, m), INFINITY)
+    np.minimum.at(cost, (cls_of[:, None], cls_of[None, :]), space.base)
     np.fill_diagonal(cost, 0.0)
 
     # all-pairs shortest paths by plain relaxation; the class graph is

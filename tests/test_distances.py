@@ -1,7 +1,8 @@
 """Comparison distances, certificates, and search determinism.
 
 Claims covered: subset distances on a path (indices outside the space
-rejected), distortion helpers against a slow oracle, the
+rejected), integer point indices in range(n) required by every helper
+that takes them, distortion helpers against a slow oracle, the
 branch-and-bound correspondence search against naive enumeration,
 frozen two-point values for all three distances, the
 INFINITY certificate for the two-arm interval against its reversal by
@@ -24,10 +25,12 @@ their base, through the public call) exceeds the zigzag one, an infinite
 dis between spaces with different component counts, the map-pair local
 search's all-moves scores, descent and greedy starting maps (with their
 rng draws) against full re-scoring, its lean abs-diff against
-ext_abs_diff bit for bit, no RuntimeWarning on disconnected pairs, its
-frozen results on two pairs and on twelve random pairs above the
-exhaustive caps, and verify_chain running the gh and cdis threshold
-searches once each.
+ext_abs_diff bit for bit, no RuntimeWarning on disconnected pairs, the
+starting maps that carry it above its size guards, its frozen results
+on two pairs and on twelve random pairs above the exhaustive caps,
+verify_chain running the gh and cdis threshold searches once each, and
+its witnesses shared down the chain for inexact reports only (on tori
+5 v 6 and 5 v 8, and under a forced node cap).
 """
 
 import dataclasses
@@ -81,6 +84,7 @@ from dirmetric import (
     is_disometry,
     load_space,
     map_distortion,
+    metric_ball,
     open_book,
     pair_codistortion,
     random_space,
@@ -164,6 +168,31 @@ def test_hausdorff_rejects_indices_outside_the_space():
         with pytest.raises(ValueError, match=r"outside range\(5\)"):
             directed_hausdorff(X, a, b)
     assert hausdorff(X.zz, [4], [0]) == directed_hausdorff(X, [0], [4]) == 1.0
+
+
+_INTERVAL = DirectedMetricSpace.from_space(directed_interval(4))
+_ZZ5, _ZZ3 = _INTERVAL.zz, DirectedMetricSpace.from_space(directed_interval(2)).zz
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: hausdorff(_ZZ5, [0.7], [4]),  # used to read point 0
+        lambda: hausdorff(_ZZ5, [True], [4]),  # used to read point 1
+        lambda: VertexMap(_INTERVAL, _INTERVAL, (0.9, 1, 2, 3, 4)),  # used to store image 0
+        lambda: Correspondence(2, 2, ((0.5, 1), (1, 0))),  # used to store (0, 1)
+        lambda: map_distortion([0], _ZZ5, _ZZ3),  # one image broadcast over five points
+        lambda: map_distortion([0, 1, 2, 3, -1], _ZZ5, _ZZ5),  # -1 read the last point
+        lambda: pair_codistortion([0, 1, 2, 3, 5], [0, 1, 2, 3, 4], _ZZ5, _ZZ5),
+        lambda: distortion_relation([(-1, 0)], _ZZ5, _ZZ5),  # returned 0.0
+        lambda: metric_ball(_ZZ5, 1.5, 0.3),  # numpy's IndexError
+    ],
+)
+def test_point_indices_are_integers_in_range(call):
+    # every helper taking point indices rejects floats, bools and indices
+    # outside range(n) with a ValueError, on the five-point interval
+    with pytest.raises(ValueError, match=r"integers|outside range\(5\)|one image per source point"):
+        call()
 
 
 # ---------------------------------------------------------------------------
@@ -1062,6 +1091,24 @@ def test_local_search_on_disconnected_pairs_warns_nothing(monkeypatch):
                     assert distance(X, Y).method in methods
 
 
+def test_local_search_start_maps_above_the_size_guards():
+    # at 300 and 324 points no random greedy maps are drawn and no descent
+    # runs, so only the constant, identity and quantile-profile starting
+    # maps compete: the profile map finds a relabelling, the identity a
+    # torus against itself
+    rng = np.random.default_rng(3)
+    s = random_space(rng, 300)
+    sigma = rng.permutation(s.n)
+    inv = np.argsort(sigma)
+    copy = dspace(s.base[np.ix_(sigma, sigma)], tuple(zip(inv[s.src].tolist(), inv[s.dst].tolist(), s.length)))
+    torus = DirectedMetricSpace.from_space(flat_torus_grid(GridSpec(k=18)))
+    for X, Y in ((DirectedMetricSpace.from_space(s), copy), (torus, torus)):
+        assert X.n**3 > 20_000_000 and X.n**4 > 500_000_000
+        for distance in (gh_distance, distortion_distance):
+            r = distance(X, Y)
+            assert (r.value, r.exact, r.method) == (0.0, True, "local-search")
+
+
 # recorded before the local search scored moves in slabs; both pairs are
 # above the exhaustive caps, so with the pair limit at 0 these come from
 # _local_search_map_pair
@@ -1213,3 +1260,59 @@ def test_verify_chain_searches_gh_and_cdis_once(monkeypatch):
     assert len(calls) == 2 + 4
     assert (chain.gh, chain.dis, chain.cdis) == separate
     assert chain.dis.method == "chain"
+
+
+def test_verify_chain_shares_witnesses_on_tori():
+    # at the default budget gh's threshold search stops at its first
+    # certificate on these pairs (0.3650 and 0.3679 on their own); the
+    # graphs of dis's map pair are a better one
+    T5 = DirectedMetricSpace.from_space(flat_torus_grid(GridSpec(k=5)))
+    for k, value in ((6, 0.1787), (8, 0.2679)):
+        Y = DirectedMetricSpace.from_space(flat_torus_grid(GridSpec(k=k)))
+        chain = verify_chain(T5, Y)
+        assert chain.gh.method == "chain" and chain.gh.value == pytest.approx(value, abs=5e-5)
+        assert chain.gh.value == chain.dis.value == 0.5 * distortion_relation(chain.gh.certificate.pairs, T5.zz, Y.zz)
+        assert chain.gh.value <= chain.dis.value + DEFAULT_TOL and chain.dis.value <= chain.cdis.value + DEFAULT_TOL
+
+
+def test_verify_chain_shares_witnesses_only_for_inexact_reports(monkeypatch):
+    # NODE_LIMIT at 3 stops the threshold searches early.  At the default
+    # budget an inexact gh takes dis's map pair where that scores lower;
+    # with gh exact by branch and bound, an inexact cdis takes gh's higher
+    # lower bound; against a gh that proves nothing (inf over 0) cdis keeps
+    # its own.  Always gh <= dis <= cdis, every certificate re-scores to
+    # its value, and a report its search left exact stays as it is
+    monkeypatch.setattr(distances, "NODE_LIMIT", 3)
+    def blank(X, Y, budget):
+        return DistanceReport("gh", INFINITY, False, 0.0)
+
+    rng = np.random.default_rng(96)
+    shared = {"gh": 0, "cdis": 0}
+    runs = ((SearchBudget(), gh_distance), (SearchBudget(exhaustive_gh=25), gh_distance), (SearchBudget(), blank))
+    for budget, gh_search in runs:
+        monkeypatch.setattr(distances, "gh_distance", gh_search)
+        for i in range(16):
+            s = random_space(rng, int(rng.integers(4, 6)), connected=i % 4 != 3)
+            X = DirectedMetricSpace.from_space(s)
+            Y = stretched_copy(rng, s)[0] if i % 2 else dspace_random(rng, int(rng.integers(4, 6)))
+            chain = verify_chain(X, Y, budget)
+            gh, dis, cdis = chain.gh, chain.dis, chain.cdis
+            assert gh.value <= dis.value + DEFAULT_TOL and dis.value <= cdis.value + DEFAULT_TOL
+            for r in (gh, cdis):
+                if r.certificate is not None:
+                    assert 0.5 * r.certificate.distortion(X.zz, Y.zz) == r.value
+            if dis.certificate is not None:
+                assert 0.5 * dis.certificate.objective(X.zz, Y.zz) == dis.value
+            own_gh, own_cdis = gh_search(X, Y, budget), dcorrespondence_distance(X, Y, budget)
+            if own_gh.exact or dis.value >= own_gh.value:
+                assert gh == own_gh
+            else:
+                assert (gh.value, gh.lower, gh.method) == (dis.value, own_gh.lower, "chain")
+                shared["gh"] += 1
+            if own_cdis.exact or own_gh.lower <= own_cdis.lower:
+                assert cdis == own_cdis
+            else:
+                assert (cdis.value, cdis.certificate) == (own_cdis.value, own_cdis.certificate)
+                assert cdis.lower == own_gh.lower
+                shared["cdis"] += 1
+    assert min(shared.values()) >= 3
