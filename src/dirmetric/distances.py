@@ -29,14 +29,15 @@ covering set of pairs, every two of cost at most t (and, for cdis,
 compatible), branching on the uncovered row or column with the fewest
 live pairs and forward-checking each choice.  It finds a cover (a
 certificate), proves t infeasible (a lower bound) or, past its node
-budget, leaves t undecided.  Sets of pairs are Python ints, bit p for
-pair p: a node's live pairs, the pairs of each row and column, and the
-pairs that fit with each pair tried under t, cached until t changes; a
-node counts the live pairs of each uncovered line with one AND and one
-popcount.  Only per-space matrices are read: the thresholds are the
-distinct |a - b| over values a of dX and b of dY, a pair's row of costs
-is computed when it is first tried under t, and two pairs are compatible
-when their reachability types (reach + 2 * reach.T) agree.  For cdis,
+budget, leaves t undecided.  Sets of pairs are Python ints, bit
+x * |Y| + y for pair (x, y): a node's live pairs, the pairs of each row
+and column, and the pairs that fit with each pair tried under t, cached
+until t changes; a node counts the live pairs of each uncovered line
+with one AND and one popcount.  Only per-space matrices are read: the
+thresholds are the distinct |a - b| over values a of dX and b of dY,
+pair (x, y)'s row of costs is computed from row x of dX and row y of dY
+when it is first tried under t, and two pairs are compatible when their
+reachability types (reach + 2 * reach.T) agree.  For cdis,
 constraint propagation first drops pairs that fit in no
 d-correspondence, which proves infeasibility when a point is left
 without partner.  gh runs branch and bound up to its exhaustive cap, the
@@ -90,8 +91,8 @@ MAP_PAIR_LIMIT = 10_000_000
 #: Search nodes of the threshold search (gh and cdis) above their exhaustive caps.
 NODE_LIMIT = 20_000
 #: Largest |X|*|Y| the threshold search takes; cdis refuses larger inputs.
-#: It bounds the search's (|X| + |Y|) x |X|*|Y| arrays, the cost and type
-#: columns of every pair, and its |X|*|Y|-bit sets of pairs.
+#: It bounds the search's |X|*|Y|-bit sets of pairs and the |X| x |Y| row
+#: of costs computed for each pair it tries.
 PAIR_LIMIT = 4096
 
 # The map-pair local search (gh above PAIR_LIMIT, dis where the chain
@@ -148,11 +149,17 @@ def pair_codistortion(f_images, g_images, dX: np.ndarray, dY: np.ndarray) -> flo
 
 def distortion_relation(pairs, dX: np.ndarray, dY: np.ndarray) -> float:
     """Sup-norm distortion of a non-empty relation given as (x, y) pairs."""
-    P = np.asarray(list(pairs)).reshape(-1, 2)
-    if P.shape[0] == 0:
+    xs, ys = _pair_indices(list(pairs), dX.shape[0], dY.shape[0])
+    if xs.size == 0:
         raise ValueError("distortion of an empty relation is undefined")
-    xs, ys = _point_indices(P[:, 0], dX.shape[0]), _point_indices(P[:, 1], dY.shape[0])
     return float(np.max(ext_abs_diff(dX[np.ix_(xs, xs)], dY[np.ix_(ys, ys)])))
+
+
+def _pair_indices(pairs, nX: int, nY: int) -> tuple[np.ndarray, np.ndarray]:
+    """The x and the y of each (x, y) in a sequence of pairs, as _point_indices checks them."""
+    np.reshape(pairs, (len(pairs), 2))  # fails unless each entry is a pair
+    xs, ys = zip(*pairs) if len(pairs) else ((), ())  # as given, so a bool is seen as one
+    return _point_indices(xs, nX), _point_indices(ys, nY)
 
 
 @dataclass(frozen=True)
@@ -196,8 +203,7 @@ class Correspondence:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        P = np.asarray(self.pairs).reshape(len(self.pairs), 2)  # fails unless each entry is a pair
-        xs, ys = _point_indices(P[:, 0], self.n_source), _point_indices(P[:, 1], self.n_target)
+        xs, ys = _pair_indices(self.pairs, self.n_source, self.n_target)
         object.__setattr__(self, "pairs", tuple(zip(xs.tolist(), ys.tolist())))
 
     @cached_property
@@ -835,18 +841,14 @@ def _cover_search(dX, dY, types, cand):
     typesX[x, x2] == typesY[y, y2].  decide(t, budget) returns (pairs,
     spent): pairs the sorted (x, y) of a cover, every two of cost at most
     t and sitting together, or None; spent the search nodes used.  None
-    with spent > budget leaves t undecided.  Only per-space matrices are
-    read: a chosen pair's rows of costs and types come from columns
-    gathered once.
+    with spent > budget leaves t undecided.  Bit x * |Y| + y of a set of
+    pairs is pair (x, y); cand is the root's live set, and a chosen pair's
+    row of costs and types is computed from row x of dX and row y of dY.
     """
-    nX, nY = dX.shape[0], dY.shape[0]
-    P = np.flatnonzero(cand)
-    xs, ys = P // nY, P % nY
-    DX, DY = dX[:, xs], dY[:, ys]  # pair p's costs: ext_abs_diff(DX[xs[p]], DY[ys[p]])
-    if types is not None:
-        KX, KY = types[0][:, xs], types[1][:, ys]  # pair p's partners: KX[xs[p]] == KY[ys[p]]
-    # bit p of an int is pair p: the pairs of each row, then of each column
-    lines = tuple(_bits(xs == x) for x in range(nX)) + tuple(_bits(ys == y) for y in range(nY))
+    nX, nY, root = dX.shape[0], dY.shape[0], _bits(cand)
+    # the pairs of each row, a run of nY bits, then of each column
+    row, col = (1 << nY) - 1, sum(1 << x * nY for x in range(nX))
+    lines = tuple(row << x * nY for x in range(nX)) + tuple(col << y for y in range(nY))
 
     @np.errstate(invalid="ignore")  # inf - inf in _abs_diff
     def decide(t, budget):
@@ -854,13 +856,13 @@ def _cover_search(dX, dY, types, cand):
         # fails), its uncovered lines and the pairs of its branching line
         # left to try, lowest first (none once the budget is spent)
         fits: dict[int, int] = {}  # pair -> the pairs that fit with it under t
-        # every pair is live at first: it costs 0 against itself (zero
+        # every candidate is live at first: it costs 0 against itself (zero
         # diagonals) and has its own type (reach is reflexive)
-        live, uncovered = (1 << P.size) - 1, lines
+        live, uncovered = root, lines
         frames, chosen, spent = [], [], 0
         while True:
             if not uncovered:
-                return sorted((int(xs[p]), int(ys[p])) for p in chosen), spent
+                return sorted(divmod(p, nY) for p in chosen), spent
             spent += 1
             todo = 0
             if spent <= budget:
@@ -877,14 +879,15 @@ def _cover_search(dX, dY, types, cand):
             frame[2] = todo & (todo - 1)
             p = (todo ^ frame[2]).bit_length() - 1
             chosen.append(p)
+            x, y = divmod(p, nY)
             uncovered = list(uncovered)
-            for m in (lines[xs[p]], lines[nX + ys[p]]):
+            for m in (lines[x], lines[nX + y]):
                 if m in uncovered:  # a line equal to m holds p: it is p's row or column
                     uncovered.remove(m)
             if p not in fits:
-                ok = _abs_diff(DX[xs[p]], DY[ys[p]]) <= t
+                ok = _abs_diff(dX[x][:, None], dY[y]) <= t
                 if types is not None:
-                    ok &= KX[xs[p]] == KY[ys[p]]
+                    ok &= types[0][x][:, None] == types[1][y]
                 fits[p] = _bits(ok)
             live &= fits[p]
 

@@ -263,9 +263,15 @@ def sncf_plane(points) -> FiniteDSpace:
     Edges run from the origin out to every point, and between points on a
     common ray from the origin, always outward.  Between points on
     different rays the only zigzag routes double back through the origin,
-    so zz(p, q) = |p| + |q| there.
+    so zz(p, q) = |p| + |q| there.  Raises ValueError naming a point whose
+    coordinates are not finite or exceed 1e150 in absolute value, where
+    its distances and the products of the ray test would overflow.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    placeable = (np.abs(pts) <= 1e150).all(axis=1)  # False for nan
+    if not placeable.all():
+        x, y = pts[np.argmin(placeable)].tolist()
+        raise ValueError(f"point ({x:g}, {y:g}) cannot be placed: coordinates must be finite, at most 1e150 in size")
     norms = np.hypot(pts[:, 0], pts[:, 1])
     if not (norms <= 1e-12).any():
         pts = np.vstack([[0.0, 0.0], pts])

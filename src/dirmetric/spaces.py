@@ -163,11 +163,22 @@ def _point_indices(values, n: int, count=None) -> np.ndarray:
     range(n): numpy would truncate a float and read -1 as the last point.
     """
     a = np.asarray(values)
-    if a.size and (a.dtype.kind not in "iu" or a.min() < 0 or a.max() >= n):
+    if a.size and (a.dtype.kind not in "iu" or a.min() < 0 or a.max() >= n or _holds_bool(values, a.ndim)):
         raise ValueError(f"point indices must be integers, none outside range({n})")
     if count is not None and a.shape != (count,):
         raise ValueError(f"one image per source point required: {count} points, images of shape {a.shape}")
     return a.astype(int, copy=False)
+
+
+def _holds_bool(values, ndim: int) -> bool:
+    """Whether values, ndim-dimensional to numpy, is a Python sequence holding a bool.
+
+    numpy reads [True, 2] as ints, so only the entries themselves show it.
+    """
+    if isinstance(values, np.ndarray) or ndim == 0:
+        return False
+    entries = values if ndim == 1 else np.asarray(values, dtype=object).flat
+    return not {bool, np.bool_}.isdisjoint(map(type, entries))
 
 
 def _parse_edges(edges, n: int):
@@ -342,9 +353,11 @@ def zigzag_from_edges(n: int, edges, sources=None) -> np.ndarray:
     the full symmetric (n, n) matrix is returned; otherwise one row per
     requested source index.  Meant for large graphs (fine grids) where a
     dense base matrix would not fit.  The edges are checked as a space
-    checks them (ValueError on a bad endpoint or length).
+    checks them (ValueError on a bad endpoint or length), and sources as
+    point indices.
     """
-    return _zigzag(_zigzag_graph(n, *_parse_edges(edges, n)), sources)
+    graph = _zigzag_graph(n, *_parse_edges(edges, n))
+    return _zigzag(graph, None if sources is None else _point_indices(sources, n))
 
 
 def _zigzag(graph: _Graph, sources=None) -> np.ndarray:
@@ -491,7 +504,7 @@ def quotient(space: FiniteDSpace, classes: Sequence[Iterable[int]]) -> FiniteDSp
     to a self-loop are dropped.
     """
     n = space.n
-    members = [sorted(int(i) for i in c) for c in classes]
+    members = [sorted(_point_indices(list(c), n).tolist()) for c in classes]
     if any(len(c) == 0 for c in members):
         raise ValueError("quotient classes must be non-empty")
     flat = [i for c in members for i in c]

@@ -3,7 +3,8 @@
 Claims covered: every subcommand emits exactly one JSON object on
 standard output, files appear only with --out, certificates re-evaluate
 to the reported value, error paths exit 1 (a bad base-less edge and an
-out-of-memory error among them), non-standard JSON numbers are invalid
+out-of-memory error and gen sncf points that cannot be placed, without
+a numpy warning, among them), non-standard JSON numbers are invalid
 JSON, gen, ball on the k = 32 torus and the open book's zigzag load no
 scipy while an all-pairs zigzag past the Python search bound does, dist
 on two empty spaces reports an exact 0,
@@ -25,6 +26,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -101,6 +103,13 @@ def test_gen_rejects_bad_arguments(capsys):
     assert code == 1
     code, _, err = run(capsys, "gen", "sncf")
     assert code == 1 and "--points" in err
+    # points that cannot be placed are named before any arithmetic warns
+    for points, named in (("inf,0", "(inf, 0)"), ("1,1;nan,2", "(nan, 2)"), ("1e308,0;-1e308,0", "(1e+308, 0)")):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "gen", "sncf", "--points", points)
+        assert code == 1 and out == "" and err.startswith("error: ") and named in err, err
+        assert "Warning" not in err and not caught, [str(w.message) for w in caught]
     for steps in ("1,0;oops", "1,0,5", "1"):
         code, _, err = run(capsys, "gen", "square", "--steps", steps)
         assert code == 1 and "--steps" in err and "Traceback" not in err

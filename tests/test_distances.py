@@ -2,8 +2,9 @@
 
 Claims covered: subset distances on a path (indices outside the space
 rejected), integer point indices in range(n) required by every helper
-that takes them, distortion helpers against a slow oracle, the
-branch-and-bound correspondence search against naive enumeration,
+that takes them (a bool beside ints included), distortion helpers
+against a slow oracle, the branch-and-bound correspondence search
+against naive enumeration,
 frozen two-point values for all three distances, the
 INFINITY certificate for the two-arm interval against its reversal by
 both proof routes, finite cdis certificates checked as
@@ -17,7 +18,9 @@ the slow d-correspondence
 rule, type-based propagation against the table form, the value-set
 thresholds against the full pair-cost table, the value-gap lower bound
 against its former form with a diameter term (seeded and as a property),
-the traced memory of cdis at the pair limit and of batched map scoring,
+the traced memory of cdis at the pair limit, of the threshold search's
+set-up and of batched map scoring, the threshold search on random
+candidate masks against the full-table reference,
 the chain gh <= dis <= cdis with re-scored certificates as a property on
 exhaustive sizes, d-isometry detection, the frozen instance where the
 classical comparison of the base metrics (gh of spaces whose zigzag is
@@ -87,10 +90,12 @@ from dirmetric import (
     metric_ball,
     open_book,
     pair_codistortion,
+    quotient,
     random_space,
     reverse,
     source_sink_interval,
     verify_chain,
+    zigzag_from_edges,
 )
 from dirmetric import distances
 from dirmetric.distances import (
@@ -186,11 +191,22 @@ _ZZ5, _ZZ3 = _INTERVAL.zz, DirectedMetricSpace.from_space(directed_interval(2)).
         lambda: pair_codistortion([0, 1, 2, 3, 5], [0, 1, 2, 3, 4], _ZZ5, _ZZ5),
         lambda: distortion_relation([(-1, 0)], _ZZ5, _ZZ5),  # returned 0.0
         lambda: metric_ball(_ZZ5, 1.5, 0.3),  # numpy's IndexError
+        lambda: hausdorff(_ZZ5, [True, 2], [0]),  # numpy read [1, 2] and returned 0.5
+        lambda: distortion_relation([(0, 0), (True, 1)], _ZZ5, _ZZ5),  # read (1, 1)
+        lambda: Correspondence(2, 2, ((0, 0), (1, False))),  # stored (1, 0)
+        lambda: quotient(directed_interval(4), [[0, 4.7], [1], [2], [3]]),  # glued point 4
+        lambda: quotient(directed_interval(4), [[0, 4], [True], [2], [3]]),  # read point 1
+        lambda: quotient(directed_interval(4), [[0, "4"], [1], [2], [3]]),  # read point 4
+        *(
+            lambda s=s: zigzag_from_edges(3, ((0, 1, 1.0), (1, 2, 1.0)), sources=s)
+            for s in ([0.7], [-1], [True], ["1"], [5])  # rows 0, 2, 1 and 1, and numpy's IndexError
+        ),
     ],
 )
 def test_point_indices_are_integers_in_range(call):
-    # every helper taking point indices rejects floats, bools and indices
-    # outside range(n) with a ValueError, on the five-point interval
+    # every helper taking point indices rejects floats, bools (also beside
+    # ints in a Python sequence), strings and indices outside range(n) with
+    # a ValueError, on the five-point interval or the three-point path
     with pytest.raises(ValueError, match=r"integers|outside range\(5\)|one image per source point"):
         call()
 
@@ -505,8 +521,10 @@ def test_row_search_equals_the_full_table_reference():
     # candidates (cdis), with every pair allowed (gh, and gh on the
     # asymmetric base metrics), each without a node cap and under a cap of
     # 30 nodes; the reference walks the same threshold list, which capped
-    # runs follow
-    rng = np.random.default_rng(91)
+    # runs follow.  Each pair also runs on a seeded random candidate mask,
+    # with the reach rule (as an |X| x |Y| mask) and with every pair allowed
+    # (raveled); every fourth mask empties a row and every fourth a column
+    rng, masks = np.random.default_rng(91), np.random.default_rng(92)
     pairs = [
         (DirectedMetricSpace.from_space(open_book(n, m)), DirectedMetricSpace.from_space(open_book(n + 1, m)))
         for n, m in ((2, 2), (3, 3))
@@ -516,23 +534,33 @@ def test_row_search_equals_the_full_table_reference():
         Y = stretched_copy(rng, s)[0] if i % 2 else dspace_random(rng, int(rng.integers(3, 9)))
         pairs.append((DirectedMetricSpace.from_space(s), Y))
     outcomes = {"exact": 0, "capped": 0, "infinite": 0}
+    masked = dict.fromkeys(outcomes, 0)
     for i, (X, Y) in enumerate(pairs):
         mn = X.n * Y.n
         compat = reach_compat_matrix(X.reach, Y.reach)
         types = (_reach_types(X.reach), _reach_types(Y.reach))
         every = np.ones(mn, dtype=bool)
+        some = masks.random((X.n, Y.n)) < 0.7
+        if i % 4 == 1:
+            some[masks.integers(X.n)] = False
+        elif i % 4 == 3:
+            some[:, masks.integers(Y.n)] = False
         cases = (
             (X.zz, Y.zz, types, compat, table_arc_consistent_candidates(compat, X.n, Y.n)),
             (X.zz, Y.zz, None, np.ones((mn, mn), dtype=bool), every),
             (X.space.base, Y.space.base, None, np.ones((mn, mn), dtype=bool), every),
+            (X.zz, Y.zz, types, compat, some),
+            (X.zz, Y.zz, None, np.ones((mn, mn), dtype=bool), some.ravel()),
         )
-        for dX, dY, mask, table, cand in cases:
+        for k, (dX, dY, mask, table, cand) in enumerate(cases):
             floor, T = _value_gap_lower(dX, dY), _thresholds(dX, dY)
             for limit in (INFINITY, 30):
                 got = _threshold_correspondence(dX, dY, mask, cand, floor, limit)
-                assert got == full_table_threshold_correspondence(dX, dY, table, cand, T, floor, limit), (i, limit)
-                outcomes["infinite" if math.isinf(got[0]) else "exact" if got[0] == got[1] else "capped"] += 1
+                assert got == full_table_threshold_correspondence(dX, dY, table, cand, T, floor, limit), (i, k, limit)
+                outcome = "infinite" if math.isinf(got[0]) else "exact" if got[0] == got[1] else "capped"
+                (masked if k >= 3 else outcomes)[outcome] += 1
     assert min(outcomes.values()) >= 10, outcomes
+    assert min(masked.values()) >= 10, masked
 
 
 def test_row_search_stops_where_the_full_table_reference_stops():
@@ -721,6 +749,24 @@ def test_gh_threshold_search_holds_no_pair_cost_table():
         tracemalloc.stop()
     assert r.exact and r.method == "branch-and-bound"
     assert peak < 8_000_000, f"traced peak {peak / 1e6:.1f} MB"
+
+
+def test_cover_search_setup_builds_nothing_per_pair():
+    # torus k=8 v square k=7, 4096 pairs under the reach rule: the search
+    # numbers pair (x, y) as bit x * |Y| + y, so its set-up holds the
+    # |X| + |Y| line masks and the root's live set, not per-pair columns of
+    # costs and types ((|X| + |Y|) * |X| * |Y| entries, 4.7 MiB here)
+    X = DirectedMetricSpace.from_space(flat_torus_grid(GridSpec(k=8)))
+    Y = DirectedMetricSpace.from_space(directed_square_grid(GridSpec(k=7)))
+    types, cand = (_reach_types(X.reach), _reach_types(Y.reach)), np.ones((X.n, Y.n), dtype=bool)
+    assert cand.size == distances.PAIR_LIMIT
+    tracemalloc.start()
+    try:
+        _cover_search(X.zz, Y.zz, types, cand)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"traced peak {peak / 2**20:.2f} MiB"
 
 
 def test_batch_map_scoring_memory_is_bounded():

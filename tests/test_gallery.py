@@ -3,7 +3,8 @@
 Claims covered: worst-case overhead ratios of step sets in closed form,
 unit-square oracle values against the grid graph, equality of the direct
 torus construction with the quotient route, spine distances of the open
-book family, hub-and-spoke and hollow-square frozen values, metric
+book family, hub-and-spoke and hollow-square frozen values, hub-and-spoke
+points that cannot be placed rejected without a numpy warning, metric
 ball behaviour, and the exact bytes of small gallery, reversed, union,
 product and quotient space files.
 """
@@ -11,6 +12,7 @@ product and quotient space files.
 import hashlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -256,6 +258,13 @@ def test_sncf_prepends_origin_and_rejects_duplicates():
     assert s.labels[0] == "(0,0)"
     with pytest.raises(ValueError):
         sncf_plane([(1.0, 0.0), (1.0, 0.0)])
+    # inf and nan coordinates, and two points whose distance overflows
+    # (each 1e308 from the origin), are named without a numpy warning
+    for points in ([(math.inf, 0.0)], [(1.0, 1.0), (math.nan, 2.0)], [(1e308, 0.0), (-1e308, 0.0)]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"cannot be placed: coordinates must be finite"):
+                sncf_plane(points)
 
 
 def test_hollow_square_boundary_only():
