@@ -83,6 +83,11 @@ class SearchBudget:
     exhaustive_gh: int = 16
     exhaustive_cdis: int = 12
 
+    def __post_init__(self):
+        for name, cap in vars(self).items():
+            if cap < 0:
+                raise ValueError(f"{name} must be a non-negative integer, got {cap}")
+
 
 DEFAULT_BUDGET = SearchBudget()
 

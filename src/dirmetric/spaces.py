@@ -117,8 +117,9 @@ def max_triangle_defect(d: np.ndarray) -> float:
     if not d.size:
         return -INFINITY
     rhs = np.full(d.shape, INFINITY)
-    for k in range(d.shape[0]):
-        np.minimum(rhs, np.add.outer(d[:, k], d[k, :]), out=rhs)
+    with np.errstate(over="ignore"):  # a sum past the largest float is an inf rhs
+        for k in range(d.shape[0]):
+            np.minimum(rhs, np.add.outer(d[:, k], d[k, :]), out=rhs)
     with np.errstate(invalid="ignore"):
         return float(np.max(np.where(np.isinf(rhs), -INFINITY, d - rhs)))
 

@@ -35,7 +35,6 @@ from .distances import (
     dcorrespondence_distance,
     directed_hausdorff,
     distortion_distance,
-    distortion_relation,
     gh_distance,
     hausdorff,
     is_disometry,
@@ -121,18 +120,26 @@ def _rng_for(name: str, seed: int) -> np.random.Generator:
 def naive_min_correspondence_distortion(dX: np.ndarray, dY: np.ndarray) -> float:
     """Minimum distortion over all correspondences by full enumeration.
 
-    Walks every subset of the pair grid (2^(|X||Y|) of them), keeps the
-    covering ones.  Only usable for |X|*|Y| around 20 or less.
+    Scores every subset of the pair grid at once, pair (x, y) as bit
+    p = x*|Y| + y of a mask.  The arrays over masks double once per p:
+    a mask holding p scores as the one without it, raised by p's largest
+    cost against the bits below p.  That is 2^(|X||Y|) masks at about 32
+    bytes each, so keep |X|*|Y| at 20 or less.
     """
     nX, nY = dX.shape[0], dY.shape[0]
-    pairs = [(x, y) for x in range(nX) for y in range(nY)]
-    best = INFINITY
-    for mask in range(1, 1 << len(pairs)):
-        chosen = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-        if len({x for x, _ in chosen}) < nX or len({y for _, y in chosen}) < nY:
-            continue
-        best = min(best, distortion_relation(chosen, dX, dY))
-    return best
+    P = nX * nY
+    xs, ys = np.divmod(np.arange(P), nY)
+    C = ext_abs_diff(dX[np.ix_(xs, xs)], dY[np.ix_(ys, ys)])
+    C = np.maximum(C, C.T)  # a relation scores (p, q) and (q, p) alike
+    dis, row, cover = np.zeros(1 << P), np.empty(1 << P), np.zeros((2, 1 << P), np.int64)
+    for p in range(P):
+        row[0] = C[p, p]
+        for q in range(p):
+            np.maximum(row[: 1 << q], C[p, q], out=row[1 << q : 2 << q])
+        np.maximum(dis[: 1 << p], row[: 1 << p], out=dis[1 << p : 2 << p])
+        cover[:, 1 << p : 2 << p] = cover[:, : 1 << p] | [[1 << xs[p]], [1 << ys[p]]]
+    covers = (cover == [[(1 << nX) - 1], [(1 << nY) - 1]]).all(axis=0)
+    return float(dis[covers].min(initial=INFINITY))
 
 
 # ---------------------------------------------------------------------------

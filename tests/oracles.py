@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from dirmetric import INFINITY, SpaceFormatError, ext_abs_diff
-from dirmetric.distances import DEFAULT_BUDGET, SearchBudget
+from dirmetric.distances import DEFAULT_BUDGET, SearchBudget, distortion_relation
 from dirmetric.verify import CHECKS, SUITES, CheckResult
 
 INF = float("inf")
@@ -251,6 +251,20 @@ def subset_cover_distortions(dX, dY, compat=None) -> np.ndarray:
             if compat is not None and not compat[p, q]:
                 keep &= ~both
     return worst[keep]
+
+
+def loop_min_correspondence_distortion(dX: np.ndarray, dY: np.ndarray) -> float:
+    """verify.naive_min_correspondence_distortion as it was: one Python
+    pass and one distortion_relation call per covering relation."""
+    nX, nY = dX.shape[0], dY.shape[0]
+    pairs = [(x, y) for x in range(nX) for y in range(nY)]
+    best = INFINITY
+    for mask in range(1, 1 << len(pairs)):
+        chosen = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
+        if len({x for x, _ in chosen}) < nX or len({y for _, y in chosen}) < nY:
+            continue
+        best = min(best, distortion_relation(chosen, dX, dY))
+    return best
 
 
 def table_bnb_correspondence(dX: np.ndarray, dY: np.ndarray):

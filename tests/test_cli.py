@@ -51,7 +51,7 @@ from dirmetric import (
 )
 from dirmetric import cli, distances
 from dirmetric.cli import RunConfig, _certificate_value, _zigzag_ball_row, build_parser, main
-from dirmetric.distances import DEFAULT_BUDGET
+from dirmetric.distances import DEFAULT_BUDGET, SearchBudget
 from dirmetric.spaces import compute_zigzag
 from dirmetric.verify import check_source_sink, run_checks
 
@@ -189,6 +189,16 @@ def test_non_standard_json_numbers_are_invalid_json(capsys, tmp_path, number):
     path.write_text('{"base": [[0, %s], [%s, 0]],\n "edges": []}' % (number, number))
     code, _, err = run(capsys, "zigzag", str(path))
     assert code == 1 and "invalid JSON at line 1" in err and "Traceback" not in err
+
+
+def test_distances_near_the_largest_float_run_without_warnings(capsys, tmp_path):
+    # the triangle check sums two 1e308 edges past the largest float
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"labels": ["a", "b"], "edges": [[0, 1, 1e308], [1, 0, 1e308]]}))
+    code, out, err = run(capsys, "zigzag", str(path))
+    assert (code, err) == (0, "") and json.loads(out)["zigzag"] == [[0.0, 1e308], [1e308, 0.0]]
+    code, out, err = run(capsys, "dist", "gh", str(path), str(path))
+    assert (code, err) == (0, "") and json.loads(out)["value"] == 0.0
 
 
 def test_scipy_loads_only_for_searches_above_the_python_bound(tmp_path):
@@ -629,6 +639,18 @@ def test_verify_rejects_a_negative_seed_in_every_suite(capsys, suite):
     code, out, err = run(capsys, "verify", suite, "--seed", "-1")
     assert (code, out) == (1, "")
     assert err == "error: seed must be a non-negative integer, got -1\n"
+
+
+@pytest.mark.parametrize("flag", ["--budget-exhaustive-gh", "--budget-exhaustive-cdis"])
+def test_dist_and_verify_reject_a_negative_budget(capsys, tmp_path, flag):
+    fx, fy = write_two_arm(tmp_path)
+    name = flag.removeprefix("--budget-").replace("-", "_")
+    for argv in (["dist", "gh", fx, fy], ["verify", "core"]):
+        code, out, err = run(capsys, *argv, flag, "-5")
+        assert (code, out) == (1, "")
+        assert err == f"error: {name} must be a non-negative integer, got -5\n"
+    with pytest.raises(ValueError, match="got -1"):
+        SearchBudget(**{name: -1})
 
 
 def test_verify_rejects_unknown_suite(capsys):

@@ -8,6 +8,7 @@ and spaces comparing and hashing by identity.
 """
 
 import sys
+import warnings
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -282,6 +283,14 @@ def test_triangle_defect_of_a_matrix_with_a_nan_is_nan():
         d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
         d[cell] = np.nan
         assert np.isnan(max_triangle_defect(d))
+
+
+def test_triangle_defect_ignores_sums_past_the_largest_float():
+    # d[i, k] + d[k, j] overflows to inf, an rhs that never counts as violated
+    d = np.array([[0.0, 1e308], [1e308, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert repr(max_triangle_defect(d)) == "0.0"
 
 
 def test_parallel_edges_take_the_minimum():

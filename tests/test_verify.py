@@ -8,8 +8,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import small_spaces
+from hypothesis import given, settings
 
-from dirmetric import SUITES, compute_zigzag, run_checks, random_space
+from dirmetric import SUITES, DirectedMetricSpace, compute_zigzag, distances, run_checks, random_space
 from dirmetric import verify
 from dirmetric.gallery import (
     GridSpec,
@@ -24,7 +26,12 @@ from dirmetric.cli import main
 from dirmetric.distances import DEFAULT_BUDGET
 from dirmetric.spaces import _zigzag_graph, compute_reachability, disjoint_union
 from dirmetric.verify import _identity_distortion, naive_min_correspondence_distortion
-from oracles import full_identity_distortion, serial_run_checks
+from oracles import (
+    full_identity_distortion,
+    loop_min_correspondence_distortion,
+    serial_run_checks,
+    subset_cover_distortions,
+)
 
 
 def _space_identity_distortion(s):
@@ -95,6 +102,42 @@ def test_random_space_is_valid_and_connected():
 def test_naive_oracle_on_identical_spaces():
     d = np.array([[0.0, 1.0], [1.0, 0.0]])
     assert naive_min_correspondence_distortion(d, d) == 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_spaces(3), small_spaces(3))
+def test_naive_oracle_equals_the_relation_loop_bit_for_bit(X, Y):
+    # disconnected spaces put inf cells in both matrices; repr tells
+    # inf, -0.0 and 0.0 apart
+    naive = naive_min_correspondence_distortion(X.zz, Y.zz)
+    assert repr(naive) == repr(loop_min_correspondence_distortion(X.zz, Y.zz))
+
+
+@pytest.mark.parametrize("nx, ny", [(4, 4), (2, 8), (1, 16), (16, 1)])
+def test_naive_oracle_equals_the_subset_table_on_sixteen_pairs(nx, ny):
+    rng = np.random.default_rng(nx * 100 + ny)
+    X, Y = (DirectedMetricSpace.from_space(random_space(rng, n, connected=n != 4)) for n in (nx, ny))
+    naive = naive_min_correspondence_distortion(X.zz, Y.zz)
+    assert naive == subset_cover_distortions(X.zz, Y.zz).min()
+
+
+def test_naive_oracle_on_empty_spaces():
+    # the empty relation covers two empty sides, as gh's "empty" method
+    # reports; nothing covers a non-empty side against an empty one
+    empty, point = np.zeros((0, 0)), np.zeros((1, 1))
+    assert naive_min_correspondence_distortion(empty, empty) == 0.0
+    assert naive_min_correspondence_distortion(empty, point) == np.inf
+    assert naive_min_correspondence_distortion(point, empty) == np.inf
+
+
+def test_naive_oracle_calls_no_relation_distortion(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the oracle must not share the searches' scoring")
+
+    monkeypatch.setattr(distances, "distortion_relation", refuse)
+    monkeypatch.setattr(verify, "distortion_relation", refuse, raising=False)
+    d = np.array([[0.0, 1.0], [1.0, 0.0]])
+    assert naive_min_correspondence_distortion(d, d[::-1, ::-1]) == 0.0
 
 
 def test_square_identity_check_holds_no_dense_matrix():
