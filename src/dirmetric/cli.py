@@ -57,8 +57,6 @@ from .spaces import (
     FiniteDSpace,
     _zigzag,
     _zigzag_graph,
-    compute_reachability,
-    compute_zigzag,
 )
 from .verify import SUITES, CheckError, run_checks
 
@@ -152,24 +150,22 @@ def cmd_gen(args) -> int:
 
 
 def cmd_zigzag(args) -> int:
-    space = load_space(args.space)
-    zz = compute_zigzag(space)
-    reach = compute_reachability(space)
+    X = DirectedMetricSpace.from_space(load_space(args.space))
     if args.out:
         zz_path = Path(args.out)
         reach_path = zz_path.with_name(zz_path.stem + ".reach" + (zz_path.suffix or ".csv"))
-        zz_path.write_text(matrix_to_csv(zz, space.labels), encoding="utf-8")
-        reach_path.write_text(matrix_to_csv(reach, space.labels), encoding="utf-8")
+        zz_path.write_text(matrix_to_csv(X.zz, X.labels), encoding="utf-8")
+        reach_path.write_text(matrix_to_csv(X.reach, X.labels), encoding="utf-8")
         sys.stdout.write(dump_report({
-            "points": space.n,
+            "points": X.n,
             "zigzag_csv": str(zz_path),
             "reachability_csv": str(reach_path),
         }))
     else:
         sys.stdout.write(dump_report({
-            "labels": list(space.labels),
-            "zigzag": zz,
-            "reachability": reach.view(np.uint8),  # 0/1, not true/false
+            "labels": list(X.labels),
+            "zigzag": X.zz,
+            "reachability": X.reach.view(np.uint8),  # 0/1, not true/false
         }))
     return 0
 

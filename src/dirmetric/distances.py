@@ -85,8 +85,8 @@ class SearchBudget:
 
     def __post_init__(self):
         for name, cap in vars(self).items():
-            if cap < 0:
-                raise ValueError(f"{name} must be a non-negative integer, got {cap}")
+            if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)) or cap < 0:
+                raise ValueError(f"{name} must be a non-negative integer, got {cap!r}")
 
 
 DEFAULT_BUDGET = SearchBudget()
@@ -974,6 +974,7 @@ def verify_chain(X: DirectedMetricSpace, Y: DirectedMetricSpace, budget: SearchB
 
     Meant for sizes where every search is exhaustive; with budgets too
     small for that the report comes back inconclusive, never failed.
+    Raises ValueError when |X|*|Y| > PAIR_LIMIT, as dcorrespondence_distance does.
     dis reuses the gh and cdis reports instead of searching for them again.
     Inexact reports then share witnesses down the chain: gh takes the
     graphs of dis's map pair when they score lower (method "chain"), and

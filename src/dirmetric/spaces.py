@@ -40,10 +40,10 @@ the zigzag and the reachability closure run over blocks of _BLOCK_ROWS
 rows, so that on a large grid the only n x n arrays alive are the
 matrices themselves.  Zigzag searches walk a two-way graph that lists
 each edge in both directions, built once per edge set (_zigzag_graph);
-reachability walks the forward graph.  Shortest-path searches run in a
-pure-Python Dijkstra when small and in scipy's when large (see
-_PYTHON_SEARCH_MAX), with the same rows bit for bit, so small searches
-never import scipy.
+reachability walks the forward graph, every edge at length 1.
+Shortest-path searches run in a pure-Python Dijkstra when small and in
+scipy's when large (see _PYTHON_SEARCH_MAX), with the same rows bit for
+bit, so small searches never import scipy.
 """
 
 from __future__ import annotations
@@ -391,13 +391,14 @@ def compute_zigzag(space: FiniteDSpace) -> np.ndarray:
 def compute_reachability(space: FiniteDSpace) -> np.ndarray:
     """Reflexive-transitive closure of the edge relation, as a bool matrix.
 
-    The pairs at finite distance in the directed graph, filled one row
+    The pairs joined by a directed path: the search gives every edge length 1,
+    so it reads no edge length and no sum can overflow.  Filled one row
     block at a time, so no n x n float matrix is held next to it.
     """
     n = space.n
     reach = np.eye(n, dtype=bool)
     if space.edges:
-        graph = _weight_csr(n, space.src, space.dst, space.length)
+        graph = _weight_csr(n, space.src, space.dst, np.ones(len(space.src)))
         for r in _row_blocks(n):
             reach[r] |= np.isfinite(_search(graph, np.arange(r.start, r.stop)))
     return reach

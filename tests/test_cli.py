@@ -201,6 +201,17 @@ def test_distances_near_the_largest_float_run_without_warnings(capsys, tmp_path)
     assert (code, err) == (0, "") and json.loads(out)["value"] == 0.0
 
 
+def test_a_reachable_pair_whose_path_overflows_exits_1(capsys, tmp_path):
+    # a reaches c through b, but the path's length sums past the largest
+    # float: zigzag and dist report the broken invariant, not a wrong order
+    path, far = tmp_path / "chain.json", tmp_path / "far.json"
+    path.write_text(json.dumps({"labels": ["a", "b", "c"], "edges": [[0, 1, 1e308], [1, 2, 1e308]]}))
+    far.write_text(json.dumps({"labels": ["a", "b"], "edges": [[0, 1, 1e308], [1, 0, 1e308]]}))
+    for argv in (["zigzag", str(path)], ["dist", "gh", str(path), str(far)]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", "error: reachable pair at infinite zigzag distance\n")
+
+
 def test_scipy_loads_only_for_searches_above_the_python_bound(tmp_path):
     # gen, a one-row ball on the k = 32 torus and the open book run their
     # searches in Python; an all-pairs zigzag of the k = 8 torus (64 rows

@@ -985,6 +985,26 @@ def test_search_reports_are_deterministic(monkeypatch):
         assert a.method == method
 
 
+@pytest.mark.parametrize("cap", [2.5, True, np.bool_(True), math.nan, "5", np.int64(-1)])
+def test_budget_caps_must_be_non_negative_integers(cap):
+    for name in ("exhaustive_gh", "exhaustive_cdis"):
+        with pytest.raises(ValueError, match=f"^{name} must be a non-negative integer, got "):
+            SearchBudget(**{name: cap})
+
+
+def test_budget_caps_take_python_and_numpy_integers():
+    assert SearchBudget(exhaustive_gh=np.int64(3), exhaustive_cdis=0) == SearchBudget(3, 0)
+
+
+def test_verify_chain_raises_above_the_pair_limit(monkeypatch):
+    # as dcorrespondence_distance does; a limit of 4 keeps the pair small
+    monkeypatch.setattr(distances, "PAIR_LIMIT", 4)
+    X = DirectedMetricSpace.from_space(directed_interval(2))
+    Y = DirectedMetricSpace.from_space(directed_interval(3))
+    with pytest.raises(ValueError, match="cdis takes at most 4 point pairs"):
+        verify_chain(X, Y)
+
+
 def test_larger_budget_never_worse():
     rng = np.random.default_rng(36)
     s1 = random_space(rng, 5)

@@ -247,6 +247,22 @@ def test_reachability_matches_recursive_oracle():
     assert np.array_equal(compute_reachability(s), recursive_reachability(300, s.edges))
 
 
+def test_reachability_follows_paths_whose_length_overflows(monkeypatch):
+    # a -> b -> c -> d sums past the largest float, yet a reaches d: reach
+    # is a fact about the edges, in the Python kernel and, with both search
+    # bounds at 0, in scipy's
+    edges = ((0, 1, 1e308), (1, 2, 1e308), (2, 3, 1e308))
+    s = FiniteDSpace(base=np.abs(np.subtract.outer(np.arange(4.0), np.arange(4.0))), edges=edges)
+    calls = []
+    kernel = spaces._python_dijkstra
+    monkeypatch.setattr(spaces, "_python_dijkstra", lambda *a: calls.append(1) or kernel(*a))
+    assert np.array_equal(compute_reachability(s), recursive_reachability(4, edges)) and calls
+    monkeypatch.setattr(spaces, "_PYTHON_SEARCH_MAX", 0)
+    monkeypatch.setattr(spaces, "_PYTHON_SEARCH_WARM_MAX", 0)
+    calls.clear()
+    assert np.array_equal(compute_reachability(s), recursive_reachability(4, edges)) and not calls
+
+
 def test_zigzag_is_extended_metric_and_dominates_base():
     rng = np.random.default_rng(13)
     for _ in range(15):
