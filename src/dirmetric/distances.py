@@ -51,17 +51,18 @@ proven lower bound, exact only if they meet.
 
 The map-pair distance enumerates map pairs while that is small.  Above
 that and up to PAIR_LIMIT pairs it is closed from the chain: gh's lower
-bound bounds it from below, and the choice functions of the cdis
-certificate bound it from above.  Only a bracket left open runs the
-seeded local search.  Greedy starting maps update (point, image) arrays
-of worst distortion and legality per placement; descent then moves one
-point of one map at a time and scores all candidate images of that point
-together in O(n*m).  One errstate covers the local search; its seed is a
-private constant, so move order and tie-breaking are fixed.
+bound bounds it below, and the choice functions of gh's certificate, when
+both are d-maps, then of cdis's bound it above.  cdis is searched only
+while that bracket is open, the seeded local search only if it stays
+open, and it stops polishing at the lower bound.  Greedy starting maps
+update (point, image) arrays of worst distortion and legality per
+placement; descent moves one point of one map at a time, scoring all its
+candidate images together in O(n*m).  Its seed is a private constant.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -101,9 +102,8 @@ NODE_LIMIT = 20_000
 PAIR_LIMIT = 4096
 
 # The map-pair local search (gh above PAIR_LIMIT, dis where the chain
-# leaves its bracket open): starting maps
-# sampled per side, and the seed of its rng.  Fixed, so equal inputs give
-# equal reports.
+# leaves its bracket open): starting maps sampled per side, and the seed
+# of its rng.  Fixed, so equal inputs give equal reports.
 _RESTARTS = 32
 _SEED = 0
 
@@ -383,19 +383,6 @@ def _arc_consistent_candidates(typesX: np.ndarray, typesY: np.ndarray) -> np.nda
         cand = new
 
 
-def _greedy_map(dX: np.ndarray, dY: np.ndarray) -> np.ndarray:
-    """A map X -> Y matching rows with similar distance profiles."""
-    nX, nY = dX.shape[0], dY.shape[0]
-    qs = np.linspace(0.0, 1.0, 8)
-    with np.errstate(invalid="ignore"):
-        px = np.nanquantile(np.where(np.isfinite(dX), dX, np.nan), qs, axis=1).T
-        py = np.nanquantile(np.where(np.isfinite(dY), dY, np.nan), qs, axis=1).T
-    px = np.nan_to_num(px, nan=0.0)
-    py = np.nan_to_num(py, nan=0.0)
-    cost = np.abs(px[:, None, :] - py[None, :, :]).max(axis=2)
-    return cost.argmin(axis=1)
-
-
 def _neighbours(n: int, edges):
     """Out- and in-neighbour index arrays of each point, and its sorted neighbours.
 
@@ -554,7 +541,7 @@ def _descend(f, g, dX, dY, nbX, nbY, reachX, reachY):
 
 
 @np.errstate(invalid="ignore")  # inf - inf in _abs_diff and the greedy step
-def _local_search_map_pair(X: DirectedMetricSpace, Y: DirectedMetricSpace, dmaps: bool):
+def _local_search_map_pair(X: DirectedMetricSpace, Y: DirectedMetricSpace, dmaps: bool, floor: float):
     """Best map pair (f, g) by alternating pointwise descent.
 
     Objective: max of the two distortions and the codistortion of the
@@ -571,6 +558,8 @@ def _local_search_map_pair(X: DirectedMetricSpace, Y: DirectedMetricSpace, dmaps
     the best so far only when they score lower by more than 1e-15; with
     the rng seeded by _SEED, the move order and tie-breaking are fixed.
     Greedy starting maps and descent run under one np.errstate, set here.
+    floor is a proven lower bound on every objective: polishing stops once
+    one reaches it, as no later pair could score strictly lower.
     """
     dX, dY, reachX, reachY = X.zz, Y.zz, X.reach, Y.reach
     nX, nY = X.n, Y.n
@@ -595,10 +584,12 @@ def _local_search_map_pair(X: DirectedMetricSpace, Y: DirectedMetricSpace, dmaps
         add(pool_f, np.full(nX, cy, dtype=int))
     for cx in (ecc_x[0], ecc_x[-1]):
         add(pool_g, np.full(nY, cx, dtype=int))
-    for pool, edges, reach, profile in (
-        (pool_f, edgesX, reachY, _greedy_map(dX, dY)),
-        (pool_g, edgesY, reachX, _greedy_map(dY, dX)),
-    ):
+    # a row's profile is 8 quantiles of its finite entries, computed once a
+    # space; the profile map sends each row to the row of closest profile
+    qs = np.linspace(0.0, 1.0, 8)
+    pX, pY = (np.nan_to_num(np.nanquantile(np.where(np.isfinite(d), d, np.nan), qs, axis=1).T, nan=0.0) for d in (dX, dY))
+    for pool, edges, reach, (p, q) in ((pool_f, edgesX, reachY, (pX, pY)), (pool_g, edgesY, reachX, (pY, pX))):
+        profile = np.abs(p[:, None, :] - q[None, :, :]).max(axis=2).argmin(axis=1)
         for im in ([np.arange(nX)] if nX == nY else []) + [profile]:
             if reach[im[edges[0]], im[edges[1]]].all():
                 add(pool, im)
@@ -626,6 +617,8 @@ def _local_search_map_pair(X: DirectedMetricSpace, Y: DirectedMetricSpace, dmaps
 
     best_val, best_f, best_g = INFINITY, None, None
     for val0, fi, gi in scored[:polish]:
+        if best_val <= floor:
+            break
         val, f, g = _descend(F[fi].copy(), G[gi].copy(), dX, dY, nbX, nbY, reachX, reachY)
         if val < best_val:
             best_val, best_f, best_g = val, tuple(f.tolist()), tuple(g.tolist())
@@ -657,9 +650,10 @@ def gh_distance(X: DirectedMetricSpace, Y: DirectedMetricSpace, budget: SearchBu
         return DistanceReport("gh", 0.5 * val, True, 0.5 * val, cert, "branch-and-bound")
     if nX * nY <= PAIR_LIMIT:
         return _threshold_report("gh", dX, dY, None, np.ones((nX, nY), dtype=bool), NODE_LIMIT)
-    val, f, g = _local_search_map_pair(X, Y, dmaps=False)
+    lower = _value_gap_lower(dX, dY)
+    val, f, g = _local_search_map_pair(X, Y, False, lower)
     cert = _graph_correspondence(f, g) if f is not None else None  # None: no map pair of finite objective
-    return _bracket("gh", 0.5 * val, 0.5 * _value_gap_lower(dX, dY), cert, "local-search")
+    return _bracket("gh", 0.5 * val, 0.5 * lower, cert, "local-search")
 
 
 def _graph_correspondence(f, g) -> Correspondence:
@@ -682,20 +676,21 @@ def distortion_distance(
     Exhaustive enumeration when |Y|^|X| * |X|^|Y| <= MAP_PAIR_LIMIT.
     Above it and up to PAIR_LIMIT, closed from the chain gh <= dis <= cdis:
     gh's proven lower bound bounds dis from below, and the choice
-    functions of the cdis certificate are a pair of d-maps whose objective
-    is at most its distortion (method "chain").  Seeded alternating local
-    search over d-maps runs only when that bracket stays open, or above
-    PAIR_LIMIT, and the better certificate is kept.  budget goes to gh and
-    cdis only.
+    functions of a certificate, when both are d-maps, are a map pair whose
+    objective is at most its distortion (method "chain").  gh's
+    certificate is tried first, then, while the bracket stays open,
+    cdis's, then seeded alternating local search over d-maps, which stops
+    once it meets the lower bound; the best certificate is kept.  Above
+    PAIR_LIMIT only the local search runs.  budget goes to gh and cdis only.
     """
-    return _distortion_report(X, Y, lambda: (gh_distance(X, Y, budget), dcorrespondence_distance(X, Y, budget)))
+    return _distortion_report(X, Y, (search(X, Y, budget) for search in (gh_distance, dcorrespondence_distance)))
 
 
 def _distortion_report(X: DirectedMetricSpace, Y: DirectedMetricSpace, chain_reports) -> DistanceReport:
-    """distortion_distance, with chain_reports() giving its gh and cdis reports.
+    """distortion_distance, with chain_reports an iterator of its gh and then its cdis report.
 
-    It is called only when the chain closure runs, so a caller that
-    already holds both reports passes them in instead of searching again.
+    gh's is drawn on entering the chain closure, cdis's only while the
+    bracket is open, so a lazy generator searches only for what is drawn.
     """
     nX, nY = X.n, Y.n
     if nX == 0 or nY == 0:
@@ -708,33 +703,35 @@ def _distortion_report(X: DirectedMetricSpace, Y: DirectedMetricSpace, chain_rep
             return DistanceReport("dis", INFINITY, True, INFINITY, None, "exhaustive")
         return DistanceReport("dis", 0.5 * val, True, 0.5 * val, MapPair(f, g), "exhaustive")
     val, f, g = INFINITY, None, None
-    chained = nX * nY <= PAIR_LIMIT
-    if chained:
-        gh, cdis = chain_reports()
+    if nX * nY <= PAIR_LIMIT:
+        gh = next(chain_reports)
         lower = gh.lower  # gh's searches start from the value gap, so this is at least it
-        if cdis.certificate is not None:
-            f, g = _choice_functions(cdis.certificate)
-            val = MapPair(f, g).objective(X.zz, Y.zz)
+        for report in itertools.chain((gh,), chain_reports):
+            v, f2, g2 = _choice_map_pair(X, Y, report.certificate)
+            if v < val or f is None:
+                val, f, g = v, f2, g2
+            if 0.5 * val <= lower + 1e-12:  # closed before the next report is drawn
+                return _bracket("dis", 0.5 * val, lower, MapPair(f, g) if f is not None else None, "chain")
     else:
         lower = 0.5 * _value_gap_lower(X.zz, Y.zz)
-    method = "chain"
-    if not chained or 0.5 * val > lower + 1e-12:
-        method = "local-search"
-        val_ls, f_ls, g_ls = _local_search_map_pair(X, Y, dmaps=True)
-        if val_ls < val:
-            val, f, g = val_ls, f_ls, g_ls
-    return _bracket("dis", 0.5 * val, lower, MapPair(f, g) if f is not None else None, method)
+    val_ls, f_ls, g_ls = _local_search_map_pair(X, Y, True, 2 * lower)
+    if val_ls < val:
+        val, f, g = val_ls, f_ls, g_ls
+    return _bracket("dis", 0.5 * val, lower, MapPair(f, g) if f is not None else None, "local-search")
 
 
-def _choice_functions(c: Correspondence) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Maps sending each point to its least partner in c, one each way.
+def _choice_map_pair(X: DirectedMetricSpace, Y: DirectedMetricSpace, c: Optional[Correspondence]):
+    """(objective, f, g) of the maps sending each point to its first partner in c.
 
-    In a d-correspondence both are d-maps, and their map-pair objective is
-    at most the distortion of c: every term compares two pairs of c.
+    (inf, None, None) without c or unless both are d-maps, as always for a d-correspondence.
+    The objective is at most the distortion of c: each of its terms compares two pairs of c.
     """
-    f = {x: y for x, y in reversed(c.pairs)}
-    g = {y: x for x, y in reversed(c.pairs)}
-    return tuple(f[x] for x in range(c.n_source)), tuple(g[y] for y in range(c.n_target))
+    if c is not None:
+        f, g = dict(c.pairs[::-1]), {y: x for x, y in c.pairs[::-1]}  # the first pair wins
+        f, g = tuple(f[x] for x in range(c.n_source)), tuple(g[y] for y in range(c.n_target))
+        if VertexMap(X, Y, f).is_dmap and VertexMap(Y, X, g).is_dmap:
+            return MapPair(f, g).objective(X.zz, Y.zz), f, g
+    return INFINITY, None, None
 
 
 def _enumerate_dmaps(source: DirectedMetricSpace, target: DirectedMetricSpace) -> np.ndarray:
@@ -982,7 +979,7 @@ def verify_chain(X: DirectedMetricSpace, Y: DirectedMetricSpace, budget: SearchB
     """
     gh = gh_distance(X, Y, budget)
     cdis = dcorrespondence_distance(X, Y, budget)
-    dis = _distortion_report(X, Y, lambda: (gh, cdis))
+    dis = _distortion_report(X, Y, iter((gh, cdis)))
     if not gh.exact and dis.value < gh.value:
         witness = _graph_correspondence(dis.certificate.forward, dis.certificate.backward)
         gh = _bracket("gh", dis.value, gh.lower, witness, "chain")

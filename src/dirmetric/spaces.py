@@ -404,6 +404,23 @@ def compute_reachability(space: FiniteDSpace) -> np.ndarray:
     return reach
 
 
+def _weak_components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Each point's least point of its weak component, by min-label propagation over the edges.
+
+    A round lowers each edge end's label's label to the label across the edge, if smaller,
+    then jumps labels to their own until none moves: a long path takes a few rounds.
+    """
+    ends, others, label = np.concatenate((src, dst)), np.concatenate((dst, src)), np.arange(n)
+    while True:
+        new = label.copy()
+        np.minimum.at(new, label[ends], label[others])
+        while (new[new] != new).any():
+            new = new[new]  # a label's own label lies in the same component and is no larger
+        if (new == label).all():
+            return label
+        label = new
+
+
 @dataclass(frozen=True, eq=False)
 class DirectedMetricSpace:
     """A space bundled with its derived zigzag metric and reachability.
@@ -411,7 +428,7 @@ class DirectedMetricSpace:
     Invariants (checked on construction):
       * zz is an extended metric with zz >= base entrywise,
       * reachable pairs are at finite zigzag distance,
-      * finiteness of zz is symmetric (it depends only on weak components).
+      * zz is finite exactly within the weak components of the edges.
     """
 
     space: FiniteDSpace
@@ -435,8 +452,9 @@ class DirectedMetricSpace:
             raise ValueError("zigzag distances drop below the base metric")
         if _any_row_block(n, lambda r: (reach[r] & ~np.isfinite(zz[r])).any()):
             raise ValueError("reachable pair at infinite zigzag distance")
-        if _any_row_block(n, lambda r: (np.isfinite(zz[r]) != np.isfinite(zz[:, r].T)).any()):
-            raise ValueError("finiteness of zz is not symmetric")
+        comp = _weak_components(n, self.space.src, self.space.dst)
+        if _any_row_block(n, lambda r: (np.isfinite(zz[r]) != (comp[r, None] == comp)).any()):
+            raise ValueError("finiteness of zz is not that of the weak components")
 
     @classmethod
     def from_space(cls, space: FiniteDSpace) -> "DirectedMetricSpace":

@@ -464,6 +464,26 @@ def diameter_value_gap_lower(dX, dY) -> float:
     return float(max(gaps))
 
 
+def cdis_first_dis(X, Y, budget: SearchBudget = DEFAULT_BUDGET) -> tuple[float, float]:
+    """(value, lower) of dis between the exhaustive and the pair limit, in
+    the order it had before gh's certificate was tried: the choice maps of
+    the cdis certificate (each point to its least partner), then, while
+    they stay above gh's lower bound, the seeded local search run to its
+    end.  It calls the library's three searches; only the order is its own.
+    """
+    from dirmetric.distances import MapPair, _local_search_map_pair, dcorrespondence_distance, gh_distance
+
+    gh, cdis = gh_distance(X, Y, budget), dcorrespondence_distance(X, Y, budget)
+    val, c = INF, cdis.certificate
+    if c is not None:
+        f = tuple(min(y for x2, y in c.pairs if x2 == x) for x in range(c.n_source))
+        g = tuple(min(x for x, y2 in c.pairs if y2 == y) for y in range(c.n_target))
+        val = MapPair(f, g).objective(X.zz, Y.zz)
+    if 0.5 * val > gh.lower + 1e-12:
+        val = min(val, _local_search_map_pair(X, Y, True, 0.0)[0])
+    return 0.5 * val, gh.lower
+
+
 # ---------------------------------------------------------------------------
 # file formats, one value at a time
 

@@ -212,6 +212,20 @@ def test_a_reachable_pair_whose_path_overflows_exits_1(capsys, tmp_path):
         assert (code, out, err) == (1, "", "error: reachable pair at infinite zigzag distance\n")
 
 
+def test_a_zigzag_walk_that_overflows_in_one_component_exits_1(capsys, tmp_path):
+    # a and c both reach b, so neither reaches the other, and their only
+    # zigzag walk sums past the largest float: zz reads inf inside one weak
+    # component, which the component check reports
+    path, unit = tmp_path / "vee.json", tmp_path / "unit.json"
+    path.write_text(json.dumps({"labels": ["a", "b", "c"], "edges": [[0, 1, 1e308], [2, 1, 1e308]]}))
+    unit.write_text(json.dumps({"labels": ["a", "b", "c"], "edges": [[0, 1, 1], [2, 1, 1]]}))
+    for argv in (["zigzag", str(path)], ["dist", "gh", str(path), str(unit)]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", "error: finiteness of zz is not that of the weak components\n")
+    code, out, err = run(capsys, "dist", "gh", str(unit), str(unit))
+    assert (code, err) == (0, "") and json.loads(out)["value"] == 0.0
+
+
 def test_scipy_loads_only_for_searches_above_the_python_bound(tmp_path):
     # gen, a one-row ball on the k = 32 torus and the open book run their
     # searches in Python; an all-pairs zigzag of the k = 8 torus (64 rows

@@ -33,7 +33,9 @@ starting maps that carry it above its size guards, its frozen results
 on two pairs and on twelve random pairs above the exhaustive caps,
 verify_chain running the gh and cdis threshold searches once each, and
 its witnesses shared down the chain for inexact reports only (on tori
-5 v 6 and 5 v 8, and under a forced node cap).
+5 v 6 and 5 v 8, and under a forced node cap), dis closed from gh's
+choice maps with no local search and no cdis search, and dis above the
+map-pair limit never above the cdis-first order, as a property.
 """
 
 import dataclasses
@@ -49,6 +51,7 @@ from conftest import small_spaces
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    cdis_first_dis,
     diameter_value_gap_lower,
     full_table_threshold_correspondence,
     reach_compat_matrix,
@@ -84,6 +87,7 @@ from dirmetric import (
     flat_torus_grid,
     gh_distance,
     hausdorff,
+    hollow_square,
     is_disometry,
     load_space,
     map_distortion,
@@ -129,9 +133,14 @@ PATH = dspace(
 
 def base_gh(X: DirectedMetricSpace, Y: DirectedMetricSpace) -> DistanceReport:
     """The classical comparison of the two base metrics: gh of the same
-    points with the base as their zigzag metric and no edges to respect."""
+    points with the base as their zigzag metric and no order to respect.
+    Its edges join every two points at finite base distance, so its weak
+    components are those on which the base is finite."""
     def bare(S):
-        return DirectedMetricSpace(S.space, zz=S.space.base, reach=np.eye(S.n, dtype=bool))
+        d = S.space.base
+        i, j = np.nonzero(np.triu(np.isfinite(d), 1))
+        space = FiniteDSpace(base=d, edges=np.column_stack((i, j, d[i, j])))
+        return DirectedMetricSpace(space, zz=d, reach=np.eye(S.n, dtype=bool))
 
     return gh_distance(bare(X), bare(Y))
 
@@ -1314,7 +1323,9 @@ def test_local_search_reports_frozen_on_random_pairs(monkeypatch):
 def test_verify_chain_searches_gh_and_cdis_once(monkeypatch):
     # near-8-n16 is above every exhaustive cap, so dis closes from the
     # chain; verify_chain hands it its own gh and cdis reports, leaving
-    # two threshold searches (gh, cdis) where separate calls run four
+    # two threshold searches (gh, cdis).  Separate calls run three: gh's
+    # choice maps are d-maps here and meet gh's lower bound, so dis on its
+    # own never searches for cdis
     data = Path(__file__).parent / "data"
     X, Y = (DirectedMetricSpace.from_space(load_space(str(data / f"near-8-n16.{s}.json"))) for s in "XY")
     calls = []
@@ -1323,9 +1334,60 @@ def test_verify_chain_searches_gh_and_cdis_once(monkeypatch):
     chain = verify_chain(X, Y)
     assert len(calls) == 2
     separate = (gh_distance(X, Y), distortion_distance(X, Y), dcorrespondence_distance(X, Y))
-    assert len(calls) == 2 + 4
+    assert len(calls) == 2 + 3
     assert (chain.gh, chain.dis, chain.cdis) == separate
     assert chain.dis.method == "chain"
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("this search must not run")
+
+
+def test_dis_closes_from_gh_maps_without_the_local_search(monkeypatch):
+    # the choice maps of gh's certificate are d-maps on these gallery pairs
+    # and meet gh's lower bound, so dis is exact from the chain alone
+    monkeypatch.setattr(distances, "_local_search_map_pair", _refuse)
+    pairs = ((directed_interval(8), directed_interval(12), 0.041666666666666685),
+             (hollow_square(2), hollow_square(3), 0.16666666666666674))
+    for a, b, value in pairs:
+        X, Y = DirectedMetricSpace.from_space(a), DirectedMetricSpace.from_space(b)
+        r = distortion_distance(X, Y)
+        assert (r.value, r.lower, r.exact, r.method) == (value, value, True, "chain")
+        assert gh_distance(X, Y).lower == value
+        f, g = r.certificate.forward, r.certificate.backward
+        assert VertexMap(X, Y, f).is_dmap and VertexMap(Y, X, g).is_dmap
+        assert 0.5 * r.certificate.objective(X.zz, Y.zz) == value
+
+
+def test_dis_closes_from_gh_maps_without_searching_cdis(monkeypatch):
+    # a near copy from the pairs-local benchmark: gh's choice maps close
+    # the bracket, so dis draws no cdis report and runs no local search
+    data = Path(__file__).parent / "data"
+    X, Y = (DirectedMetricSpace.from_space(load_space(str(data / f"near-8-n16.{s}.json"))) for s in "XY")
+    want = verify_chain(X, Y).dis
+    monkeypatch.setattr(distances, "dcorrespondence_distance", _refuse)
+    monkeypatch.setattr(distances, "_local_search_map_pair", _refuse)
+    r = distortion_distance(X, Y)
+    assert r == want and (r.exact, r.method) == (True, "chain")
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_spaces(max_n=9, min_n=7), small_spaces(max_n=9, min_n=7))
+def test_dis_above_the_map_pair_limit_never_above_the_cdis_first_order(X, Y):
+    # 7 to 9 points a side are above MAP_PAIR_LIMIT and below PAIR_LIMIT:
+    # dis tries gh's certificate before cdis's and the local search, so it
+    # can only end lower than the former order, and never below gh's bound
+    assert X.n**Y.n * Y.n**X.n > distances.MAP_PAIR_LIMIT
+    r = distortion_distance(X, Y)
+    value, lower = cdis_first_dis(X, Y)
+    assert lower <= r.lower <= r.value <= value
+    assert r.method in ("chain", "local-search")
+    if r.certificate is None:
+        assert r.value == INFINITY
+    else:
+        f, g = r.certificate.forward, r.certificate.backward
+        assert VertexMap(X, Y, f).is_dmap and VertexMap(Y, X, g).is_dmap
+        assert 0.5 * r.certificate.objective(X.zz, Y.zz) == r.value
 
 
 def test_verify_chain_shares_witnesses_on_tori():

@@ -1,7 +1,8 @@
 """Core space containers and constructions.
 
 Claims covered: builder validation, zigzag distances against a slow
-relaxation oracle, reachability against recursive search, reversal
+relaxation oracle, reachability against recursive search, weak
+components against undirected reachability, reversal
 leaving zigzag values bitwise unchanged, the frozen values of the
 union / product / quotient constructions, one quotient point per class,
 and spaces comparing and hashing by identity.
@@ -205,17 +206,23 @@ def test_blocked_validation_reports_faults_across_a_block_boundary(faults, messa
     [
         ("below", "drop below the base"),
         ("reach", "reachable pair at infinite"),
-        ("finiteness", "finiteness of zz is not symmetric"),
+        # finite across two weak components, then inf inside one, where
+        # 255 and 257 both reach 256 but neither reaches the other
+        ("finiteness", "finiteness of zz is not that of the weak components"),
+        ("overflow", "finiteness of zz is not that of the weak components"),
     ],
 )
 def test_blocked_zigzag_checks_across_a_block_boundary(fault, message):
-    space = FiniteDSpace(base=line_base(BLOCKED_N))
+    edges = [(255, 256, 1.0), (257, 256, 1.0)] if fault == "overflow" else []
+    space = FiniteDSpace(base=line_base(BLOCKED_N), edges=edges)
     zz, reach = compute_zigzag(space), compute_reachability(space)
     if fault == "below":
         zz = line_base(BLOCKED_N)
         zz[256, 255] = zz[255, 256] = 0.5
     elif fault == "reach":
         reach[256, 255] = True
+    elif fault == "overflow":
+        zz[255, 257] = zz[257, 255] = np.inf
     else:
         zz[255, 256] = 1.0
     with pytest.raises(ValueError, match=message):
@@ -261,6 +268,21 @@ def test_reachability_follows_paths_whose_length_overflows(monkeypatch):
     monkeypatch.setattr(spaces, "_PYTHON_SEARCH_WARM_MAX", 0)
     calls.clear()
     assert np.array_equal(compute_reachability(s), recursive_reachability(4, edges)) and not calls
+
+
+def test_weak_components_match_undirected_reachability():
+    # min-label propagation labels each point with the least point it
+    # reaches over the edges taken both ways; few edges leave many
+    # components, and 300 points span two row blocks
+    rng = np.random.default_rng(14)
+    sizes = [(int(rng.integers(1, 10)), int(rng.integers(0, 12))) for _ in range(25)] + [(300, 150), (300, 600)]
+    for n, n_edges in sizes:
+        s = random_euclidean(rng, n, n_edges)
+        same = recursive_reachability(n, list(s.edges) + [(t, u, w) for u, t, w in s.edges])
+        assert np.array_equal(spaces._weak_components(n, s.src, s.dst), same.argmax(axis=1))
+    # one path through 5000 points in random order is one component
+    order = rng.permutation(5000)
+    assert not spaces._weak_components(5000, order[:-1], order[1:]).any()
 
 
 def test_zigzag_is_extended_metric_and_dominates_base():
