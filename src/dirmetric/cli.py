@@ -22,15 +22,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .distances import (
-    SearchBudget,
-    VertexMap,
-    dcorrespondence_distance,
-    distortion_distance,
-    distortion_relation,
-    gh_distance,
-    hausdorff,
-)
+from .distances import ChainReport, SearchBudget, VertexMap, distortion_relation, hausdorff
 from .fileio import (
     SpaceFormatError,
     _read_json,
@@ -246,8 +238,7 @@ def cmd_dist(args) -> int:
         sys.stdout.write(dump_report(doc))
         return 0
     Y = DirectedMetricSpace.from_space(load_space(args.fileY))
-    fn = {"gh": gh_distance, "dis": distortion_distance, "cdis": dcorrespondence_distance}[args.kind]
-    report = fn(X, Y, cfg.budget)
+    report = getattr(ChainReport(X, Y, cfg.budget), args.kind)
     recheck = _certificate_value(report, X, Y)
     if recheck is None:
         cert_ok = None

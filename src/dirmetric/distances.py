@@ -49,12 +49,15 @@ threshold searches stop after NODE_LIMIT nodes, one cap shared by all
 the probes of a call, and then report the best certificate and the
 proven lower bound, exact only if they meet.
 
-The map-pair distance enumerates map pairs while that is small.  Above
-that and up to PAIR_LIMIT pairs it is closed from the chain: gh's lower
-bound bounds it below, and the choice functions of gh's certificate, when
-both are d-maps, then of cdis's bound it above.  cdis is searched only
-while that bracket is open, the seeded local search only if it stays
-open, and it stops polishing at the lower bound.  Greedy starting maps
+ChainReport holds the three reports of a pair, computes each on first
+read and shares witnesses down the chain, so they keep its order even
+when a search stops early.  The map-pair distance enumerates map pairs
+while that is small.  Above that and up to PAIR_LIMIT pairs it is closed
+from the chain: gh's lower bound bounds it below, and the choice
+functions of gh's certificate, when both are d-maps, then of cdis's bound
+it above.  cdis is searched only while that bracket is open, the seeded
+local search only if it stays open, and it stops polishing at the lower
+bound.  Greedy starting maps
 update (point, image) arrays of worst distortion and legality per
 placement; descent moves one point of one map at a time, scoring all its
 candidate images together in O(n*m).  Its seed is a private constant.
@@ -62,7 +65,6 @@ candidate images together in O(n*m).  Its seed is a private constant.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -671,53 +673,8 @@ def _bracket(kind: str, value: float, lower: float, cert, method: str) -> Distan
 def distortion_distance(
     X: DirectedMetricSpace, Y: DirectedMetricSpace, budget: SearchBudget = DEFAULT_BUDGET
 ) -> DistanceReport:
-    """Half the best joint objective over direction-respecting map pairs.
-
-    Exhaustive enumeration when |Y|^|X| * |X|^|Y| <= MAP_PAIR_LIMIT.
-    Above it and up to PAIR_LIMIT, closed from the chain gh <= dis <= cdis:
-    gh's proven lower bound bounds dis from below, and the choice
-    functions of a certificate, when both are d-maps, are a map pair whose
-    objective is at most its distortion (method "chain").  gh's
-    certificate is tried first, then, while the bracket stays open,
-    cdis's, then seeded alternating local search over d-maps, which stops
-    once it meets the lower bound; the best certificate is kept.  Above
-    PAIR_LIMIT only the local search runs.  budget goes to gh and cdis only.
-    """
-    return _distortion_report(X, Y, (search(X, Y, budget) for search in (gh_distance, dcorrespondence_distance)))
-
-
-def _distortion_report(X: DirectedMetricSpace, Y: DirectedMetricSpace, chain_reports) -> DistanceReport:
-    """distortion_distance, with chain_reports an iterator of its gh and then its cdis report.
-
-    gh's is drawn on entering the chain closure, cdis's only while the
-    bracket is open, so a lazy generator searches only for what is drawn.
-    """
-    nX, nY = X.n, Y.n
-    if nX == 0 or nY == 0:
-        if nX == 0 and nY == 0:
-            return DistanceReport("dis", 0.0, True, 0.0, MapPair((), ()), "empty")
-        return DistanceReport("dis", INFINITY, True, INFINITY, None, "empty")
-    if nY**nX * nX**nY <= MAP_PAIR_LIMIT:
-        val, f, g = _exhaustive_map_pair(X, Y)
-        if f is None:
-            return DistanceReport("dis", INFINITY, True, INFINITY, None, "exhaustive")
-        return DistanceReport("dis", 0.5 * val, True, 0.5 * val, MapPair(f, g), "exhaustive")
-    val, f, g = INFINITY, None, None
-    if nX * nY <= PAIR_LIMIT:
-        gh = next(chain_reports)
-        lower = gh.lower  # gh's searches start from the value gap, so this is at least it
-        for report in itertools.chain((gh,), chain_reports):
-            v, f2, g2 = _choice_map_pair(X, Y, report.certificate)
-            if v < val or f is None:
-                val, f, g = v, f2, g2
-            if 0.5 * val <= lower + 1e-12:  # closed before the next report is drawn
-                return _bracket("dis", 0.5 * val, lower, MapPair(f, g) if f is not None else None, "chain")
-    else:
-        lower = 0.5 * _value_gap_lower(X.zz, Y.zz)
-    val_ls, f_ls, g_ls = _local_search_map_pair(X, Y, True, 2 * lower)
-    if val_ls < val:
-        val, f, g = val_ls, f_ls, g_ls
-    return _bracket("dis", 0.5 * val, lower, MapPair(f, g) if f is not None else None, "local-search")
+    """Half the best joint objective over direction-respecting map pairs; see ChainReport.dis."""
+    return ChainReport(X, Y, budget).dis
 
 
 def _choice_map_pair(X: DirectedMetricSpace, Y: DirectedMetricSpace, c: Optional[Correspondence]):
@@ -941,16 +898,75 @@ def is_disometry(f: VertexMap) -> bool:
 
 @dataclass(frozen=True)
 class ChainReport:
-    """The paper's chain gh <= dis <= cdis on one pair of spaces.
+    """The paper's chain gh <= dis <= cdis on one pair, each report computed on first read.
 
-    chain_holds checks both inequalities up to DEFAULT_TOL.  conclusive
-    is False when any of the three reports came back inexact; nothing is
-    judged then.
+    The reports rest on at most one gh_distance and one
+    dcorrespondence_distance call, and share witnesses down the chain.
+    gh and cdis read nothing else when their searches are exact.  An
+    inexact gh reads dis and takes the graphs of its map pair when they
+    score lower (method "chain"); an inexact cdis takes gh's search's lower
+    bound when that is higher.  Reading cdis raises ValueError when
+    |X|*|Y| > PAIR_LIMIT.  chain_holds checks both inequalities up to
+    DEFAULT_TOL.  conclusive is False when any of the three reports came
+    back inexact; nothing is judged then.
     """
 
-    gh: DistanceReport
-    dis: DistanceReport
-    cdis: DistanceReport
+    X: DirectedMetricSpace
+    Y: DirectedMetricSpace
+    budget: SearchBudget = DEFAULT_BUDGET
+
+    @cached_property
+    def _gh_search(self) -> DistanceReport:
+        return gh_distance(self.X, self.Y, self.budget)
+
+    @cached_property
+    def _cdis_search(self) -> DistanceReport:
+        return dcorrespondence_distance(self.X, self.Y, self.budget)
+
+    @cached_property
+    def gh(self) -> DistanceReport:
+        gh = self._gh_search
+        if gh.exact or self.dis.value >= gh.value:
+            return gh
+        witness = _graph_correspondence(self.dis.certificate.forward, self.dis.certificate.backward)
+        return _bracket("gh", self.dis.value, gh.lower, witness, "chain")
+
+    @cached_property
+    def dis(self) -> DistanceReport:
+        """Exhaustive up to MAP_PAIR_LIMIT, then closed from the chain as the module docstring says."""
+        X, Y = self.X, self.Y
+        nX, nY = X.n, Y.n
+        if nX == 0 or nY == 0:
+            if nX == 0 and nY == 0:
+                return DistanceReport("dis", 0.0, True, 0.0, MapPair((), ()), "empty")
+            return DistanceReport("dis", INFINITY, True, INFINITY, None, "empty")
+        if nY**nX * nX**nY <= MAP_PAIR_LIMIT:
+            val, f, g = _exhaustive_map_pair(X, Y)
+            if f is None:
+                return DistanceReport("dis", INFINITY, True, INFINITY, None, "exhaustive")
+            return DistanceReport("dis", 0.5 * val, True, 0.5 * val, MapPair(f, g), "exhaustive")
+        val, f, g = INFINITY, None, None
+        if nX * nY <= PAIR_LIMIT:
+            lower = self._gh_search.lower  # gh's searches start from the value gap, so this is at least it
+            for search in ("_gh_search", "_cdis_search"):  # cdis is searched only if the bracket is open
+                v, f2, g2 = _choice_map_pair(X, Y, getattr(self, search).certificate)
+                if v < val or f is None:
+                    val, f, g = v, f2, g2
+                if 0.5 * val <= lower + 1e-12:
+                    return _bracket("dis", 0.5 * val, lower, MapPair(f, g) if f is not None else None, "chain")
+        else:
+            lower = 0.5 * _value_gap_lower(X.zz, Y.zz)
+        val_ls, f_ls, g_ls = _local_search_map_pair(X, Y, True, 2 * lower)
+        if val_ls < val:
+            val, f, g = val_ls, f_ls, g_ls
+        return _bracket("dis", 0.5 * val, lower, MapPair(f, g) if f is not None else None, "local-search")
+
+    @cached_property
+    def cdis(self) -> DistanceReport:
+        cdis = self._cdis_search
+        if cdis.exact or self._gh_search.lower <= cdis.lower:
+            return cdis
+        return _bracket("cdis", cdis.value, self._gh_search.lower, cdis.certificate, cdis.method)
 
     @property
     def conclusive(self) -> bool:
@@ -967,22 +983,13 @@ class ChainReport:
 
 
 def verify_chain(X: DirectedMetricSpace, Y: DirectedMetricSpace, budget: SearchBudget = DEFAULT_BUDGET) -> ChainReport:
-    """Compute gh, dis and cdis on one pair, searching for each once.
+    """ChainReport(X, Y, budget) with all three reports read, cdis first.
 
     Meant for sizes where every search is exhaustive; with budgets too
     small for that the report comes back inconclusive, never failed.
-    Raises ValueError when |X|*|Y| > PAIR_LIMIT, as dcorrespondence_distance does.
-    dis reuses the gh and cdis reports instead of searching for them again.
-    Inexact reports then share witnesses down the chain: gh takes the
-    graphs of dis's map pair when they score lower (method "chain"), and
-    cdis takes gh's lower bound when it is higher.
+    Raises ValueError, before any search, when |X|*|Y| > PAIR_LIMIT.
     """
-    gh = gh_distance(X, Y, budget)
-    cdis = dcorrespondence_distance(X, Y, budget)
-    dis = _distortion_report(X, Y, iter((gh, cdis)))
-    if not gh.exact and dis.value < gh.value:
-        witness = _graph_correspondence(dis.certificate.forward, dis.certificate.backward)
-        gh = _bracket("gh", dis.value, gh.lower, witness, "chain")
-    if not cdis.exact and gh.lower > cdis.lower:
-        cdis = _bracket("cdis", cdis.value, gh.lower, cdis.certificate, cdis.method)
-    return ChainReport(gh=gh, dis=dis, cdis=cdis)
+    chain = ChainReport(X, Y, budget)
+    for kind in ("cdis", "gh", "dis"):
+        getattr(chain, kind)
+    return chain

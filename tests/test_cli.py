@@ -13,8 +13,10 @@ pool and verify core no scipy, verify's stdout is frozen on three seeds,
 failed suites would exit 2,
 gh and dis on a 1024-point interval finish without a traceback, ball's
 one-row zigzag decides membership as the full matrix does, ball's
---center names a label before an index, and repeated seeded runs are
-byte-identical.
+--center names a label before an index, separate dist gh, dis and cdis
+on tori 5 v 6 print the chain in order with each search run at most
+once, an exact gh or cdis runs no other search, and repeated seeded runs
+are byte-identical.
 """
 
 import argparse
@@ -391,6 +393,68 @@ def test_dist_gh_certificate_reevaluates_from_file(capsys, tmp_path):
     Y = DirectedMetricSpace.from_space(load_space(fy))
     pairs = [tuple(p) for p in rep["certificate"]["pairs"]]
     assert 0.5 * distortion_relation(pairs, X.zz, Y.zz) == pytest.approx(rep["value"], abs=1e-9)
+
+
+def test_dist_on_tori_5_v_6_keeps_the_chain_with_one_search_of_each_kind(capsys, tmp_path, monkeypatch):
+    # gh's capped threshold search stops at 0.3650 here; `dist gh` takes
+    # the graphs of dis's map pair instead, running each search at most once
+    paths = []
+    for k in (5, 6):
+        paths.append(str(tmp_path / f"torus{k}.json"))
+        run(capsys, "gen", "torus", "--k", str(k), "--out", paths[-1])
+    calls = {}
+
+    def counted(name, search):
+        def call(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return search(*args)
+        return call
+
+    for name in ("gh_distance", "dcorrespondence_distance", "_local_search_map_pair"):
+        monkeypatch.setattr(distances, name, counted(name, getattr(distances, name)))
+    reps = {}
+    for kind in ("gh", "dis", "cdis"):
+        calls.clear()
+        code, out, err = run(capsys, "dist", kind, *paths)
+        assert code == 0, err
+        reps[kind] = json.loads(out)
+        if kind == "gh":
+            assert calls and max(calls.values()) == 1, calls
+    assert reps["gh"]["method"] == "chain" and reps["gh"]["value"] == reps["dis"]["value"]
+    assert reps["gh"]["value"] == pytest.approx(0.1787, abs=5e-5)
+    assert reps["cdis"]["value"] == pytest.approx(0.3650, abs=5e-5)
+    assert all(rep["certificate_check"] is True for rep in reps.values())
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("this search must not run")
+
+
+def test_exact_dist_reports_run_no_other_search(capsys, tmp_path, monkeypatch):
+    # an exact gh or cdis is printed as its own search left it; above
+    # MAP_PAIR_LIMIT dis would call _choice_map_pair or the local search
+    def gen(name, *flags):
+        path = str(tmp_path / f"{name}.json")
+        run(capsys, "gen", *flags, "--out", path)
+        return path
+
+    data = Path(__file__).parent / "data"
+    near = [str(data / f"near-8-n16.{s}.json") for s in "XY"]
+    intervals = gen("i8", "interval", "--k", "8"), gen("i12", "interval", "--k", "12")
+    books = gen("b3", "open-book", "--n", "3", "--m", "3"), gen("b4", "open-book", "--n", "4", "--m", "3")
+    runs = (
+        ("gh", ("dcorrespondence_distance", "_choice_map_pair", "_local_search_map_pair"), (intervals, near)),
+        ("cdis", ("gh_distance",), (near, books)),
+    )
+    for kind, refused, pairs in runs:
+        with monkeypatch.context() as m:
+            for name in refused:
+                m.setattr(distances, name, _refuse)
+            for pair in pairs:
+                code, out, err = run(capsys, "dist", kind, *pair)
+                assert code == 0, err
+                rep = json.loads(out)
+                assert rep["exact"] is True and rep["certificate_check"] in (True, None)
 
 
 @pytest.mark.parametrize("kind", ["gh", "dis", "cdis"])

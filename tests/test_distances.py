@@ -34,8 +34,10 @@ on two pairs and on twelve random pairs above the exhaustive caps,
 verify_chain running the gh and cdis threshold searches once each, and
 its witnesses shared down the chain for inexact reports only (on tori
 5 v 6 and 5 v 8, and under a forced node cap), dis closed from gh's
-choice maps with no local search and no cdis search, and dis above the
-map-pair limit never above the cdis-first order, as a property.
+choice maps with no local search and no cdis search, dis above the
+map-pair limit never above the cdis-first order, as a property, and
+gh <= dis <= cdis read from a fresh ChainReport per kind under forced
+node and pair caps, equal to verify_chain's inside the pair limit.
 """
 
 import dataclasses
@@ -67,6 +69,7 @@ from oracles import (
 
 from dirmetric import (
     INFINITY,
+    ChainReport,
     Correspondence,
     DirectedMetricSpace,
     DistanceReport,
@@ -1444,3 +1447,34 @@ def test_verify_chain_shares_witnesses_only_for_inexact_reports(monkeypatch):
                 assert cdis.lower == own_gh.lower
                 shared["cdis"] += 1
     assert min(shared.values()) >= 3
+
+
+@pytest.mark.parametrize("limit", [("NODE_LIMIT", 3), ("NODE_LIMIT", 25), ("PAIR_LIMIT", 0)], ids="{0[0]}={0[1]}".format)
+def test_separate_chain_reports_keep_the_order_when_searches_stop_early(monkeypatch, limit):
+    # each kind is read from a fresh ChainReport, as `dist KIND` does: with
+    # the searches capped, gh <= dis <= cdis still holds and every
+    # certificate re-scores to its value; inside PAIR_LIMIT each report is
+    # verify_chain's, and above it only cdis refuses.  The plain searches,
+    # called one by one, put 31, 17 and 2 of these 40 pairs out of order
+    monkeypatch.setattr(distances, *limit)
+    rng = np.random.default_rng(33)
+    for i in range(40):
+        X, Y = (random_space(rng, int(rng.integers(4, 8)), connected=i % 4 != 3) for _ in "XY")
+        X, Y = DirectedMetricSpace.from_space(X), DirectedMetricSpace.from_space(Y)
+        inside = X.n * Y.n <= distances.PAIR_LIMIT
+        reports = {kind: getattr(ChainReport(X, Y), kind) for kind in ("gh", "dis") + ("cdis",) * inside}
+        values = [r.value for r in reports.values()]
+        assert all(a <= b + DEFAULT_TOL for a, b in zip(values, values[1:])), (i, reports)
+        for kind, r in reports.items():
+            if r.certificate is None:
+                assert r.value == INFINITY
+            elif kind == "dis":
+                assert 0.5 * r.certificate.objective(X.zz, Y.zz) == r.value
+            else:
+                assert 0.5 * r.certificate.distortion(X.zz, Y.zz) == r.value
+        if inside:
+            chain = verify_chain(X, Y)
+            assert reports == {"gh": chain.gh, "dis": chain.dis, "cdis": chain.cdis}
+        else:
+            with pytest.raises(ValueError, match="point pairs"):
+                ChainReport(X, Y).cdis
