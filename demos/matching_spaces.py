@@ -46,5 +46,8 @@ rep2 = distortion_distance(X, Z)
 print(f"\ndistortion distance after stretching edges by 0.1: {rep2.value:.4f}")
 rep3 = gh_distance(X, Z)
 print(f"zigzag GH distance for the same pair              : {rep3.value:.4f}")
-# Both are at least 0.05 = half the smallest pairwise discrepancy; gh can
-# be smaller than the map distance but never larger.
+# Both are at least 0.05 = half the smallest pairwise discrepancy.  gh can
+# be smaller than the map distance but never larger: both read the pair's
+# ChainReport, where an exact gh is the least over all correspondences,
+# graphs of map pairs included, and an inexact gh takes the graphs of the
+# map pair dis found whenever they score lower.

@@ -49,18 +49,20 @@ threshold searches stop after NODE_LIMIT nodes, one cap shared by all
 the probes of a call, and then report the best certificate and the
 proven lower bound, exact only if they meet.
 
-ChainReport holds the three reports of a pair, computes each on first
-read and shares witnesses down the chain, so they keep its order even
-when a search stops early.  The map-pair distance enumerates map pairs
-while that is small.  Above that and up to PAIR_LIMIT pairs it is closed
-from the chain: gh's lower bound bounds it below, and the choice
-functions of gh's certificate, when both are d-maps, then of cdis's bound
-it above.  cdis is searched only while that bracket is open, the seeded
-local search only if it stays open, and it stops polishing at the lower
-bound.  Greedy starting maps
-update (point, image) arrays of worst distortion and legality per
-placement; descent moves one point of one map at a time, scoring all its
-candidate images together in O(n*m).  Its seed is a private constant.
+ChainReport is the only route to a distance: each public function reads
+one report of ChainReport(X, Y, budget).  It computes each report on
+first read and shares witnesses down the chain, so the three keep its
+order even when a search stops early.  An inexact gh_distance thus also
+runs dis's search, and an inexact dcorrespondence_distance gh's.  The
+map-pair distance enumerates map pairs while that is small.  Above that
+and up to PAIR_LIMIT pairs it is closed from the chain: gh's lower bound
+bounds it below, and the choice functions of gh's certificate, when both
+are d-maps, then of cdis's bound it above.  cdis is searched only while
+that bracket is open, the seeded local search only if it stays open, and
+it stops polishing at the lower bound.  Greedy starting maps update
+(point, image) arrays of worst distortion and legality per placement;
+descent moves one point of one map at a time, scoring all its candidate
+images together in O(n*m).  Its seed is a private constant.
 """
 
 from __future__ import annotations
@@ -632,20 +634,17 @@ def _local_search_map_pair(X: DirectedMetricSpace, Y: DirectedMetricSpace, dmaps
 
 
 def gh_distance(X: DirectedMetricSpace, Y: DirectedMetricSpace, budget: SearchBudget = DEFAULT_BUDGET) -> DistanceReport:
-    """Half the least correspondence distortion between the zigzag metrics.
+    """Half the least correspondence distortion between the zigzag metrics: ChainReport(X, Y, budget).gh."""
+    return ChainReport(X, Y, budget).gh
 
-    Branch and bound (exact) when |X|*|Y| <= budget.exhaustive_gh; up to
-    PAIR_LIMIT the threshold search with every two pairs compatible, capped
-    at NODE_LIMIT nodes; above that dis's map-pair local search with the
-    direction rule off.  Past the branch and bound, a report is exact only
-    if its value meets its proven lower bound.
+
+def _plain_gh(X: DirectedMetricSpace, Y: DirectedMetricSpace, budget: SearchBudget) -> DistanceReport:
+    """gh's own search on a non-empty pair, as the module docstring says; ChainReport runs it.
+
+    Past the branch and bound, a report is exact only if its value meets its proven lower bound.
     """
     dX, dY = X.zz, Y.zz
     nX, nY = X.n, Y.n
-    if nX == 0 or nY == 0:
-        if nX == 0 and nY == 0:
-            return DistanceReport("gh", 0.0, True, 0.0, Correspondence(0, 0, ()), "empty")
-        return DistanceReport("gh", INFINITY, True, INFINITY, None, "empty")
     if nX * nY <= budget.exhaustive_gh:
         val, pairs = _bnb_correspondence(dX, dY)
         cert = Correspondence(nX, nY, tuple(pairs)) if pairs is not None else None
@@ -673,7 +672,7 @@ def _bracket(kind: str, value: float, lower: float, cert, method: str) -> Distan
 def distortion_distance(
     X: DirectedMetricSpace, Y: DirectedMetricSpace, budget: SearchBudget = DEFAULT_BUDGET
 ) -> DistanceReport:
-    """Half the best joint objective over direction-respecting map pairs; see ChainReport.dis."""
+    """Half the best joint objective over direction-respecting map pairs: ChainReport(X, Y, budget).dis."""
     return ChainReport(X, Y, budget).dis
 
 
@@ -749,20 +748,19 @@ def _exhaustive_map_pair(X: DirectedMetricSpace, Y: DirectedMetricSpace):
 def dcorrespondence_distance(
     X: DirectedMetricSpace, Y: DirectedMetricSpace, budget: SearchBudget = DEFAULT_BUDGET
 ) -> DistanceReport:
-    """Half the least distortion of a reachability-compatible correspondence.
+    """Half the least distortion of a reachability-compatible correspondence: ChainReport(X, Y, budget).cdis."""
+    return ChainReport(X, Y, budget).cdis
+
+
+def _plain_cdis(X: DirectedMetricSpace, Y: DirectedMetricSpace, budget: SearchBudget) -> DistanceReport:
+    """cdis's own search on a non-empty pair; ChainReport runs it.
 
     INFINITY with exact=True when constraint propagation or exhausted
     search proves that no d-correspondence of finite distortion exists.
-    The threshold search has no node cap when |X|*|Y| <=
-    budget.exhaustive_cdis; above it, NODE_LIMIT nodes, after which
-    the best certificate and the proven lower bound are reported, exact
-    only if the two meet.  Raises ValueError when |X|*|Y| > PAIR_LIMIT.
+    No node cap up to budget.exhaustive_cdis pairs, NODE_LIMIT nodes above
+    it.  Raises ValueError when |X|*|Y| > PAIR_LIMIT.
     """
     nX, nY = X.n, Y.n
-    if nX == 0 or nY == 0:
-        if nX == 0 and nY == 0:
-            return DistanceReport("cdis", 0.0, True, 0.0, Correspondence(0, 0, ()), "empty")
-        return DistanceReport("cdis", INFINITY, True, INFINITY, None, "empty")
     if nX * nY > PAIR_LIMIT:
         raise ValueError(f"cdis takes at most {PAIR_LIMIT} point pairs, got |X|*|Y| = {nX}*{nY} = {nX * nY}")
     types = (_reach_types(X.reach), _reach_types(Y.reach))
@@ -900,28 +898,36 @@ def is_disometry(f: VertexMap) -> bool:
 class ChainReport:
     """The paper's chain gh <= dis <= cdis on one pair, each report computed on first read.
 
-    The reports rest on at most one gh_distance and one
-    dcorrespondence_distance call, and share witnesses down the chain.
-    gh and cdis read nothing else when their searches are exact.  An
-    inexact gh reads dis and takes the graphs of its map pair when they
-    score lower (method "chain"); an inexact cdis takes gh's search's lower
-    bound when that is higher.  Reading cdis raises ValueError when
-    |X|*|Y| > PAIR_LIMIT.  chain_holds checks both inequalities up to
-    DEFAULT_TOL.  conclusive is False when any of the three reports came
-    back inexact; nothing is judged then.
+    The only route to a distance: gh_distance, distortion_distance and
+    dcorrespondence_distance read it.  The reports rest on at most one run
+    each of the plain searches _plain_gh and _plain_cdis, and share
+    witnesses down the chain.  gh and cdis read nothing else when their
+    searches are exact.  An inexact gh reads dis and takes the graphs of
+    its map pair when they score lower (method "chain"); an inexact cdis
+    takes gh's search's lower bound when that is higher.  A pair with an
+    empty side is exact from the start and runs no search.  Reading cdis
+    raises ValueError when |X|*|Y| > PAIR_LIMIT.  chain_holds checks both
+    inequalities up to DEFAULT_TOL.  conclusive is False when any of the
+    three reports came back inexact; nothing is judged then.
     """
 
     X: DirectedMetricSpace
     Y: DirectedMetricSpace
     budget: SearchBudget = DEFAULT_BUDGET
 
+    def __post_init__(self):
+        if self.X.n == 0 or self.Y.n == 0:  # 0 between two empty spaces, inf against an empty one
+            v = 0.0 if self.X.n == self.Y.n else INFINITY
+            for kind, cert in (("gh", Correspondence(0, 0, ())), ("dis", MapPair((), ())), ("cdis", Correspondence(0, 0, ()))):
+                object.__setattr__(self, kind, DistanceReport(kind, v, True, v, cert if v == 0 else None, "empty"))
+
     @cached_property
     def _gh_search(self) -> DistanceReport:
-        return gh_distance(self.X, self.Y, self.budget)
+        return _plain_gh(self.X, self.Y, self.budget)
 
     @cached_property
     def _cdis_search(self) -> DistanceReport:
-        return dcorrespondence_distance(self.X, self.Y, self.budget)
+        return _plain_cdis(self.X, self.Y, self.budget)
 
     @cached_property
     def gh(self) -> DistanceReport:
@@ -935,18 +941,13 @@ class ChainReport:
     def dis(self) -> DistanceReport:
         """Exhaustive up to MAP_PAIR_LIMIT, then closed from the chain as the module docstring says."""
         X, Y = self.X, self.Y
-        nX, nY = X.n, Y.n
-        if nX == 0 or nY == 0:
-            if nX == 0 and nY == 0:
-                return DistanceReport("dis", 0.0, True, 0.0, MapPair((), ()), "empty")
-            return DistanceReport("dis", INFINITY, True, INFINITY, None, "empty")
-        if nY**nX * nX**nY <= MAP_PAIR_LIMIT:
+        if Y.n**X.n * X.n**Y.n <= MAP_PAIR_LIMIT:
             val, f, g = _exhaustive_map_pair(X, Y)
             if f is None:
                 return DistanceReport("dis", INFINITY, True, INFINITY, None, "exhaustive")
             return DistanceReport("dis", 0.5 * val, True, 0.5 * val, MapPair(f, g), "exhaustive")
         val, f, g = INFINITY, None, None
-        if nX * nY <= PAIR_LIMIT:
+        if X.n * Y.n <= PAIR_LIMIT:
             lower = self._gh_search.lower  # gh's searches start from the value gap, so this is at least it
             for search in ("_gh_search", "_cdis_search"):  # cdis is searched only if the bracket is open
                 v, f2, g2 = _choice_map_pair(X, Y, getattr(self, search).certificate)

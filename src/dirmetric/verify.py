@@ -29,10 +29,10 @@ import numpy as np
 
 from .distances import (
     DEFAULT_BUDGET,
+    ChainReport,
     SearchBudget,
     VertexMap,
     codistortion,
-    dcorrespondence_distance,
     directed_hausdorff,
     distortion_distance,
     gh_distance,
@@ -349,11 +349,10 @@ def check_source_sink(seed: int, budget: SearchBudget):
     X = DirectedMetricSpace.from_space(s)
     Xr = DirectedMetricSpace.from_space(reverse(s))
 
-    dd = distortion_distance(X, Xr, budget)
+    chain = ChainReport(X, Xr, budget)  # dis's search and cdis's report share one cdis search
+    dd, cd = chain.dis, chain.cdis
     window = (0.5 - 2.0 / k, 0.5 + 2.0 / k)
     dis_ok = window[0] <= dd.value <= window[1]
-
-    cd = dcorrespondence_distance(X, Xr, budget)
     cdis_ok = math.isinf(cd.value) and cd.exact
 
     s2 = source_sink_interval(2)

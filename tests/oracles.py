@@ -469,11 +469,12 @@ def cdis_first_dis(X, Y, budget: SearchBudget = DEFAULT_BUDGET) -> tuple[float, 
     the order it had before gh's certificate was tried: the choice maps of
     the cdis certificate (each point to its least partner), then, while
     they stay above gh's lower bound, the seeded local search run to its
-    end.  It calls the library's three searches; only the order is its own.
+    end.  It calls the library's three plain searches, not the chain that
+    shares their witnesses; only the order is its own.
     """
-    from dirmetric.distances import MapPair, _local_search_map_pair, dcorrespondence_distance, gh_distance
+    from dirmetric.distances import MapPair, _local_search_map_pair, _plain_cdis, _plain_gh
 
-    gh, cdis = gh_distance(X, Y, budget), dcorrespondence_distance(X, Y, budget)
+    gh, cdis = _plain_gh(X, Y, budget), _plain_cdis(X, Y, budget)
     val, c = INF, cdis.certificate
     if c is not None:
         f = tuple(min(y for x2, y in c.pairs if x2 == x) for x in range(c.n_source))

@@ -398,6 +398,7 @@ def test_dist_gh_certificate_reevaluates_from_file(capsys, tmp_path):
 def test_dist_on_tori_5_v_6_keeps_the_chain_with_one_search_of_each_kind(capsys, tmp_path, monkeypatch):
     # gh's capped threshold search stops at 0.3650 here; `dist gh` takes
     # the graphs of dis's map pair instead, running each search at most once
+    # (the plain searches are ChainReport's private inputs)
     paths = []
     for k in (5, 6):
         paths.append(str(tmp_path / f"torus{k}.json"))
@@ -410,7 +411,7 @@ def test_dist_on_tori_5_v_6_keeps_the_chain_with_one_search_of_each_kind(capsys,
             return search(*args)
         return call
 
-    for name in ("gh_distance", "dcorrespondence_distance", "_local_search_map_pair"):
+    for name in ("_plain_gh", "_plain_cdis", "_local_search_map_pair"):
         monkeypatch.setattr(distances, name, counted(name, getattr(distances, name)))
     reps = {}
     for kind in ("gh", "dis", "cdis"):
@@ -419,7 +420,8 @@ def test_dist_on_tori_5_v_6_keeps_the_chain_with_one_search_of_each_kind(capsys,
         assert code == 0, err
         reps[kind] = json.loads(out)
         if kind == "gh":
-            assert calls and max(calls.values()) == 1, calls
+            assert set(calls) == {"_plain_gh", "_plain_cdis", "_local_search_map_pair"}, calls
+            assert max(calls.values()) == 1, calls
     assert reps["gh"]["method"] == "chain" and reps["gh"]["value"] == reps["dis"]["value"]
     assert reps["gh"]["value"] == pytest.approx(0.1787, abs=5e-5)
     assert reps["cdis"]["value"] == pytest.approx(0.3650, abs=5e-5)
@@ -443,8 +445,8 @@ def test_exact_dist_reports_run_no_other_search(capsys, tmp_path, monkeypatch):
     intervals = gen("i8", "interval", "--k", "8"), gen("i12", "interval", "--k", "12")
     books = gen("b3", "open-book", "--n", "3", "--m", "3"), gen("b4", "open-book", "--n", "4", "--m", "3")
     runs = (
-        ("gh", ("dcorrespondence_distance", "_choice_map_pair", "_local_search_map_pair"), (intervals, near)),
-        ("cdis", ("gh_distance",), (near, books)),
+        ("gh", ("_plain_cdis", "_choice_map_pair", "_local_search_map_pair"), (intervals, near)),
+        ("cdis", ("_plain_gh",), (near, books)),
     )
     for kind, refused, pairs in runs:
         with monkeypatch.context() as m:

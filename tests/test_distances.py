@@ -33,11 +33,13 @@ starting maps that carry it above its size guards, its frozen results
 on two pairs and on twelve random pairs above the exhaustive caps,
 verify_chain running the gh and cdis threshold searches once each, and
 its witnesses shared down the chain for inexact reports only (on tori
-5 v 6 and 5 v 8, and under a forced node cap), dis closed from gh's
+5 v 6 and 5 v 8, where the public functions read the same reports, and
+under a forced node cap), dis closed from gh's
 choice maps with no local search and no cdis search, dis above the
 map-pair limit never above the cdis-first order, as a property, and
 gh <= dis <= cdis read from a fresh ChainReport per kind under forced
-node and pair caps, equal to verify_chain's inside the pair limit.
+node and pair caps, equal to verify_chain's inside the pair limit and to
+the three public functions' everywhere.
 """
 
 import dataclasses
@@ -134,18 +136,19 @@ PATH = dspace(
 )
 
 
-def base_gh(X: DirectedMetricSpace, Y: DirectedMetricSpace) -> DistanceReport:
+def base_gh(X: DirectedMetricSpace, Y: DirectedMetricSpace, search=gh_distance) -> DistanceReport:
     """The classical comparison of the two base metrics: gh of the same
     points with the base as their zigzag metric and no order to respect.
     Its edges join every two points at finite base distance, so its weak
-    components are those on which the base is finite."""
+    components are those on which the base is finite.  search(X, Y) is
+    the gh to take, the public one by default."""
     def bare(S):
         d = S.space.base
         i, j = np.nonzero(np.triu(np.isfinite(d), 1))
         space = FiniteDSpace(base=d, edges=np.column_stack((i, j, d[i, j])))
         return DirectedMetricSpace(space, zz=d, reach=np.eye(S.n, dtype=bool))
 
-    return gh_distance(bare(X), bare(Y))
+    return search(bare(X), bare(Y))
 
 
 # two-point spaces whose single edges differ in length by 2
@@ -1304,8 +1307,8 @@ def test_local_search_reports_frozen_on_random_pairs(monkeypatch):
         Y = DirectedMetricSpace.from_space(random_space(rng, ny, connected=i % 3 != 2))
         pairs.append((X, Y))
 
-    def gh_base(X, Y):
-        return dataclasses.replace(base_gh(X, Y), kind="gh-base")
+    def gh_base(X, Y, search=gh_distance):
+        return dataclasses.replace(base_gh(X, Y, search), kind="gh-base")
 
     chained = []
     for X, Y in pairs:
@@ -1314,9 +1317,14 @@ def test_local_search_reports_frozen_on_random_pairs(monkeypatch):
         assert chain.gh.method == reports[2].method == "branch-and-bound"
         chained.append(digest(reports))
     monkeypatch.setattr(distances, "PAIR_LIMIT", 0)
+    # gh's own local search, hashed as it was before the public gh read
+    # the chain: through gh_distance an inexact gh may take dis's map pair
+    def plain_gh(X, Y):
+        return distances._plain_gh(X, Y, SearchBudget())
+
     local = []
     for X, Y in pairs:
-        reports = (gh_distance(X, Y), distortion_distance(X, Y), gh_base(X, Y))
+        reports = (plain_gh(X, Y), distortion_distance(X, Y), gh_base(X, Y, plain_gh))
         assert all(r.method == "local-search" for r in reports)
         local.append(digest(reports))
     assert tuple(local) == FROZEN_REPORT_SHA256
@@ -1368,7 +1376,7 @@ def test_dis_closes_from_gh_maps_without_searching_cdis(monkeypatch):
     data = Path(__file__).parent / "data"
     X, Y = (DirectedMetricSpace.from_space(load_space(str(data / f"near-8-n16.{s}.json"))) for s in "XY")
     want = verify_chain(X, Y).dis
-    monkeypatch.setattr(distances, "dcorrespondence_distance", _refuse)
+    monkeypatch.setattr(distances, "_plain_cdis", _refuse)
     monkeypatch.setattr(distances, "_local_search_map_pair", _refuse)
     r = distortion_distance(X, Y)
     assert r == want and (r.exact, r.method) == (True, "chain")
@@ -1396,7 +1404,8 @@ def test_dis_above_the_map_pair_limit_never_above_the_cdis_first_order(X, Y):
 def test_verify_chain_shares_witnesses_on_tori():
     # at the default budget gh's threshold search stops at its first
     # certificate on these pairs (0.3650 and 0.3679 on their own); the
-    # graphs of dis's map pair are a better one
+    # graphs of dis's map pair are a better one.  The public functions,
+    # each on a pair of its own, read the same reports
     T5 = DirectedMetricSpace.from_space(flat_torus_grid(GridSpec(k=5)))
     for k, value in ((6, 0.1787), (8, 0.2679)):
         Y = DirectedMetricSpace.from_space(flat_torus_grid(GridSpec(k=k)))
@@ -1404,6 +1413,9 @@ def test_verify_chain_shares_witnesses_on_tori():
         assert chain.gh.method == "chain" and chain.gh.value == pytest.approx(value, abs=5e-5)
         assert chain.gh.value == chain.dis.value == 0.5 * distortion_relation(chain.gh.certificate.pairs, T5.zz, Y.zz)
         assert chain.gh.value <= chain.dis.value + DEFAULT_TOL and chain.dis.value <= chain.cdis.value + DEFAULT_TOL
+        gh, dis, cdis = gh_distance(T5, Y), distortion_distance(T5, Y), dcorrespondence_distance(T5, Y)
+        assert (gh, dis, cdis) == (chain.gh, chain.dis, chain.cdis)
+        assert gh.value <= dis.value <= cdis.value
 
 
 def test_verify_chain_shares_witnesses_only_for_inexact_reports(monkeypatch):
@@ -1419,9 +1431,10 @@ def test_verify_chain_shares_witnesses_only_for_inexact_reports(monkeypatch):
 
     rng = np.random.default_rng(96)
     shared = {"gh": 0, "cdis": 0}
-    runs = ((SearchBudget(), gh_distance), (SearchBudget(exhaustive_gh=25), gh_distance), (SearchBudget(), blank))
+    plain_gh = distances._plain_gh
+    runs = ((SearchBudget(), plain_gh), (SearchBudget(exhaustive_gh=25), plain_gh), (SearchBudget(), blank))
     for budget, gh_search in runs:
-        monkeypatch.setattr(distances, "gh_distance", gh_search)
+        monkeypatch.setattr(distances, "_plain_gh", gh_search)
         for i in range(16):
             s = random_space(rng, int(rng.integers(4, 6)), connected=i % 4 != 3)
             X = DirectedMetricSpace.from_space(s)
@@ -1434,7 +1447,7 @@ def test_verify_chain_shares_witnesses_only_for_inexact_reports(monkeypatch):
                     assert 0.5 * r.certificate.distortion(X.zz, Y.zz) == r.value
             if dis.certificate is not None:
                 assert 0.5 * dis.certificate.objective(X.zz, Y.zz) == dis.value
-            own_gh, own_cdis = gh_search(X, Y, budget), dcorrespondence_distance(X, Y, budget)
+            own_gh, own_cdis = gh_search(X, Y, budget), distances._plain_cdis(X, Y, budget)
             if own_gh.exact or dis.value >= own_gh.value:
                 assert gh == own_gh
             else:
@@ -1451,18 +1464,21 @@ def test_verify_chain_shares_witnesses_only_for_inexact_reports(monkeypatch):
 
 @pytest.mark.parametrize("limit", [("NODE_LIMIT", 3), ("NODE_LIMIT", 25), ("PAIR_LIMIT", 0)], ids="{0[0]}={0[1]}".format)
 def test_separate_chain_reports_keep_the_order_when_searches_stop_early(monkeypatch, limit):
-    # each kind is read from a fresh ChainReport, as `dist KIND` does: with
+    # each kind is read from a fresh ChainReport, as `dist KIND` does, and
+    # through its public function, which must give the same report: with
     # the searches capped, gh <= dis <= cdis still holds and every
     # certificate re-scores to its value; inside PAIR_LIMIT each report is
     # verify_chain's, and above it only cdis refuses.  The plain searches,
     # called one by one, put 31, 17 and 2 of these 40 pairs out of order
     monkeypatch.setattr(distances, *limit)
+    public = {"gh": gh_distance, "dis": distortion_distance, "cdis": dcorrespondence_distance}
     rng = np.random.default_rng(33)
     for i in range(40):
         X, Y = (random_space(rng, int(rng.integers(4, 8)), connected=i % 4 != 3) for _ in "XY")
         X, Y = DirectedMetricSpace.from_space(X), DirectedMetricSpace.from_space(Y)
         inside = X.n * Y.n <= distances.PAIR_LIMIT
         reports = {kind: getattr(ChainReport(X, Y), kind) for kind in ("gh", "dis") + ("cdis",) * inside}
+        assert {kind: public[kind](X, Y) for kind in reports} == reports, i
         values = [r.value for r in reports.values()]
         assert all(a <= b + DEFAULT_TOL for a, b in zip(values, values[1:])), (i, reports)
         for kind, r in reports.items():
@@ -1476,5 +1492,6 @@ def test_separate_chain_reports_keep_the_order_when_searches_stop_early(monkeypa
             chain = verify_chain(X, Y)
             assert reports == {"gh": chain.gh, "dis": chain.dis, "cdis": chain.cdis}
         else:
-            with pytest.raises(ValueError, match="point pairs"):
-                ChainReport(X, Y).cdis
+            for read in (lambda: ChainReport(X, Y).cdis, lambda: dcorrespondence_distance(X, Y)):
+                with pytest.raises(ValueError, match="point pairs"):
+                    read()
