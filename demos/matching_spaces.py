@@ -12,11 +12,11 @@ zero by at least half the inflation.
 import numpy as np
 
 from dirmetric import (
+    ChainReport,
     DirectedMetricSpace,
     FiniteDSpace,
     VertexMap,
     distortion_distance,
-    gh_distance,
     is_disometry,
     random_space,
 )
@@ -42,12 +42,13 @@ print("backward map:", rep.certificate.backward)
 # Stretch every edge by +0.1; the spaces are genuinely different now.
 stretched = FiniteDSpace(base=s.base, edges=tuple((a, b, l + 0.1) for a, b, l in s.edges))
 Z = DirectedMetricSpace.from_space(stretched)
-rep2 = distortion_distance(X, Z)
+chain = ChainReport(X, Z)  # both distances of the pair, from one set of searches
+rep2 = chain.dis
 print(f"\ndistortion distance after stretching edges by 0.1: {rep2.value:.4f}")
-rep3 = gh_distance(X, Z)
+rep3 = chain.gh
 print(f"zigzag GH distance for the same pair              : {rep3.value:.4f}")
 # Both are at least 0.05 = half the smallest pairwise discrepancy.  gh can
-# be smaller than the map distance but never larger: both read the pair's
-# ChainReport, where an exact gh is the least over all correspondences,
+# be smaller than the map distance but never larger: both come from the
+# pair's ChainReport, where an exact gh is the least over all correspondences,
 # graphs of map pairs included, and an inexact gh takes the graphs of the
 # map pair dis found whenever they score lower.

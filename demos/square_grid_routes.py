@@ -49,7 +49,9 @@ print(f"identity distortion at k=64: {dis:.6f}   (2 - sqrt(2) = {2 - np.sqrt(2):
 
 # Refinement study: worst and mean error against the oracle at the true
 # sample points for a fixed random cloud.  Only the rows we need are
-# computed; the full k = 128 matrix would not fit in memory.
+# computed; the full k = 128 matrix would not fit in memory.  The grid
+# comes as coordinates and an (m, 3) array of (src, dst, length) edges,
+# which zigzag_from_edges reads directly, with no base matrix.
 rng = np.random.default_rng(3)
 pts = rng.random((40, 2))
 iu = np.triu_indices(len(pts), 1)

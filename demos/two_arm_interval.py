@@ -12,10 +12,9 @@ distance is infinite.  One pair of spaces, three answers.
 """
 
 from dirmetric import (
+    ChainReport,
     DirectedMetricSpace,
     SearchBudget,
-    dcorrespondence_distance,
-    distortion_distance,
     gh_distance,
     reverse,
     source_sink_interval,
@@ -25,12 +24,15 @@ k = 8
 X = DirectedMetricSpace.from_space(source_sink_interval(k))
 Y = DirectedMetricSpace.from_space(reverse(X.space))
 
-rep_dis = distortion_distance(X, Y)
+# One ChainReport holds all three distances of the pair; each is
+# computed on first read, and the searches behind them run once.
+chain = ChainReport(X, Y)
+rep_dis = chain.dis
 print(f"map distortion distance : {rep_dis.value}  (method={rep_dis.method}, exact={rep_dis.exact})")
 # 17 points per side is past the exact-search cap, so the 1/2 comes from
 # seeded local search over map pairs; exact=False reports that honestly.
 
-rep_cdis = dcorrespondence_distance(X, Y)
+rep_cdis = chain.cdis
 print(f"d-correspondence distance: {rep_cdis.value}  (method={rep_cdis.method})")
 # "propagation" means the infinity is proved, not a search timeout: no
 # candidate partner survives the reachability compatibility constraints.

@@ -40,9 +40,10 @@ when it is first tried under t, and two pairs are compatible when their
 reachability types (reach + 2 * reach.T) agree.  For cdis,
 constraint propagation first drops pairs that fit in no
 d-correspondence, which proves infeasibility when a point is left
-without partner.  gh runs branch and bound up to its exhaustive cap, the
-threshold search up to PAIR_LIMIT pairs, and above that dis's map-pair
-local search with the direction rule off.  The branch and bound takes pairs in row-major order and
+without partner.  gh runs branch and bound up to BNB_PAIRS pairs within
+its exhaustive cap, the threshold search (uncapped within it) up to
+PAIR_LIMIT pairs, and above that dis's map-pair local search with the
+direction rule off.  The branch and bound takes pairs in row-major order and
 cuts a branch that leaves a row or column uncovered once its position
 shows that line has no pair left.  Above their exhaustive caps both
 threshold searches stop after NODE_LIMIT nodes, one cap shared by all
@@ -98,6 +99,8 @@ DEFAULT_BUDGET = SearchBudget()
 
 #: Exact map-pair search runs when |Y|^|X| * |X|^|Y| is at most this.
 MAP_PAIR_LIMIT = 10_000_000
+#: Largest |X|*|Y| gh's branch and bound takes; it recurses once per pair.
+BNB_PAIRS = 25
 #: Search nodes of the threshold search (gh and cdis) above their exhaustive caps.
 NODE_LIMIT = 20_000
 #: Largest |X|*|Y| the threshold search takes; cdis refuses larger inputs.
@@ -124,11 +127,6 @@ def hausdorff(d: np.ndarray, a, b) -> float:
         raise ValueError("hausdorff distance needs non-empty subsets")
     sub = d[np.ix_(a, b)]
     return float(max(sub.min(axis=1).max(), sub.min(axis=0).max()))
-
-
-def directed_hausdorff(X: DirectedMetricSpace, a, b) -> float:
-    """Hausdorff distance of two subsets under the zigzag metric."""
-    return hausdorff(X.zz, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +226,6 @@ class Correspondence:
         P = np.asarray(self.pairs, dtype=int).reshape(-1, 2)
         xs, ys = P[:, 0], P[:, 1]
         return bool((reach_source[np.ix_(xs, xs)] == reach_target[np.ix_(ys, ys)]).all())
-
-    def distortion(self, dX: np.ndarray, dY: np.ndarray) -> float:
-        return distortion_relation(self.pairs, dX, dY)
 
 
 @dataclass(frozen=True)
@@ -645,12 +640,13 @@ def _plain_gh(X: DirectedMetricSpace, Y: DirectedMetricSpace, budget: SearchBudg
     """
     dX, dY = X.zz, Y.zz
     nX, nY = X.n, Y.n
-    if nX * nY <= budget.exhaustive_gh:
+    exhaustive = nX * nY <= budget.exhaustive_gh
+    if exhaustive and nX * nY <= BNB_PAIRS:
         val, pairs = _bnb_correspondence(dX, dY)
         cert = Correspondence(nX, nY, tuple(pairs)) if pairs is not None else None
         return DistanceReport("gh", 0.5 * val, True, 0.5 * val, cert, "branch-and-bound")
     if nX * nY <= PAIR_LIMIT:
-        return _threshold_report("gh", dX, dY, None, np.ones((nX, nY), dtype=bool), NODE_LIMIT)
+        return _threshold_report("gh", dX, dY, None, np.ones((nX, nY), dtype=bool), INFINITY if exhaustive else NODE_LIMIT)
     lower = _value_gap_lower(dX, dY)
     val, f, g = _local_search_map_pair(X, Y, False, lower)
     cert = _graph_correspondence(f, g) if f is not None else None  # None: no map pair of finite objective
@@ -905,10 +901,12 @@ class ChainReport:
     searches are exact.  An inexact gh reads dis and takes the graphs of
     its map pair when they score lower (method "chain"); an inexact cdis
     takes gh's search's lower bound when that is higher.  A pair with an
-    empty side is exact from the start and runs no search.  Reading cdis
-    raises ValueError when |X|*|Y| > PAIR_LIMIT.  chain_holds checks both
-    inequalities up to DEFAULT_TOL.  conclusive is False when any of the
-    three reports came back inexact; nothing is judged then.
+    empty side is exact from the start and runs no search.  Read order
+    never changes a report.  Reading cdis raises ValueError when
+    |X|*|Y| > PAIR_LIMIT, and conclusive and chain_holds read it first, so
+    they raise before any search.  chain_holds checks both inequalities up
+    to DEFAULT_TOL.  conclusive is False when any of the three reports
+    came back inexact; nothing is judged then.
     """
 
     X: DirectedMetricSpace
@@ -971,7 +969,7 @@ class ChainReport:
 
     @property
     def conclusive(self) -> bool:
-        return all(r.exact for r in (self.gh, self.dis, self.cdis))
+        return all(r.exact for r in (self.cdis, self.gh, self.dis))
 
     @property
     def chain_holds(self):
@@ -981,16 +979,3 @@ class ChainReport:
             self.gh.value <= self.dis.value + DEFAULT_TOL
             and self.dis.value <= self.cdis.value + DEFAULT_TOL
         )
-
-
-def verify_chain(X: DirectedMetricSpace, Y: DirectedMetricSpace, budget: SearchBudget = DEFAULT_BUDGET) -> ChainReport:
-    """ChainReport(X, Y, budget) with all three reports read, cdis first.
-
-    Meant for sizes where every search is exhaustive; with budgets too
-    small for that the report comes back inconclusive, never failed.
-    Raises ValueError, before any search, when |X|*|Y| > PAIR_LIMIT.
-    """
-    chain = ChainReport(X, Y, budget)
-    for kind in ("cdis", "gh", "dis"):
-        getattr(chain, kind)
-    return chain

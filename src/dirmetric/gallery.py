@@ -131,12 +131,11 @@ def _step_edges(spec: GridSpec, m: int):
 def square_grid_graph(spec: GridSpec):
     """Coordinates and edges of the directed square grid, no base matrix.
 
-    Edges go from (i/k, j/k) along each step that stays inside the square,
-    with length equal to the Euclidean displacement.  Useful directly for
+    Edges are (src, dst, length) array rows from (i/k, j/k) along each
+    step that stays inside the square, of the Euclidean step length.  For
     resolutions where the dense base matrix would be oversized.
     """
-    src, dst, length = _step_edges(spec, spec.k + 1)
-    return np.column_stack(_grid_coords(spec.k, spec.k + 1)), tuple(zip(src.tolist(), dst.tolist(), length.tolist()))
+    return np.column_stack(_grid_coords(spec.k, spec.k + 1)), np.column_stack(_step_edges(spec, spec.k + 1))
 
 
 def _grid_coords(k: int, m: int):

@@ -15,10 +15,10 @@ import numpy as np
 from dirmetric.cli import main
 from dirmetric.distances import (
     DEFAULT_BUDGET,
+    ChainReport,
     dcorrespondence_distance,
     distortion_distance,
     gh_distance,
-    verify_chain,
 )
 from dirmetric.fileio import doc_to_space, load_space
 from dirmetric.gallery import open_book
@@ -109,7 +109,7 @@ def test_base_comparison_may_exceed_zigzag_on_a_sampled_pair():
         "base": [[0.0, 0.8122001942731903], [0.8122001942731903, 0.0]],
         "edges": [[1, 0, 1.1616898162669858], [0, 1, 1.3514783502506924]],
     }))
-    rep = verify_chain(X, Y, DEFAULT_BUDGET)
+    rep = ChainReport(X, Y, DEFAULT_BUDGET)
     base = gh_distance(
         *(DirectedMetricSpace(S.space, zz=S.space.base, reach=np.eye(S.n, dtype=bool)) for S in (X, Y)),
         DEFAULT_BUDGET,

@@ -11,7 +11,8 @@ on two empty spaces reports an exact 0,
 one cached parser serves every call, importing the CLI loads no process
 pool and verify core no scipy, verify's stdout is frozen on three seeds,
 failed suites would exit 2,
-gh and dis on a 1024-point interval finish without a traceback, ball's
+gh and dis on a 1024-point interval finish without a traceback, and so
+does an exact gh past the branch and bound's size, ball's
 one-row zigzag decides membership as the full matrix does, ball's
 --center names a label before an index, separate dist gh, dis and cdis
 on tori 5 v 6 print the chain in order with each search run at most
@@ -353,6 +354,22 @@ def test_dist_gh_and_dis_above_a_thousand_points_exit_0(capsys, tmp_path):
         rep = json.loads(out)
         assert rep["exact"] is True and rep["certificate_check"] is True
         assert rep["value"] == rep["lower"] == 0.16617790811339223
+
+
+def test_exact_dist_gh_with_a_large_cap_exits_0(capsys, tmp_path):
+    # 36 x 36 = 1296 point pairs within a cap of 5000: past the branch and
+    # bound's size, which recurses once per pair, the exact search is the
+    # threshold search with no node cap
+    paths = []
+    for shape, k in (("torus", 6), ("square", 5)):
+        paths.append(str(tmp_path / f"{shape}{k}.json"))
+        run(capsys, "gen", shape, "--k", str(k), "--out", paths[-1])
+    code, out, err = run(capsys, "dist", "gh", *paths, "--budget-exhaustive-gh", "5000")
+    assert code == 0 and "Traceback" not in err, err
+    rep = json.loads(out)
+    assert rep["exact"] is True and rep["method"] == "branch-and-bound" and rep["certificate_check"] is True
+    assert rep["value"] == rep["lower"] == pytest.approx(0.6464, abs=5e-5)
+
 
 def test_dist_dis_two_arm_reversal_certificate_reevaluates(capsys, tmp_path):
     fx, fy = write_two_arm(tmp_path)

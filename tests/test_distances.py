@@ -31,15 +31,17 @@ rng draws) against full re-scoring, its lean abs-diff against
 ext_abs_diff bit for bit, no RuntimeWarning on disconnected pairs, the
 starting maps that carry it above its size guards, its frozen results
 on two pairs and on twelve random pairs above the exhaustive caps,
-verify_chain running the gh and cdis threshold searches once each, and
-its witnesses shared down the chain for inexact reports only (on tori
-5 v 6 and 5 v 8, where the public functions read the same reports, and
-under a forced node cap), dis closed from gh's
-choice maps with no local search and no cdis search, dis above the
+one ChainReport running the gh and cdis threshold searches once each,
+refusing above the pair limit before any search when asked whether it
+is conclusive, and sharing witnesses down the chain for inexact reports
+only (on tori 5 v 6 and 5 v 8, where the public functions read the same
+reports, and under a forced node cap), exact gh above the branch and
+bound's size through the uncapped threshold search, dis closed from
+gh's choice maps with no local search and no cdis search, dis above the
 map-pair limit never above the cdis-first order, as a property, and
 gh <= dis <= cdis read from a fresh ChainReport per kind under forced
-node and pair caps, equal to verify_chain's inside the pair limit and to
-the three public functions' everywhere.
+node and pair caps, equal to one ChainReport's read cdis first inside
+the pair limit and to the three public functions' everywhere.
 """
 
 import dataclasses
@@ -83,7 +85,6 @@ from dirmetric import (
     codistortion,
     compute_zigzag,
     dcorrespondence_distance,
-    directed_hausdorff,
     directed_interval,
     directed_square_grid,
     distortion_distance,
@@ -103,7 +104,6 @@ from dirmetric import (
     random_space,
     reverse,
     source_sink_interval,
-    verify_chain,
     zigzag_from_edges,
 )
 from dirmetric import distances
@@ -164,11 +164,7 @@ def test_hausdorff_on_path():
     assert hausdorff(PATH.zz, [0], [4]) == 4.0
     assert hausdorff(PATH.zz, [0, 4], [2]) == 2.0
     assert hausdorff(PATH.zz, [0, 2, 4], [0, 1, 2, 3, 4]) == 1.0
-
-
-def test_directed_hausdorff_matches_plain_on_zigzag():
-    assert directed_hausdorff(PATH, [0], [4]) == hausdorff(PATH.zz, [0], [4])
-    assert directed_hausdorff(PATH, list(range(5)), [0]) == 4.0
+    assert hausdorff(PATH.zz, list(range(5)), [0]) == 4.0
 
 
 def test_hausdorff_rejects_empty_subsets():
@@ -185,9 +181,7 @@ def test_hausdorff_rejects_indices_outside_the_space():
     for a, b in (([-1], [0]), ([0], [5]), ([0, 5], [1]), ([2], [1, -3])):
         with pytest.raises(ValueError, match=r"outside range\(5\)"):
             hausdorff(X.zz, a, b)
-        with pytest.raises(ValueError, match=r"outside range\(5\)"):
-            directed_hausdorff(X, a, b)
-    assert hausdorff(X.zz, [4], [0]) == directed_hausdorff(X, [0], [4]) == 1.0
+    assert hausdorff(X.zz, [4], [0]) == hausdorff(X.zz, [0], [4]) == 1.0
 
 
 _INTERVAL = DirectedMetricSpace.from_space(directed_interval(4))
@@ -261,7 +255,7 @@ def test_correspondence_properties():
     assert not Correspondence(2, 2, ((0, 0),)).is_correspondence
     with pytest.raises(ValueError):
         Correspondence(2, 2, ((0, 5),))
-    assert c.distortion(SHORT.zz, LONG.zz) == 2.0
+    assert distortion_relation(c.pairs, SHORT.zz, LONG.zz) == 2.0
     assert c.is_dcorrespondence(SHORT.reach, LONG.reach)
     flipped = Correspondence(2, 2, ((0, 1), (1, 0)))
     assert not flipped.is_dcorrespondence(SHORT.reach, LONG.reach)
@@ -323,7 +317,7 @@ def test_two_point_pair_all_three_distances():
     assert cdis.value == pytest.approx(1.0) and cdis.exact
     assert gh.method == "branch-and-bound"
     assert dis.method == "exhaustive"
-    rep = verify_chain(SHORT, LONG)
+    rep = ChainReport(SHORT, LONG)
     assert rep.conclusive and rep.chain_holds
     base = base_gh(SHORT, LONG)
     assert base.exact and base.value <= rep.gh.value + DEFAULT_TOL
@@ -422,7 +416,7 @@ def test_cdis_certificates_are_dcorrespondences():
             above_cap += X.n * Y.n > SearchBudget().exhaustive_cdis
             assert r.certificate.is_correspondence
             assert r.certificate.is_dcorrespondence(X.reach, Y.reach)
-            assert 0.5 * r.certificate.distortion(X.zz, Y.zz) == r.value
+            assert 0.5 * distortion_relation(r.certificate.pairs, X.zz, Y.zz) == r.value
         pairs = [(x, int(rng.integers(Y.n))) for x in range(X.n)] + [(int(rng.integers(X.n)), y) for y in range(Y.n)]
         c = Correspondence(X.n, Y.n, tuple(pairs))
         assert c.is_dcorrespondence(X.reach, Y.reach) == slow_is_dcorrespondence(pairs, X.reach, Y.reach)
@@ -484,7 +478,7 @@ def test_chain_holds_and_certificates_rescore_property(X, Y):
         assert 0.5 * dis.certificate.objective(X.zz, Y.zz) == dis.value
     if cdis.certificate is not None:
         assert cdis.certificate.is_dcorrespondence(X.reach, Y.reach)
-        assert 0.5 * cdis.certificate.distortion(X.zz, Y.zz) == cdis.value
+        assert 0.5 * distortion_relation(cdis.certificate.pairs, X.zz, Y.zz) == cdis.value
 
 
 def test_capped_cdis_search_reports_an_honest_bracket(monkeypatch):
@@ -501,7 +495,7 @@ def test_capped_cdis_search_reports_an_honest_bracket(monkeypatch):
         r = dcorrespondence_distance(X, Y)
         assert r.lower <= r.value and r.method == "branch-and-bound"
         assert r.certificate.is_dcorrespondence(X.reach, Y.reach)
-        assert 0.5 * r.certificate.distortion(X.zz, Y.zz) == r.value
+        assert 0.5 * distortion_relation(r.certificate.pairs, X.zz, Y.zz) == r.value
         capped += not r.exact
     assert capped >= 3
 
@@ -935,7 +929,7 @@ def test_frozen_pair_where_base_comparison_exceeds_zigzag():
     # bounds the other in general
     X = dspace([[0.0, 1.0], [1.0, 0.0]], ((0, 1, 1.4),))
     Y = dspace([[0.0, 0.5], [0.5, 0.0]], ((0, 1, 1.3),))
-    rep = verify_chain(X, Y)
+    rep = ChainReport(X, Y)
     assert rep.conclusive
     assert rep.chain_holds
     base = base_gh(X, Y)
@@ -1011,13 +1005,35 @@ def test_budget_caps_take_python_and_numpy_integers():
     assert SearchBudget(exhaustive_gh=np.int64(3), exhaustive_cdis=0) == SearchBudget(3, 0)
 
 
-def test_verify_chain_raises_above_the_pair_limit(monkeypatch):
-    # as dcorrespondence_distance does; a limit of 4 keeps the pair small
+def test_chain_report_raises_above_the_pair_limit(monkeypatch):
+    # as dcorrespondence_distance does; a limit of 4 keeps the pair small.
+    # conclusive and chain_holds read cdis first, so neither gh's search
+    # nor a local search runs on a pair that cdis refuses
     monkeypatch.setattr(distances, "PAIR_LIMIT", 4)
+    monkeypatch.setattr(distances, "_plain_gh", _refuse)
+    monkeypatch.setattr(distances, "_local_search_map_pair", _refuse)
     X = DirectedMetricSpace.from_space(directed_interval(2))
     Y = DirectedMetricSpace.from_space(directed_interval(3))
-    with pytest.raises(ValueError, match="cdis takes at most 4 point pairs"):
-        verify_chain(X, Y)
+    for read in (lambda c: c.conclusive, lambda c: c.chain_holds):
+        with pytest.raises(ValueError, match="cdis takes at most 4 point pairs"):
+            read(ChainReport(X, Y))
+
+
+def test_exact_gh_above_the_branch_and_bound_size_runs_the_uncapped_threshold_search(monkeypatch):
+    # 5 x 6 = 30 point pairs, within a cap of 30 but above BNB_PAIRS: the
+    # threshold search, with no node cap even at NODE_LIMIT 0, proves the
+    # branch and bound's value
+    rng = np.random.default_rng(41)
+    pairs = [tuple(DirectedMetricSpace.from_space(random_space(rng, n, connected=i % 3 != 2)) for n in (5, 6))
+             for i in range(6)]
+    want = [0.5 * distances._bnb_correspondence(X.zz, Y.zz)[0] for X, Y in pairs]
+    monkeypatch.setattr(distances, "_bnb_correspondence", _refuse)
+    monkeypatch.setattr(distances, "NODE_LIMIT", 0)
+    assert distances.BNB_PAIRS < 30
+    for (X, Y), value in zip(pairs, want):
+        r = gh_distance(X, Y, SearchBudget(exhaustive_gh=30))
+        assert (r.value, r.lower, r.exact, r.method) == (value, value, True, "branch-and-bound")
+        assert 0.5 * distortion_relation(r.certificate.pairs, X.zz, Y.zz) == r.value
 
 
 def test_larger_budget_never_worse():
@@ -1312,7 +1328,7 @@ def test_local_search_reports_frozen_on_random_pairs(monkeypatch):
 
     chained = []
     for X, Y in pairs:
-        chain = verify_chain(X, Y)
+        chain = ChainReport(X, Y)
         reports = (chain.gh, chain.dis, gh_base(X, Y))
         assert chain.gh.method == reports[2].method == "branch-and-bound"
         chained.append(digest(reports))
@@ -1331,9 +1347,9 @@ def test_local_search_reports_frozen_on_random_pairs(monkeypatch):
     assert tuple(chained) == FROZEN_CHAIN_REPORT_SHA256
 
 
-def test_verify_chain_searches_gh_and_cdis_once(monkeypatch):
+def test_chain_report_searches_gh_and_cdis_once(monkeypatch):
     # near-8-n16 is above every exhaustive cap, so dis closes from the
-    # chain; verify_chain hands it its own gh and cdis reports, leaving
+    # chain; one ChainReport hands it its own gh and cdis reports, leaving
     # two threshold searches (gh, cdis).  Separate calls run three: gh's
     # choice maps are d-maps here and meet gh's lower bound, so dis on its
     # own never searches for cdis
@@ -1342,7 +1358,8 @@ def test_verify_chain_searches_gh_and_cdis_once(monkeypatch):
     calls = []
     search = distances._threshold_correspondence
     monkeypatch.setattr(distances, "_threshold_correspondence", lambda *a: calls.append(1) or search(*a))
-    chain = verify_chain(X, Y)
+    chain = ChainReport(X, Y)
+    chain.conclusive  # reads cdis, gh and dis
     assert len(calls) == 2
     separate = (gh_distance(X, Y), distortion_distance(X, Y), dcorrespondence_distance(X, Y))
     assert len(calls) == 2 + 3
@@ -1375,7 +1392,9 @@ def test_dis_closes_from_gh_maps_without_searching_cdis(monkeypatch):
     # the bracket, so dis draws no cdis report and runs no local search
     data = Path(__file__).parent / "data"
     X, Y = (DirectedMetricSpace.from_space(load_space(str(data / f"near-8-n16.{s}.json"))) for s in "XY")
-    want = verify_chain(X, Y).dis
+    chain = ChainReport(X, Y)
+    chain.cdis  # read first, so the dis below finds cdis's search run
+    want = chain.dis
     monkeypatch.setattr(distances, "_plain_cdis", _refuse)
     monkeypatch.setattr(distances, "_local_search_map_pair", _refuse)
     r = distortion_distance(X, Y)
@@ -1401,7 +1420,7 @@ def test_dis_above_the_map_pair_limit_never_above_the_cdis_first_order(X, Y):
         assert 0.5 * r.certificate.objective(X.zz, Y.zz) == r.value
 
 
-def test_verify_chain_shares_witnesses_on_tori():
+def test_chain_report_shares_witnesses_on_tori():
     # at the default budget gh's threshold search stops at its first
     # certificate on these pairs (0.3650 and 0.3679 on their own); the
     # graphs of dis's map pair are a better one.  The public functions,
@@ -1409,7 +1428,7 @@ def test_verify_chain_shares_witnesses_on_tori():
     T5 = DirectedMetricSpace.from_space(flat_torus_grid(GridSpec(k=5)))
     for k, value in ((6, 0.1787), (8, 0.2679)):
         Y = DirectedMetricSpace.from_space(flat_torus_grid(GridSpec(k=k)))
-        chain = verify_chain(T5, Y)
+        chain = ChainReport(T5, Y)
         assert chain.gh.method == "chain" and chain.gh.value == pytest.approx(value, abs=5e-5)
         assert chain.gh.value == chain.dis.value == 0.5 * distortion_relation(chain.gh.certificate.pairs, T5.zz, Y.zz)
         assert chain.gh.value <= chain.dis.value + DEFAULT_TOL and chain.dis.value <= chain.cdis.value + DEFAULT_TOL
@@ -1418,7 +1437,7 @@ def test_verify_chain_shares_witnesses_on_tori():
         assert gh.value <= dis.value <= cdis.value
 
 
-def test_verify_chain_shares_witnesses_only_for_inexact_reports(monkeypatch):
+def test_chain_report_shares_witnesses_only_for_inexact_reports(monkeypatch):
     # NODE_LIMIT at 3 stops the threshold searches early.  At the default
     # budget an inexact gh takes dis's map pair where that scores lower;
     # with gh exact by branch and bound, an inexact cdis takes gh's higher
@@ -1439,12 +1458,12 @@ def test_verify_chain_shares_witnesses_only_for_inexact_reports(monkeypatch):
             s = random_space(rng, int(rng.integers(4, 6)), connected=i % 4 != 3)
             X = DirectedMetricSpace.from_space(s)
             Y = stretched_copy(rng, s)[0] if i % 2 else dspace_random(rng, int(rng.integers(4, 6)))
-            chain = verify_chain(X, Y, budget)
+            chain = ChainReport(X, Y, budget)
             gh, dis, cdis = chain.gh, chain.dis, chain.cdis
             assert gh.value <= dis.value + DEFAULT_TOL and dis.value <= cdis.value + DEFAULT_TOL
             for r in (gh, cdis):
                 if r.certificate is not None:
-                    assert 0.5 * r.certificate.distortion(X.zz, Y.zz) == r.value
+                    assert 0.5 * distortion_relation(r.certificate.pairs, X.zz, Y.zz) == r.value
             if dis.certificate is not None:
                 assert 0.5 * dis.certificate.objective(X.zz, Y.zz) == dis.value
             own_gh, own_cdis = gh_search(X, Y, budget), distances._plain_cdis(X, Y, budget)
@@ -1468,7 +1487,7 @@ def test_separate_chain_reports_keep_the_order_when_searches_stop_early(monkeypa
     # through its public function, which must give the same report: with
     # the searches capped, gh <= dis <= cdis still holds and every
     # certificate re-scores to its value; inside PAIR_LIMIT each report is
-    # verify_chain's, and above it only cdis refuses.  The plain searches,
+    # that of one ChainReport read cdis first, and above it only cdis refuses.  The plain searches,
     # called one by one, put 31, 17 and 2 of these 40 pairs out of order
     monkeypatch.setattr(distances, *limit)
     public = {"gh": gh_distance, "dis": distortion_distance, "cdis": dcorrespondence_distance}
@@ -1487,10 +1506,10 @@ def test_separate_chain_reports_keep_the_order_when_searches_stop_early(monkeypa
             elif kind == "dis":
                 assert 0.5 * r.certificate.objective(X.zz, Y.zz) == r.value
             else:
-                assert 0.5 * r.certificate.distortion(X.zz, Y.zz) == r.value
+                assert 0.5 * distortion_relation(r.certificate.pairs, X.zz, Y.zz) == r.value
         if inside:
-            chain = verify_chain(X, Y)
-            assert reports == {"gh": chain.gh, "dis": chain.dis, "cdis": chain.cdis}
+            chain = ChainReport(X, Y)
+            assert reports == {kind: getattr(chain, kind) for kind in ("cdis", "gh", "dis")}
         else:
             for read in (lambda: ChainReport(X, Y).cdis, lambda: dcorrespondence_distance(X, Y)):
                 with pytest.raises(ValueError, match="point pairs"):

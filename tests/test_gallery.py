@@ -112,6 +112,18 @@ def test_route_value_at_fine_grid():
     assert abs(val - 1.4) <= 2.0 * math.sqrt(2.0) / k
 
 
+def test_square_grid_graph_is_the_grid_as_arrays():
+    # the graph form holds the grid's coordinates and its edges as one
+    # (m, 3) array, row for row the space's (src, dst, length)
+    spec = GridSpec(k=6)
+    coords, edges = square_grid_graph(spec)
+    g = directed_square_grid(spec)
+    assert isinstance(edges, np.ndarray) and edges.shape == (len(g.edges), 3)
+    assert (edges == np.column_stack((g.src, g.dst, g.length))).all()
+    assert np.allclose(coords, [label_coords(lbl) for lbl in g.labels], rtol=0.0, atol=1e-10)
+    assert (zigzag_from_edges(g.n, edges) == compute_zigzag(g)).all()
+
+
 def test_grid_between_oracle_and_ratio_bound():
     k = 16
     spec = GridSpec(k=k)
