@@ -21,49 +21,47 @@ into the reachability relation of the target.  Constant maps always
 qualify, but the map-pair distance is inf unless both spaces have equally
 many weak components, e.g. for a disconnected space against a connected one.
 
-Search strategy.  gh and the d-correspondence distance share one
-threshold search over point pairs; cdis adds a reachability rule.  It
-bisects a sorted threshold list, largest finite first, and asks
-decide(t, budget) of each threshold t: a depth-first search for a
-covering set of pairs, every two of cost at most t (and, for cdis,
-compatible), branching on the uncovered row or column with the fewest
-live pairs and forward-checking each choice.  It finds a cover (a
-certificate), proves t infeasible (a lower bound) or, past its node
-budget, leaves t undecided.  Sets of pairs are Python ints, bit
-x * |Y| + y for pair (x, y): a node's live pairs, the pairs of each row
-and column, and the pairs that fit with each pair tried under t, cached
-until t changes; a node counts the live pairs of each uncovered line
-with one AND and one popcount.  Only per-space matrices are read: the
-thresholds are the distinct |a - b| over values a of dX and b of dY,
-pair (x, y)'s row of costs is computed from row x of dX and row y of dY
-when it is first tried under t, and two pairs are compatible when their
-reachability types (reach + 2 * reach.T) agree.  For cdis,
-constraint propagation first drops pairs that fit in no
-d-correspondence, which proves infeasibility when a point is left
-without partner.  gh runs branch and bound up to BNB_PAIRS pairs within
-its exhaustive cap, the threshold search (uncapped within it) up to
+Search strategy.  Each distance is the least distortion of a relation,
+so one threshold search serves all three.  It bisects a sorted threshold
+list, largest finite first, and asks decide(t, budget) of each threshold
+t: a depth-first search for pairs meeting every line, every two fitting
+under t, branching on the uncovered line with the fewest live pairs and
+forward-checking each choice.  It finds a cover (a certificate), proves t
+infeasible (a lower bound) or, past its node budget, leaves t undecided.
+For gh, point pairs (x, y) cover rows and columns and fit when they cost
+at most t; cdis also needs equal reachability types (reach + 2 * reach.T).
+For dis, forward pair (x, y) is f(x) = y and covers row x, backward pair
+(x, y) is g(y) = x and covers column y; two of one map must also send each
+edge between their points into the target's reach.  A cover is then a
+d-map pair, and its objective the distortion of graph(f) with graph(g)
+transposed, term for term.  Sets of pairs are Python ints, a bit a pair: a
+node's live pairs, each line's pairs, and the pairs fitting each pair
+tried under t, cached until t changes.  A node counts the live pairs of
+each uncovered line with one AND and one popcount.  The thresholds are
+the distinct |a - b| over values a of dX and b of dY, and a pair's row of
+costs comes from row x of dX and row y of dY when it is first tried.  For
+cdis, constraint propagation first drops pairs that fit in no
+d-correspondence, which proves infeasibility when a point is left without
+partner.  gh runs branch and bound up to BNB_PAIRS pairs within its
+exhaustive cap, the threshold search (uncapped within the cap) up to
 PAIR_LIMIT pairs, and above that dis's map-pair local search with the
-direction rule off.  The branch and bound takes pairs in row-major order and
-cuts a branch that leaves a row or column uncovered once its position
-shows that line has no pair left.  Above their exhaustive caps both
-threshold searches stop after NODE_LIMIT nodes, one cap shared by all
-the probes of a call, and then report the best certificate and the
-proven lower bound, exact only if they meet.
+direction rule off.  Above their exhaustive caps the gh and cdis searches
+stop after NODE_LIMIT nodes, one cap shared by all the probes of a call,
+and report the best certificate and the proven lower bound, exact only if
+they meet.
 
 ChainReport is the only route to a distance: each public function reads
 one report of ChainReport(X, Y, budget).  It computes each report on
 first read and shares witnesses down the chain, so the three keep its
 order even when a search stops early.  An inexact gh_distance thus also
-runs dis's search, and an inexact dcorrespondence_distance gh's.  The
-map-pair distance enumerates map pairs while that is small.  Above that
-and up to PAIR_LIMIT pairs it is closed from the chain: gh's lower bound
-bounds it below, and the choice functions of gh's certificate, when both
-are d-maps, then of cdis's bound it above.  cdis is searched only while
-that bracket is open, the seeded local search only if it stays open, and
-it stops polishing at the lower bound.  Greedy starting maps update
-(point, image) arrays of worst distortion and legality per placement;
-descent moves one point of one map at a time, scoring all its candidate
-images together in O(n*m).  Its seed is a private constant.
+runs dis's search, and an inexact dcorrespondence_distance gh's.  dis
+runs the threshold search uncapped while |Y|^|X| * |X|^|Y|, which bounds
+its search tree's leaves, is at most MAP_PAIR_LIMIT.  Above that and up
+to PAIR_LIMIT pairs it is closed from the chain: gh's lower bound bounds
+it below, and the choice functions of gh's certificate, when both are
+d-maps, then of cdis's bound it above.  cdis is searched only while that
+bracket is open, and the local search (greedy starting maps, pointwise
+descent, a private seed) only if it stays open, until the lower bound.
 """
 
 from __future__ import annotations
@@ -97,7 +95,7 @@ class SearchBudget:
 
 DEFAULT_BUDGET = SearchBudget()
 
-#: Exact map-pair search runs when |Y|^|X| * |X|^|Y| is at most this.
+#: dis's threshold search runs with no node cap when |Y|^|X| * |X|^|Y| is at most this.
 MAP_PAIR_LIMIT = 10_000_000
 #: Largest |X|*|Y| gh's branch and bound takes; it recurses once per pair.
 BNB_PAIRS = 25
@@ -230,14 +228,15 @@ class Correspondence:
 
 @dataclass(frozen=True)
 class MapPair:
-    """Certificate for the map-pair distance: images of f and of g."""
+    """Certificate for the map-pair distance: images of f: X -> Y and of g: Y -> X."""
 
     forward: tuple[int, ...]
     backward: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "forward", tuple(int(i) for i in self.forward))
-        object.__setattr__(self, "backward", tuple(int(i) for i in self.backward))
+        f, g = tuple(self.forward), tuple(self.backward)
+        object.__setattr__(self, "forward", tuple(_point_indices(f, len(g), len(f)).tolist()))
+        object.__setattr__(self, "backward", tuple(_point_indices(g, len(f), len(g)).tolist()))
 
     def objective(self, dX: np.ndarray, dY: np.ndarray) -> float:
         return max(
@@ -548,15 +547,11 @@ def _local_search_map_pair(X: DirectedMetricSpace, Y: DirectedMetricSpace, dmaps
     source inside the target's reach, which constant starting maps always
     do; without (gh) no edge is kept, so reach is never read.
 
-    Each sweep visits the points of f, then those of g, and moves each to
-    its best image.  Moving one point changes one row and one column of
-    that map's distortion matrix and one row (or column) of the
-    codistortion matrix, so all candidate images of the point are scored
-    together in O(n*m) from slabs of those entries plus the maximum of
-    the unchanged rest.  Candidates are tried in index order and replace
-    the best so far only when they score lower by more than 1e-15; with
-    the rng seeded by _SEED, the move order and tie-breaking are fixed.
-    Greedy starting maps and descent run under one np.errstate, set here.
+    Each sweep moves the points of f, then those of g, each to its best
+    image, all candidates scored together by _move_scores.  A candidate
+    replaces the best so far only when it scores lower by more than 1e-15,
+    so with the rng seeded by _SEED the result is fixed.  Greedy starting
+    maps and descent run under one np.errstate, set here.
     floor is a proven lower bound on every objective: polishing stops once
     one reaches it, as no later pair could score strictly lower.
     """
@@ -604,8 +599,8 @@ def _local_search_map_pair(X: DirectedMetricSpace, Y: DirectedMetricSpace, dmaps
 
     # cross-pair the pools, keep the most promising pairs, polish those
     F, G = np.array(list(pool_f)), np.array(list(pool_g))
-    cross = dX[:, G.T]
-    obj = np.array([_codistortions(f, cross, dY) for f in F])
+    cross = dX[:, G.T]  # dX[x, g[y]] at [x, y, index of g], so row f holds f's codistortion with each g
+    obj = np.array([ext_abs_diff(cross, dY[f, :][:, :, None]).max(axis=(0, 1)) for f in F])
     obj = np.maximum(obj, np.maximum(_batch_map_distortion(dX, dY, F)[:, None], _batch_map_distortion(dY, dX, G)))
     scored = sorted((v, i // len(G), i % len(G)) for i, v in enumerate(obj.ravel().tolist()))
     polish = min(len(scored), max(6, _RESTARTS // 4))
@@ -686,16 +681,6 @@ def _choice_map_pair(X: DirectedMetricSpace, Y: DirectedMetricSpace, c: Optional
     return INFINITY, None, None
 
 
-def _enumerate_dmaps(source: DirectedMetricSpace, target: DirectedMetricSpace) -> np.ndarray:
-    """All direction-respecting maps source -> target, one row per map."""
-    nS, nT = source.n, target.n
-    count = nT**nS
-    # mixed-radix decode of 0..nT^nS - 1, one digit per source point
-    weights = nT ** np.arange(nS - 1, -1, -1, dtype=np.int64)
-    maps = (np.arange(count, dtype=np.int64)[:, None] // weights) % nT
-    return maps[target.reach[maps[:, source.space.src], maps[:, source.space.dst]].all(axis=1)]
-
-
 def _batch_map_distortion(dS: np.ndarray, dT: np.ndarray, maps: np.ndarray) -> np.ndarray:
     n = dS.shape[0]
     out = np.empty(maps.shape[0])
@@ -705,40 +690,6 @@ def _batch_map_distortion(dS: np.ndarray, dT: np.ndarray, maps: np.ndarray) -> n
         imaged = dT[M[:, :, None], M[:, None, :]]
         out[i : i + chunk] = ext_abs_diff(dS[None, :, :], imaged).max(axis=(1, 2))
     return out
-
-
-def _codistortions(f: np.ndarray, cross: np.ndarray, dY: np.ndarray) -> np.ndarray:
-    """pair_codistortion(f, g, dX, dY) for every map g, one entry per g.
-
-    cross = dX[:, G.T] holds dX[x, g[y]] at [x, y, index of g], for the
-    maps g that are the rows of G.
-    """
-    return ext_abs_diff(cross, dY[f, :][:, :, None]).max(axis=(0, 1))
-
-
-def _exhaustive_map_pair(X: DirectedMetricSpace, Y: DirectedMetricSpace):
-    F = _enumerate_dmaps(X, Y)
-    G = _enumerate_dmaps(Y, X)  # never empty: constant maps are d-maps
-    dX, dY = X.zz, Y.zz
-    disF = _batch_map_distortion(dX, dY, F)
-    disG = _batch_map_distortion(dY, dX, G)
-    fo = np.argsort(disF, kind="stable")
-    go = np.argsort(disG, kind="stable")
-    F, disF = F[fo], disF[fo]
-    G, disG = G[go], disG[go]
-    best = INFINITY
-    best_f = best_g = None
-    cross = dX[:, G.T]
-    for fi in range(F.shape[0]):
-        if disF[fi] >= best:
-            break
-        f = F[fi]
-        obj = np.maximum(np.maximum(_codistortions(f, cross, dY), disG), disF[fi])
-        gi = int(np.argmin(obj))
-        if obj[gi] < best:
-            best = float(obj[gi])
-            best_f, best_g = tuple(int(v) for v in f), tuple(int(v) for v in G[gi])
-    return best, best_f, best_g
 
 
 def dcorrespondence_distance(
@@ -785,37 +736,85 @@ def _thresholds(dX: np.ndarray, dY: np.ndarray) -> np.ndarray:
     return np.append(np.unique(np.abs(vX[:, None] - vY[None, :])), INFINITY)
 
 
-def _cover_search(dX, dY, types, cand):
+def _lines(nX: int, nY: int):
+    """The pairs of each row of the |X| x |Y| grid (runs of nY bits), then of each column."""
+    row, col = (1 << nY) - 1, sum(1 << x * nY for x in range(nX))
+    return tuple(row << x * nY for x in range(nX)), tuple(col << y for y in range(nY))
+
+
+def _correspondences(dX, dY, types, cand):
+    """gh's (types None) and cdis's setting of _cover_search: (lines, root, rule, decode).
+
+    Pair (x, y) is bit x * |Y| + y; cand, an |X| x |Y| mask or its ravel, is
+    the root's live set.  types are (typesX, typesY) from _reach_types.
+    """
+    nY = dY.shape[0]
+    rows, cols = _lines(dX.shape[0], nY)
+
+    def rule(p, t):
+        x, y = divmod(p, nY)
+        ok = _abs_diff(dX[x][:, None], dY[y]) <= t
+        if types is not None:
+            ok &= types[0][x][:, None] == types[1][y]
+        return (rows[x], cols[y]), _bits(ok)
+
+    return rows + cols, _bits(cand), rule, lambda cover: [divmod(p, nY) for p in cover]
+
+
+def _map_pairs(X: DirectedMetricSpace, Y: DirectedMetricSpace):
+    """dis's setting of _cover_search, as the module docstring says: (lines, root, rule, decode).
+
+    Forward pair (x, y) is bit x * |Y| + y, backward pair (x, y) that plus |X| * |Y|.
+    """
+    nX, nY, N = X.n, Y.n, X.n * Y.n
+    rows, cols = _lines(nX, nY)
+    cols = tuple(c << N for c in cols)
+    nbX, nbY = _neighbours(nX, (X.space.src, X.space.dst)), _neighbours(nY, (Y.space.src, Y.space.dst))
+    sides = (nbX[:2] + (Y.reach,), nbY[:2] + (X.reach,))  # f's, then g's: out- and in-neighbours, target reach
+
+    def rule(p, t):
+        role, (x, y) = p // N, divmod(p % N, nY)
+        ok = np.stack((_abs_diff(X.zz[x][:, None], Y.zz[y]) <= t,) * 2)
+        # the pairs of p's own map, its source points first, must keep each edge at p's point in reach
+        u, v, same = (x, y, ok[0]) if role == 0 else (y, x, ok[1].T)
+        out, inn, reach = sides[role]
+        same[out[u]] &= reach[v]
+        same[inn[u]] &= reach[:, v]
+        return (cols[y] if role else rows[x],), _bits(ok)
+
+    def decode(cover):
+        g = [0] * nY
+        for p in cover[nX:]:  # sorted: the nX forward pairs, one a row, come first
+            g[p % nY] = (p - N) // nY
+        return MapPair(tuple(p % nY for p in cover[:nX]), tuple(g))
+
+    return rows + cols, (1 << 2 * N) - 1, rule, decode
+
+
+def _cover_search(lines, root, rule, decode):
     """The decision procedure of the threshold search, as decide(t, budget).
 
-    Only pairs in cand (an |X| x |Y| mask, or its ravel) are used.  types
-    None lets every two pairs sit together (gh); for cdis it is (typesX,
-    typesY) from _reach_types, and (x, y), (x2, y2) sit together only when
-    typesX[x, x2] == typesY[y, y2].  decide(t, budget) returns (pairs,
-    spent): pairs the sorted (x, y) of a cover, every two of cost at most
-    t and sitting together, or None; spent the search nodes used.  None
-    with spent > budget leaves t undecided.  Bit x * |Y| + y of a set of
-    pairs is pair (x, y); cand is the root's live set, and a chosen pair's
-    row of costs and types is computed from row x of dX and row y of dY.
+    A setting (_correspondences, _map_pairs) gives the lines a cover must
+    meet, in tie-break order, the root's live pairs, rule(p, t), the lines
+    holding pair p and the pairs that fit with p under t, and decode, from
+    a cover's sorted bits to a certificate.  decide(t, budget) returns
+    (cover, spent): the decoded cover, or None; spent the search nodes
+    used.  None with spent > budget leaves t undecided.
     """
-    nX, nY, root = dX.shape[0], dY.shape[0], _bits(cand)
-    # the pairs of each row, a run of nY bits, then of each column
-    row, col = (1 << nY) - 1, sum(1 << x * nY for x in range(nX))
-    lines = tuple(row << x * nY for x in range(nX)) + tuple(col << y for y in range(nY))
 
     @np.errstate(invalid="ignore")  # inf - inf in _abs_diff
     def decide(t, budget):
         # a frame: a node's live pairs (a bit cleared as each choice
         # fails), its uncovered lines and the pairs of its branching line
         # left to try, lowest first (none once the budget is spent)
-        fits: dict[int, int] = {}  # pair -> the pairs that fit with it under t
-        # every candidate is live at first: it costs 0 against itself (zero
-        # diagonals) and has its own type (reach is reflexive)
+        fits: dict[int, tuple] = {}  # pair -> rule(pair, t)
+        # every live pair fits with itself: it costs 0 against itself (zero
+        # diagonals), has its own type and keeps its edges (reach is reflexive)
         live, uncovered = root, lines
         frames, chosen, spent = [], [], 0
         while True:
             if not uncovered:
-                return sorted(divmod(p, nY) for p in chosen), spent
+                return decode(sorted(chosen)), spent
             spent += 1
             todo = 0
             if spent <= budget:
@@ -832,43 +831,45 @@ def _cover_search(dX, dY, types, cand):
             frame[2] = todo & (todo - 1)
             p = (todo ^ frame[2]).bit_length() - 1
             chosen.append(p)
-            x, y = divmod(p, nY)
-            uncovered = list(uncovered)
-            for m in (lines[x], lines[nX + y]):
-                if m in uncovered:  # a line equal to m holds p: it is p's row or column
-                    uncovered.remove(m)
             if p not in fits:
-                ok = _abs_diff(dX[x][:, None], dY[y]) <= t
-                if types is not None:
-                    ok &= types[0][x][:, None] == types[1][y]
-                fits[p] = _bits(ok)
-            live &= fits[p]
+                fits[p] = rule(p, t)
+            held, ok = fits[p]
+            uncovered = list(uncovered)
+            for m in held:
+                if m in uncovered:  # a line equal to m holds p
+                    uncovered.remove(m)
+            live &= ok
 
     return decide
 
 
-def _threshold_correspondence(dX, dY, types, cand, floor: float, node_limit: float):
-    """Least-distortion correspondence by bisection on the threshold.
+def _threshold_search(dX, dY, decide, score, floor: float, node_limit: float):
+    """Least-distortion cover by bisection on _thresholds, decide from _cover_search.
 
-    _cover_search decides each threshold of _thresholds; floor is a proven
-    lower bound.  Returns (lower, value, pairs) in distortion units; value
-    is inf and pairs None when no certificate of finite distortion was
-    found, and lower == value unless the probes together needed more than
-    node_limit search nodes (inf: no cap).
+    score gives a cover's distortion; floor is a proven lower bound.  Returns
+    (lower, value, cover) in distortion units; value is inf and cover None
+    when no cover of finite distortion was found, and lower == value unless
+    the probes together needed more than node_limit search nodes (inf: no cap).
     """
-    decide, T = _cover_search(dX, dY, types, cand), _thresholds(dX, dY)
+    T = _thresholds(dX, dY)
     # T[lo] <= optimum <= T[hi]; the largest finite value goes first, for
     # an early certificate or a proof that none of finite distortion exists
     lo, hi, best, left = int(np.searchsorted(T, floor)), T.size - 1, None, node_limit
     while lo < hi and left >= 0:
         mid = (lo + hi) // 2 if best is not None else hi - 1
-        pairs, spent = decide(T[mid], left)
+        cover, spent = decide(T[mid], left)
         left -= spent
-        if pairs is not None:
-            best, hi = pairs, int(np.searchsorted(T, distortion_relation(pairs, dX, dY)))
+        if cover is not None:
+            best, hi = cover, int(np.searchsorted(T, score(cover)))
         elif left >= 0:
             lo = mid + 1
     return float(T[lo]), float(T[hi]), best
+
+
+def _threshold_correspondence(dX, dY, types, cand, floor: float, node_limit: float):
+    """_threshold_search over _correspondences: (lower, value, sorted (x, y) pairs or None)."""
+    decide = _cover_search(*_correspondences(dX, dY, types, cand))
+    return _threshold_search(dX, dY, decide, lambda pairs: distortion_relation(pairs, dX, dY), floor, node_limit)
 
 
 def _bits(mask: np.ndarray) -> int:
@@ -937,13 +938,12 @@ class ChainReport:
 
     @cached_property
     def dis(self) -> DistanceReport:
-        """Exhaustive up to MAP_PAIR_LIMIT, then closed from the chain as the module docstring says."""
+        """The uncapped threshold search up to MAP_PAIR_LIMIT, then the chain, as the module docstring says."""
         X, Y = self.X, self.Y
         if Y.n**X.n * X.n**Y.n <= MAP_PAIR_LIMIT:
-            val, f, g = _exhaustive_map_pair(X, Y)
-            if f is None:
-                return DistanceReport("dis", INFINITY, True, INFINITY, None, "exhaustive")
-            return DistanceReport("dis", 0.5 * val, True, 0.5 * val, MapPair(f, g), "exhaustive")
+            decide, dX, dY = _cover_search(*_map_pairs(X, Y)), X.zz, Y.zz
+            _, val, cert = _threshold_search(dX, dY, decide, lambda c: c.objective(dX, dY), _value_gap_lower(dX, dY), INFINITY)
+            return DistanceReport("dis", 0.5 * val, True, 0.5 * val, cert, "exhaustive")
         val, f, g = INFINITY, None, None
         if X.n * Y.n <= PAIR_LIMIT:
             lower = self._gh_search.lower  # gh's searches start from the value gap, so this is at least it

@@ -107,6 +107,23 @@ def slow_pair_objective(f, g, dX, dY) -> float:
     return max(slow_map_distortion(f, dX, dY), slow_map_distortion(g, dY, dX), codis)
 
 
+def slow_min_map_pair(X, Y) -> float:
+    """Least map-pair objective over every pair of d-maps, by enumerating maps.
+
+    X and Y are analyzed spaces.  f runs over all_maps(|X|, |Y|) and g over
+    all_maps(|Y|, |X|), each kept when it sends every edge of its source
+    into the target's reach, and each pair is scored by slow_pair_objective.
+    inf when every pair scores inf.  Keep |Y|^|X| * |X|^|Y| to a few thousand.
+    """
+
+    def dmaps(S, T):
+        edges = list(zip(S.space.src.tolist(), S.space.dst.tolist()))
+        return [m for m in all_maps(S.n, T.n) if all(T.reach[m[a], m[b]] for a, b in edges)]
+
+    G = dmaps(Y, X)
+    return min((slow_pair_objective(f, g, X.zz, Y.zz) for f in dmaps(X, Y) for g in G), default=INF)
+
+
 def slow_descend(f, g, dX, dY, edgesX, edgesY, reachX, reachY):
     """Pointwise map-pair descent re-scoring the whole objective per candidate.
 

@@ -22,7 +22,9 @@ the traced memory of cdis at the pair limit, of the threshold search's
 set-up and of batched map scoring, the threshold search on random
 candidate masks against the full-table reference,
 the chain gh <= dis <= cdis with re-scored certificates as a property on
-exhaustive sizes, d-isometry detection, the frozen instance where the
+exhaustive sizes, exact dis (the threshold search over role pairs, and
+its decide at the optimum and just below) against brute force over
+d-map pairs, d-isometry detection, the frozen instance where the
 classical comparison of the base metrics (gh of spaces whose zigzag is
 their base, through the public call) exceeds the zigzag one, an infinite
 dis between spaces with different component counts, the map-pair local
@@ -65,6 +67,7 @@ from oracles import (
     slow_is_dcorrespondence,
     slow_map_distortion,
     slow_min_dcorrespondence,
+    slow_min_map_pair,
     slow_random_greedy_map,
     subset_cover_distortions,
     table_arc_consistent_candidates,
@@ -111,9 +114,11 @@ from dirmetric.distances import (
     _abs_diff,
     _arc_consistent_candidates,
     _batch_map_distortion,
+    _correspondences,
     _cover_search,
     _descend,
     _legal_moves,
+    _map_pairs,
     _move_scores,
     _neighbours,
     _random_greedy_map,
@@ -210,6 +215,10 @@ _ZZ5, _ZZ3 = _INTERVAL.zz, DirectedMetricSpace.from_space(directed_interval(2)).
             lambda s=s: zigzag_from_edges(3, ((0, 1, 1.0), (1, 2, 1.0)), sources=s)
             for s in ([0.7], [-1], [True], ["1"], [5])  # rows 0, 2, 1 and 1, and numpy's IndexError
         ),
+        lambda: MapPair((0.7, True), (1.9,)),  # stored ((0, 1), (1,))
+        lambda: MapPair((0, 1), (1, 2)),  # g's image 2 outside X's two points
+        lambda: MapPair((0, -1), (0, 1)),  # -1 read Y's last point
+        lambda: MapPair(((0, 1),), (0, 0)),  # raised TypeError
     ],
 )
 def test_point_indices_are_integers_in_range(call):
@@ -451,6 +460,49 @@ def test_threshold_search_equals_enumeration():
     assert finite >= 100
 
 
+def test_exhaustive_dis_equals_brute_force_over_dmap_pairs():
+    # 210 seeded pairs of at most 3 v 3, 2 v 4 or 4 v 2 points: reversals
+    # (where most maps are not d-maps), stretched copies and independent
+    # spaces, a quarter of the first sides and half of the independent
+    # second sides disconnected, one-point sides among them.  The
+    # role-pair cover search equals the least objective over every pair of
+    # d-maps, and its certificate is a d-map pair that re-scores to it
+    rng = np.random.default_rng(36)
+    outcomes = {"finite": 0, "infinite": 0, "one point": 0, "four points": 0}
+    for i in range(210):
+        s = random_space(rng, int(rng.integers(1, 4 if i % 3 else 5)), connected=i % 4 != 3)
+        X = DirectedMetricSpace.from_space(s)
+        if i % 3 == 1:
+            Y = DirectedMetricSpace.from_space(reverse(s))
+        elif i % 3 == 2:
+            Y = stretched_copy(rng, s)[0]
+        else:
+            m = int(rng.integers(1, {1: 5, 2: 5, 3: 4, 4: 3}[X.n]))
+            Y = DirectedMetricSpace.from_space(random_space(rng, m, connected=i % 2 == 0))
+        slow = slow_min_map_pair(X, Y)
+        # decide finds a cover at the optimum and none just below it
+        decide, T = _cover_search(*_map_pairs(X, Y)), _thresholds(X.zz, Y.zz)
+        k = int(np.searchsorted(T, slow))
+        for j in range(max(k - 1, 0), k + 1):
+            cert = decide(T[j], INFINITY)[0]
+            assert (cert is not None) == (j == k), (i, j, k)
+            if cert is not None:
+                assert VertexMap(X, Y, cert.forward).is_dmap and VertexMap(Y, X, cert.backward).is_dmap
+                assert cert.objective(X.zz, Y.zz) <= T[j]
+        r = ChainReport(X, Y).dis
+        assert (r.value, r.lower, r.exact, r.method) == (0.5 * slow, 0.5 * slow, True, "exhaustive"), (i, r, slow)
+        if r.certificate is None:
+            assert math.isinf(slow)
+        else:
+            f, g = r.certificate.forward, r.certificate.backward
+            assert VertexMap(X, Y, f).is_dmap and VertexMap(Y, X, g).is_dmap
+            assert 0.5 * r.certificate.objective(X.zz, Y.zz) == r.value
+        outcomes["finite" if math.isfinite(slow) else "infinite"] += 1
+        outcomes["one point"] += 1 in (X.n, Y.n)
+        outcomes["four points"] += 4 in (X.n, Y.n)
+    assert min(outcomes.values()) >= 10, outcomes
+
+
 @settings(max_examples=150, deadline=None)
 @given(small_spaces(), small_spaces())
 def test_threshold_search_equals_enumeration_property(X, Y):
@@ -627,7 +679,8 @@ def test_decide_finds_a_cover_exactly_where_brute_force_does():
         every = np.ones(X.n * Y.n, dtype=bool)
         compat = reach_compat_matrix(X.reach, Y.reach)
         for mask, table, cand in ((None, None, every), (types, compat, every), (types, compat, _arc_consistent_candidates(*types))):
-            decide, distortions = _cover_search(X.zz, Y.zz, mask, cand), subset_cover_distortions(X.zz, Y.zz, table)
+            decide = _cover_search(*_correspondences(X.zz, Y.zz, mask, cand))
+            distortions = subset_cover_distortions(X.zz, Y.zz, table)
             for t in _thresholds(X.zz, Y.zz):
                 feasible = bool((distortions <= t).any())
                 answer = decide(t, INFINITY)
@@ -771,7 +824,7 @@ def test_cover_search_setup_builds_nothing_per_pair():
     assert cand.size == distances.PAIR_LIMIT
     tracemalloc.start()
     try:
-        _cover_search(X.zz, Y.zz, types, cand)
+        _cover_search(*_correspondences(X.zz, Y.zz, types, cand))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
