@@ -22,7 +22,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .distances import ChainReport, SearchBudget, VertexMap, distortion_relation, hausdorff
+from .distances import ChainReport, SearchBudget, distortion_relation, hausdorff
 from .fileio import (
     SpaceFormatError,
     _read_json,
@@ -203,21 +203,19 @@ def _certificate_doc(report) -> dict | None:
 
 
 def _certificate_value(report, X: DirectedMetricSpace, Y: DirectedMetricSpace):
-    """Re-evaluate the certificate through the library; None when absent,
-    nan when it is no correspondence (gh, cdis), no d-correspondence (cdis)
-    or not a pair of d-maps (dis)."""
+    """Re-evaluate the certificate through the library, a map pair as its
+    relation; None when absent, nan when it is no correspondence (gh, cdis),
+    no d-correspondence (cdis) or not a pair of d-maps (dis)."""
     cert = report.certificate
     if cert is None:
         return None
     if hasattr(cert, "pairs"):
         if not cert.is_correspondence or (report.kind == "cdis" and not cert.is_dcorrespondence(X.reach, Y.reach)):
             return math.nan
-        if not cert.pairs:  # the empty correspondence of two empty spaces
-            return 0.0
-        return 0.5 * distortion_relation(list(cert.pairs), X.zz, Y.zz)
-    if not (VertexMap(X, Y, cert.forward).is_dmap and VertexMap(Y, X, cert.backward).is_dmap):
+    elif not cert.is_dmap_pair(X, Y):
         return math.nan
-    return 0.5 * cert.objective(X.zz, Y.zz)
+    pairs = getattr(cert, "relation", cert).pairs  # empty only between two empty spaces
+    return 0.5 * distortion_relation(list(pairs), X.zz, Y.zz) if pairs else 0.0
 
 
 def cmd_dist(args) -> int:

@@ -228,7 +228,12 @@ class Correspondence:
 
 @dataclass(frozen=True)
 class MapPair:
-    """Certificate for the map-pair distance: images of f: X -> Y and of g: Y -> X."""
+    """Certificate for the map-pair distance: images of f: X -> Y and of g: Y -> X.
+
+    It scores as its relation, graph(f) with graph(g) transposed, whose
+    distortion holds f's and g's distortions and the codistortion (both
+    ways, which agree on symmetric zigzag matrices).
+    """
 
     forward: tuple[int, ...]
     backward: tuple[int, ...]
@@ -238,12 +243,17 @@ class MapPair:
         object.__setattr__(self, "forward", tuple(_point_indices(f, len(g), len(f)).tolist()))
         object.__setattr__(self, "backward", tuple(_point_indices(g, len(f), len(g)).tolist()))
 
+    @cached_property
+    def relation(self) -> Correspondence:
+        pairs = {(x, y) for x, y in enumerate(self.forward)} | {(x, y) for y, x in enumerate(self.backward)}
+        return Correspondence(len(self.forward), len(self.backward), tuple(sorted(pairs)))
+
     def objective(self, dX: np.ndarray, dY: np.ndarray) -> float:
-        return max(
-            map_distortion(self.forward, dX, dY),
-            map_distortion(self.backward, dY, dX),
-            pair_codistortion(self.forward, self.backward, dX, dY),
-        )
+        """The distortion of relation; 0 for the pair of empty maps."""
+        return distortion_relation(self.relation.pairs, dX, dY) if self.forward else 0.0
+
+    def is_dmap_pair(self, X: DirectedMetricSpace, Y: DirectedMetricSpace) -> bool:
+        return VertexMap(X, Y, self.forward).is_dmap and VertexMap(Y, X, self.backward).is_dmap
 
 
 @dataclass(frozen=True)
@@ -540,7 +550,7 @@ def _descend(f, g, dX, dY, nbX, nbY, reachX, reachY):
 
 @np.errstate(invalid="ignore")  # inf - inf in _abs_diff and the greedy step
 def _local_search_map_pair(X: DirectedMetricSpace, Y: DirectedMetricSpace, dmaps: bool, floor: float):
-    """Best map pair (f, g) by alternating pointwise descent.
+    """(objective, MapPair) of the best map pair by alternating pointwise descent.
 
     Objective: max of the two distortions and the codistortion of the
     zigzag metrics.  With dmaps (dis) every move keeps each edge of the
@@ -607,16 +617,16 @@ def _local_search_map_pair(X: DirectedMetricSpace, Y: DirectedMetricSpace, dmaps
     if (nX * nY) * max(nX, nY) ** 2 > 500_000_000:
         # pointwise descent would be too slow; report the best pool pair
         val0, fi, gi = scored[0]
-        return val0, tuple(F[fi].tolist()), tuple(G[gi].tolist())
+        return val0, MapPair(tuple(F[fi].tolist()), tuple(G[gi].tolist()))
 
-    best_val, best_f, best_g = INFINITY, None, None
+    best_val, best = INFINITY, None
     for val0, fi, gi in scored[:polish]:
         if best_val <= floor:
             break
         val, f, g = _descend(F[fi].copy(), G[gi].copy(), dX, dY, nbX, nbY, reachX, reachY)
         if val < best_val:
-            best_val, best_f, best_g = val, tuple(f.tolist()), tuple(g.tolist())
-    return best_val, best_f, best_g
+            best_val, best = val, MapPair(tuple(f.tolist()), tuple(g.tolist()))
+    return best_val, best
 
 
 # ---------------------------------------------------------------------------
@@ -641,17 +651,12 @@ def _plain_gh(X: DirectedMetricSpace, Y: DirectedMetricSpace, budget: SearchBudg
         cert = Correspondence(nX, nY, tuple(pairs)) if pairs is not None else None
         return DistanceReport("gh", 0.5 * val, True, 0.5 * val, cert, "branch-and-bound")
     if nX * nY <= PAIR_LIMIT:
-        return _threshold_report("gh", dX, dY, None, np.ones((nX, nY), dtype=bool), INFINITY if exhaustive else NODE_LIMIT)
+        setting = _correspondences(dX, dY, None, np.ones((nX, nY), dtype=bool))
+        return _threshold_report("gh", dX, dY, setting, INFINITY if exhaustive else NODE_LIMIT, "branch-and-bound")
     lower = _value_gap_lower(dX, dY)
-    val, f, g = _local_search_map_pair(X, Y, False, lower)
-    cert = _graph_correspondence(f, g) if f is not None else None  # None: no map pair of finite objective
+    val, pair = _local_search_map_pair(X, Y, False, lower)
+    cert = pair.relation if pair is not None else None  # None: no map pair of finite objective
     return _bracket("gh", 0.5 * val, 0.5 * lower, cert, "local-search")
-
-
-def _graph_correspondence(f, g) -> Correspondence:
-    """graph(f) and graph(g)^T: its distortion is the objective of (f, g), term for term."""
-    pairs = {(x, y) for x, y in enumerate(f)} | {(x, y) for y, x in enumerate(g)}
-    return Correspondence(len(f), len(g), tuple(sorted(pairs)))
 
 
 def _bracket(kind: str, value: float, lower: float, cert, method: str) -> DistanceReport:
@@ -668,17 +673,17 @@ def distortion_distance(
 
 
 def _choice_map_pair(X: DirectedMetricSpace, Y: DirectedMetricSpace, c: Optional[Correspondence]):
-    """(objective, f, g) of the maps sending each point to its first partner in c.
+    """(objective, MapPair) of the maps sending each point to its first partner in c.
 
-    (inf, None, None) without c or unless both are d-maps, as always for a d-correspondence.
-    The objective is at most the distortion of c: each of its terms compares two pairs of c.
+    (inf, None) without c or unless both are d-maps, as always for a d-correspondence.
+    The objective is at most the distortion of c, since the pair's relation is a subset of c.
     """
     if c is not None:
         f, g = dict(c.pairs[::-1]), {y: x for x, y in c.pairs[::-1]}  # the first pair wins
-        f, g = tuple(f[x] for x in range(c.n_source)), tuple(g[y] for y in range(c.n_target))
-        if VertexMap(X, Y, f).is_dmap and VertexMap(Y, X, g).is_dmap:
-            return MapPair(f, g).objective(X.zz, Y.zz), f, g
-    return INFINITY, None, None
+        pair = MapPair(tuple(f[x] for x in range(c.n_source)), tuple(g[y] for y in range(c.n_target)))
+        if pair.is_dmap_pair(X, Y):
+            return pair.objective(X.zz, Y.zz), pair
+    return INFINITY, None
 
 
 def _batch_map_distortion(dS: np.ndarray, dT: np.ndarray, maps: np.ndarray) -> np.ndarray:
@@ -715,14 +720,13 @@ def _plain_cdis(X: DirectedMetricSpace, Y: DirectedMetricSpace, budget: SearchBu
     if not (cand.any(axis=1).all() and cand.any(axis=0).all()):
         return DistanceReport("cdis", INFINITY, True, INFINITY, None, "propagation")
     limit = INFINITY if nX * nY <= budget.exhaustive_cdis else NODE_LIMIT
-    return _threshold_report("cdis", X.zz, Y.zz, types, cand, limit)
+    return _threshold_report("cdis", X.zz, Y.zz, _correspondences(X.zz, Y.zz, types, cand), limit, "branch-and-bound")
 
 
-def _threshold_report(kind: str, dX, dY, types, cand, node_limit: float) -> DistanceReport:
-    """_threshold_correspondence from the value-gap bound, as a report."""
-    lower, val, pairs = _threshold_correspondence(dX, dY, types, cand, _value_gap_lower(dX, dY), node_limit)
-    cert = Correspondence(dX.shape[0], dY.shape[0], tuple(pairs)) if pairs is not None else None
-    return DistanceReport(kind, 0.5 * val, lower == val, 0.5 * lower, cert, "branch-and-bound")
+def _threshold_report(kind: str, dX, dY, setting, node_limit: float, method: str) -> DistanceReport:
+    """_threshold_search over a setting of _cover_search, from the value-gap bound, as a report."""
+    lower, val, cert = _threshold_search(dX, dY, _cover_search(*setting), _value_gap_lower(dX, dY), node_limit)
+    return DistanceReport(kind, 0.5 * val, lower == val, 0.5 * lower, cert, method)
 
 
 def _thresholds(dX: np.ndarray, dY: np.ndarray) -> np.ndarray:
@@ -758,7 +762,7 @@ def _correspondences(dX, dY, types, cand):
             ok &= types[0][x][:, None] == types[1][y]
         return (rows[x], cols[y]), _bits(ok)
 
-    return rows + cols, _bits(cand), rule, lambda cover: [divmod(p, nY) for p in cover]
+    return rows + cols, _bits(cand), rule, lambda cover: Correspondence(dX.shape[0], nY, tuple(divmod(p, nY) for p in cover))
 
 
 def _map_pairs(X: DirectedMetricSpace, Y: DirectedMetricSpace):
@@ -843,13 +847,13 @@ def _cover_search(lines, root, rule, decode):
     return decide
 
 
-def _threshold_search(dX, dY, decide, score, floor: float, node_limit: float):
-    """Least-distortion cover by bisection on _thresholds, decide from _cover_search.
+def _threshold_search(dX, dY, decide, floor: float, node_limit: float):
+    """Least-distortion certificate by bisection on _thresholds, decide from _cover_search.
 
-    score gives a cover's distortion; floor is a proven lower bound.  Returns
-    (lower, value, cover) in distortion units; value is inf and cover None
-    when no cover of finite distortion was found, and lower == value unless
-    the probes together needed more than node_limit search nodes (inf: no cap).
+    floor is a proven lower bound.  Returns (lower, value, certificate) in
+    distortion units; value is inf and certificate None when none of finite
+    distortion was found, and lower == value unless the probes together
+    needed more than node_limit search nodes (inf: no cap).
     """
     T = _thresholds(dX, dY)
     # T[lo] <= optimum <= T[hi]; the largest finite value goes first, for
@@ -859,17 +863,11 @@ def _threshold_search(dX, dY, decide, score, floor: float, node_limit: float):
         mid = (lo + hi) // 2 if best is not None else hi - 1
         cover, spent = decide(T[mid], left)
         left -= spent
-        if cover is not None:
-            best, hi = cover, int(np.searchsorted(T, score(cover)))
+        if cover is not None:  # a MapPair scores as its relation
+            best, hi = cover, int(np.searchsorted(T, distortion_relation(getattr(cover, "relation", cover).pairs, dX, dY)))
         elif left >= 0:
             lo = mid + 1
     return float(T[lo]), float(T[hi]), best
-
-
-def _threshold_correspondence(dX, dY, types, cand, floor: float, node_limit: float):
-    """_threshold_search over _correspondences: (lower, value, sorted (x, y) pairs or None)."""
-    decide = _cover_search(*_correspondences(dX, dY, types, cand))
-    return _threshold_search(dX, dY, decide, lambda pairs: distortion_relation(pairs, dX, dY), floor, node_limit)
 
 
 def _bits(mask: np.ndarray) -> int:
@@ -933,32 +931,29 @@ class ChainReport:
         gh = self._gh_search
         if gh.exact or self.dis.value >= gh.value:
             return gh
-        witness = _graph_correspondence(self.dis.certificate.forward, self.dis.certificate.backward)
-        return _bracket("gh", self.dis.value, gh.lower, witness, "chain")
+        return _bracket("gh", self.dis.value, gh.lower, self.dis.certificate.relation, "chain")
 
     @cached_property
     def dis(self) -> DistanceReport:
         """The uncapped threshold search up to MAP_PAIR_LIMIT, then the chain, as the module docstring says."""
         X, Y = self.X, self.Y
         if Y.n**X.n * X.n**Y.n <= MAP_PAIR_LIMIT:
-            decide, dX, dY = _cover_search(*_map_pairs(X, Y)), X.zz, Y.zz
-            _, val, cert = _threshold_search(dX, dY, decide, lambda c: c.objective(dX, dY), _value_gap_lower(dX, dY), INFINITY)
-            return DistanceReport("dis", 0.5 * val, True, 0.5 * val, cert, "exhaustive")
-        val, f, g = INFINITY, None, None
+            return _threshold_report("dis", X.zz, Y.zz, _map_pairs(X, Y), INFINITY, "exhaustive")
+        val, pair = INFINITY, None
         if X.n * Y.n <= PAIR_LIMIT:
             lower = self._gh_search.lower  # gh's searches start from the value gap, so this is at least it
             for search in ("_gh_search", "_cdis_search"):  # cdis is searched only if the bracket is open
-                v, f2, g2 = _choice_map_pair(X, Y, getattr(self, search).certificate)
-                if v < val or f is None:
-                    val, f, g = v, f2, g2
+                v, p = _choice_map_pair(X, Y, getattr(self, search).certificate)
+                if v < val or pair is None:
+                    val, pair = v, p
                 if 0.5 * val <= lower + 1e-12:
-                    return _bracket("dis", 0.5 * val, lower, MapPair(f, g) if f is not None else None, "chain")
+                    return _bracket("dis", 0.5 * val, lower, pair, "chain")
         else:
             lower = 0.5 * _value_gap_lower(X.zz, Y.zz)
-        val_ls, f_ls, g_ls = _local_search_map_pair(X, Y, True, 2 * lower)
-        if val_ls < val:
-            val, f, g = val_ls, f_ls, g_ls
-        return _bracket("dis", 0.5 * val, lower, MapPair(f, g) if f is not None else None, "local-search")
+        v, p = _local_search_map_pair(X, Y, True, 2 * lower)
+        if v < val:
+            val, pair = v, p
+        return _bracket("dis", 0.5 * val, lower, pair, "local-search")
 
     @cached_property
     def cdis(self) -> DistanceReport:

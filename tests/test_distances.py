@@ -123,7 +123,7 @@ from dirmetric.distances import (
     _neighbours,
     _random_greedy_map,
     _reach_types,
-    _threshold_correspondence,
+    _threshold_search,
     _thresholds,
     _value_gap_lower,
 )
@@ -133,6 +133,13 @@ from dirmetric.verify import naive_min_correspondence_distortion
 
 def dspace(base, edges, labels=None) -> DirectedMetricSpace:
     return DirectedMetricSpace.from_space(FiniteDSpace(base=base, edges=edges, labels=labels))
+
+
+def threshold_correspondence(dX, dY, types, cand, floor, node_limit):
+    """_threshold_search over _correspondences as (lower, value, sorted (x, y) pairs or None)."""
+    decide = _cover_search(*_correspondences(dX, dY, types, cand))
+    lower, value, cert = _threshold_search(dX, dY, decide, floor, node_limit)
+    return lower, value, None if cert is None else list(cert.pairs)
 
 
 PATH = dspace(
@@ -453,7 +460,7 @@ def test_threshold_search_equals_enumeration():
         finite += math.isfinite(slow)
         mn = X.n * Y.n
         every = np.ones(mn, dtype=bool)
-        lower, value, pairs = _threshold_correspondence(X.zz, Y.zz, None, every, 0.0, INFINITY)
+        lower, value, pairs = threshold_correspondence(X.zz, Y.zz, None, every, 0.0, INFINITY)
         assert lower == value == naive_min_correspondence_distortion(X.zz, Y.zz)
         if pairs is not None:
             assert distortion_relation(pairs, X.zz, Y.zz) == value
@@ -616,7 +623,7 @@ def test_row_search_equals_the_full_table_reference():
         for k, (dX, dY, mask, table, cand) in enumerate(cases):
             floor, T = _value_gap_lower(dX, dY), _thresholds(dX, dY)
             for limit in (INFINITY, 30):
-                got = _threshold_correspondence(dX, dY, mask, cand, floor, limit)
+                got = threshold_correspondence(dX, dY, mask, cand, floor, limit)
                 assert got == full_table_threshold_correspondence(dX, dY, table, cand, T, floor, limit), (i, k, limit)
                 outcome = "infinite" if math.isinf(got[0]) else "exact" if got[0] == got[1] else "capped"
                 (masked if k >= 3 else outcomes)[outcome] += 1
@@ -652,7 +659,7 @@ def test_row_search_stops_where_the_full_table_reference_stops():
             continue
         floor, T = _value_gap_lower(X.zz, Y.zz), _thresholds(X.zz, Y.zz)
         for limit in (1, 7, 30, 200):
-            got = _threshold_correspondence(X.zz, Y.zz, types, cand, floor, limit)
+            got = threshold_correspondence(X.zz, Y.zz, types, cand, floor, limit)
             ref = full_table_threshold_correspondence(X.zz, Y.zz, table, cand, T, floor, limit)
             assert got == ref, (X.n, Y.n, kind, limit)
             outcomes[kind, "exact" if got[0] == got[1] else "capped"] += 1
@@ -685,7 +692,8 @@ def test_decide_finds_a_cover_exactly_where_brute_force_does():
                 feasible = bool((distortions <= t).any())
                 answer = decide(t, INFINITY)
                 for budget in (INFINITY, 0, 1, 2, 3, 5, 8):
-                    pairs, spent = got = decide(t, budget)
+                    cert, spent = got = decide(t, budget)
+                    pairs = None if cert is None else cert.pairs
                     if budget >= answer[1]:
                         assert got == answer and (pairs is not None) == feasible, (i, t, budget)
                     if pairs is None:
@@ -904,7 +912,7 @@ def test_two_arm_interval_no_compatible_correspondence_both_routes():
     # same conclusion from the threshold search, skipping the propagation step
     types = (_reach_types(X.reach), _reach_types(Xr.reach))
     every = np.ones(X.n * Xr.n, dtype=bool)
-    assert _threshold_correspondence(X.zz, Xr.zz, types, every, 0.0, INFINITY) == (INFINITY, INFINITY, None)
+    assert threshold_correspondence(X.zz, Xr.zz, types, every, 0.0, INFINITY) == (INFINITY, INFINITY, None)
 
 
 def test_two_arm_interval_map_distance_half():
@@ -1409,8 +1417,8 @@ def test_chain_report_searches_gh_and_cdis_once(monkeypatch):
     data = Path(__file__).parent / "data"
     X, Y = (DirectedMetricSpace.from_space(load_space(str(data / f"near-8-n16.{s}.json"))) for s in "XY")
     calls = []
-    search = distances._threshold_correspondence
-    monkeypatch.setattr(distances, "_threshold_correspondence", lambda *a: calls.append(1) or search(*a))
+    search = distances._threshold_report
+    monkeypatch.setattr(distances, "_threshold_report", lambda *a: calls.append(1) or search(*a))
     chain = ChainReport(X, Y)
     chain.conclusive  # reads cdis, gh and dis
     assert len(calls) == 2
