@@ -827,7 +827,9 @@ def _cover_search(lines, root, rule, decode):
             frames.append([live, uncovered, todo])
             while not frames[-1][2]:
                 frames.pop()
-                if not frames:
+                # past the budget only the siblings' last pair can still finish
+                # a cover, and a pair meets at most two lines
+                if not frames or (spent > budget and len(frames[-1][1]) > 2):
                     return None, spent
                 frames[-1][0] &= ~(1 << chosen.pop())  # every cover with that pair was just ruled out
             frame = frames[-1]

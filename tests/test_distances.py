@@ -708,6 +708,46 @@ def test_decide_finds_a_cover_exactly_where_brute_force_does():
     assert min(outcomes.values()) >= 10, outcomes
 
 
+def test_a_capped_probe_spends_at_most_two_lines_of_pairs_past_its_budget():
+    # past its budget decide only tries the siblings that could still
+    # finish a cover, in the frames with at most two lines uncovered, so a
+    # probe spends at most budget + 2 * max(|X|, |Y|) + 1 nodes.  On the
+    # tori at budget 100 and the first threshold from 0.30, the walk over
+    # every open frame's siblings spent 281, 410 and 672, and each probe
+    # is undecided.  Seeded pairs of 3 to 6 points run the gh, cdis and dis
+    # settings at every threshold under small budgets; a probe within its
+    # budget answers as uncapped
+    for a, b in ((7, 8), (9, 8), (12, 11)):
+        X, Y = (DirectedMetricSpace.from_space(flat_torus_grid(GridSpec(k=k))) for k in (a, b))
+        T = _thresholds(X.zz, Y.zz)
+        decide = _cover_search(*_correspondences(X.zz, Y.zz, None, np.ones((X.n, Y.n), dtype=bool)))
+        cover, spent = decide(T[np.searchsorted(T, 0.30)], 100)
+        assert cover is None and 100 < spent <= 100 + 2 * max(X.n, Y.n) + 1, (a, b, spent)
+    rng = np.random.default_rng(37)
+    cases = []
+    for i in range(12):
+        s = random_space(rng, int(rng.integers(3, 7)), connected=i % 3 != 2)
+        X = DirectedMetricSpace.from_space(s)
+        Y = stretched_copy(rng, s)[0] if i % 2 else dspace_random(rng, int(rng.integers(3, 7)))
+        types = (_reach_types(X.reach), _reach_types(Y.reach))
+        T = _thresholds(X.zz, Y.zz)
+        for setting in (_correspondences(X.zz, Y.zz, None, np.ones((X.n, Y.n), dtype=bool)),
+                        _correspondences(X.zz, Y.zz, types, _arc_consistent_candidates(*types)), _map_pairs(X, Y)):
+            cases.append((X, Y, setting, T))
+    past = 0
+    for X, Y, setting, T in cases:
+        decide = _cover_search(*setting)
+        for t in T:
+            answer = decide(t, INFINITY)
+            for budget in (0, 1, 3, 10):
+                cover, spent = decide(t, budget)
+                assert spent <= budget + 2 * max(X.n, Y.n) + 1, (X.n, Y.n, t, budget, spent)
+                if spent <= budget:
+                    assert (cover, spent) == answer
+                past += spent > budget
+    assert past >= 100
+
+
 def compatibility_spaces():
     """Seeded random spaces of 1 to 5 points, every third disconnected,
     stretched copies, open books and two-arm intervals with their
