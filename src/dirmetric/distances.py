@@ -915,10 +915,20 @@ class ChainReport:
     budget: SearchBudget = DEFAULT_BUDGET
 
     def __post_init__(self):
-        if self.X.n == 0 or self.Y.n == 0:  # 0 between two empty spaces, inf against an empty one
-            v = 0.0 if self.X.n == self.Y.n else INFINITY
+        nX, nY = self.X.n, self.Y.n
+        if nX == 0 or nY == 0:  # 0 between two empty spaces, inf against an empty one
+            v = 0.0 if nX == nY else INFINITY
             for kind, cert in (("gh", Correspondence(0, 0, ())), ("dis", MapPair((), ())), ("cdis", Correspondence(0, 0, ()))):
                 object.__setattr__(self, kind, DistanceReport(kind, v, True, v, cert if v == 0 else None, "empty"))
+        elif 1 in (nX, nY):  # the one correspondence relates all pairs, and f and g are constant
+            Z = self.Y if nX == 1 else self.X
+            v = 0.5 * float(Z.zz.max())  # inf when Z is disconnected
+            every = Correspondence(nX, nY, tuple(np.ndindex(nX, nY)))
+            reports = (("gh", every, "branch-and-bound"), ("dis", MapPair((0,) * nX, (0,) * nY), "exhaustive"),
+                       ("cdis", every, "branch-and-bound") if Z.reach.all() else ("cdis", None, "propagation"))
+            for kind, cert, method in reports:
+                w = v if cert is not None else INFINITY  # cdis is inf unless each point of Z reaches every other
+                object.__setattr__(self, kind, DistanceReport(kind, w, True, w, cert if w < INFINITY else None, method))
 
     @cached_property
     def _gh_search(self) -> DistanceReport:

@@ -1120,6 +1120,35 @@ def test_chain_report_raises_above_the_pair_limit(monkeypatch):
             read(ChainReport(X, Y))
 
 
+def test_a_one_point_side_is_answered_without_a_search(monkeypatch):
+    # with |X| = 1 the one correspondence is {x} x Y and every d-map pair
+    # is constant, so gh = dis = max(dY) / 2, and cdis is that when each
+    # point of Y reaches every other, inf otherwise.  On seeded 1 x k and
+    # k x 1 pairs, k <= 9, a third disconnected, and on the strongly
+    # connected tori k = 2 and 3, ChainReport gives the reports of the
+    # searches without running one, and with the pair limit at 0 cdis does
+    # not refuse
+    rng = np.random.default_rng(38)
+    point = dspace([[0.0]], ())
+    others = [DirectedMetricSpace.from_space(flat_torus_grid(GridSpec(k=k))) for k in (2, 3)]
+    others += [DirectedMetricSpace.from_space(random_space(rng, int(rng.integers(1, 10)), connected=i % 3 != 2))
+               for i in range(12)]
+    pairs = [(point, Z) for Z in others] + [(Z, point) for Z in others]
+    want = [(distances._plain_gh(X, Y, SearchBudget()),
+             distances._threshold_report("dis", X.zz, Y.zz, _map_pairs(X, Y), INFINITY, "exhaustive"),
+             distances._plain_cdis(X, Y, SearchBudget())) for X, Y in pairs]
+    for name in ("_plain_gh", "_plain_cdis", "_cover_search", "_local_search_map_pair"):
+        monkeypatch.setattr(distances, name, _refuse)
+    monkeypatch.setattr(distances, "PAIR_LIMIT", 0)
+    outcomes = {"finite cdis": 0, "infinite cdis": 0, "infinite gh": 0}
+    for (X, Y), reports in zip(pairs, want):
+        chain = ChainReport(X, Y)
+        assert (chain.gh, chain.dis, chain.cdis) == reports, (X.n, Y.n, reports)
+        outcomes["finite cdis" if chain.cdis.value < INFINITY else "infinite cdis"] += 1
+        outcomes["infinite gh"] += chain.gh.value == INFINITY
+    assert min(outcomes.values()) >= 4, outcomes
+
+
 def test_exact_gh_above_the_branch_and_bound_size_runs_the_uncapped_threshold_search(monkeypatch):
     # 5 x 6 = 30 point pairs, within a cap of 30 but above BNB_PAIRS: the
     # threshold search, with no node cap even at NODE_LIMIT 0, proves the
