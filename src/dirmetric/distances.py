@@ -8,9 +8,9 @@ chain (each bounds the previous from above):
   gh_distance              half the least distortion of any correspondence
                            between the zigzag metrics; coincides with the
                            classical metric comparison of the zigzag spaces.
-  distortion_distance      half the least joint distortion of a pair of
-                           direction-respecting maps (one each way) plus
-                           their codistortion coupling term.
+  distortion_distance      half the least distortion of graph(f) with
+                           graph(g) transposed over pairs of
+                           direction-respecting maps f and g, one each way.
   dcorrespondence_distance half the least distortion of a correspondence
                            whose pairs relate points with matching
                            reachability patterns; may be infinite, since
@@ -21,47 +21,54 @@ into the reachability relation of the target.  Constant maps always
 qualify, but the map-pair distance is inf unless both spaces have equally
 many weak components, e.g. for a disconnected space against a connected one.
 
-Search strategy.  Each distance is the least distortion of a relation,
-so one threshold search serves all three.  It bisects a sorted threshold
+Search strategy.  Each distance is the least distortion of a relation, so
+one threshold search serves all three.  It bisects a sorted threshold
 list, largest finite first, and asks decide(t, budget) of each threshold
 t: a depth-first search for pairs meeting every line, every two fitting
 under t, branching on the uncovered line with the fewest live pairs and
 forward-checking each choice.  It finds a cover (a certificate), proves t
-infeasible (a lower bound) or, past its node budget, leaves t undecided.
-For gh, point pairs (x, y) cover rows and columns and fit when they cost
-at most t; cdis also needs equal reachability types (reach + 2 * reach.T).
+infeasible (a lower bound) or, past its node budget, leaves t undecided:
+it then tries only the siblings of frames with at most two uncovered
+lines, as a pair meets at most two and so can finish no other frame.  For
+gh, point pairs (x, y) cover rows and columns and fit when they cost at
+most t; cdis also needs equal reachability types (reach + 2 * reach.T).
 For dis, forward pair (x, y) is f(x) = y and covers row x, backward pair
-(x, y) is g(y) = x and covers column y; two of one map must also send each
-edge between their points into the target's reach.  A cover is then a
-d-map pair, and its objective the distortion of graph(f) with graph(g)
-transposed, term for term.  Sets of pairs are Python ints, a bit a pair: a
-node's live pairs, each line's pairs, and the pairs fitting each pair
-tried under t, cached until t changes.  A node counts the live pairs of
-each uncovered line with one AND and one popcount.  The thresholds are
-the distinct |a - b| over values a of dX and b of dY, and a pair's row of
-costs comes from row x of dX and row y of dY when it is first tried.  For
-cdis, constraint propagation first drops pairs that fit in no
-d-correspondence, which proves infeasibility when a point is left without
-partner.  gh runs branch and bound up to BNB_PAIRS pairs within its
-exhaustive cap, the threshold search (uncapped within the cap) up to
-PAIR_LIMIT pairs, and above that dis's map-pair local search with the
-direction rule off.  Above their exhaustive caps the gh and cdis searches
-stop after NODE_LIMIT nodes, one cap shared by all the probes of a call,
-and report the best certificate and the proven lower bound, exact only if
-they meet.
+(x, y) is g(y) = x and covers column y; two of one map must also send
+each edge between their points into the target's reach.  A cover is then
+a d-map pair, which scores as its relation, graph(f) with graph(g)
+transposed, so distortion_relation scores every certificate and
+_threshold_report builds every report of the search.  Sets of pairs are
+Python ints, a bit a pair: a node's live pairs, each line's pairs, and
+the pairs fitting each pair tried under t, cached until t changes.  A
+node counts the live pairs of each uncovered line with one AND and one
+popcount.  The thresholds are the distinct |a - b| over values a of dX
+and b of dY, and a pair's row of costs comes from row x of dX and row y
+of dY when it is first tried.  For cdis, constraint propagation first
+drops pairs that fit in no d-correspondence, which proves infeasibility
+when a point is left without partner.  gh runs branch and bound up to
+BNB_PAIRS pairs within its exhaustive cap, the threshold search
+(uncapped within the cap) up to PAIR_LIMIT pairs, and above that dis's
+map-pair local search with the direction rule off.  Above their
+exhaustive caps the gh and cdis searches stop after NODE_LIMIT nodes,
+one cap shared by all the probes of a call, and report the best
+certificate and the proven lower bound, exact only if they meet.
 
 ChainReport is the only route to a distance: each public function reads
 one report of ChainReport(X, Y, budget).  It computes each report on
 first read and shares witnesses down the chain, so the three keep its
 order even when a search stops early.  An inexact gh_distance thus also
-runs dis's search, and an inexact dcorrespondence_distance gh's.  dis
-runs the threshold search uncapped while |Y|^|X| * |X|^|Y|, which bounds
-its search tree's leaves, is at most MAP_PAIR_LIMIT.  Above that and up
-to PAIR_LIMIT pairs it is closed from the chain: gh's lower bound bounds
-it below, and the choice functions of gh's certificate, when both are
-d-maps, then of cdis's bound it above.  cdis is searched only while that
-bracket is open, and the local search (greedy starting maps, pointwise
-descent, a private seed) only if it stays open, until the lower bound.
+runs dis's search, and an inexact dcorrespondence_distance gh's.  A pair
+with a one-point side runs no search: its one correspondence relates all
+pairs and its d-map pairs are constant, so gh = dis = half the other
+side's diameter, and cdis equals them when each point of the other side
+reaches every other, inf otherwise.  dis runs the threshold search
+uncapped while |Y|^|X| * |X|^|Y|, which bounds its search tree's leaves,
+is at most MAP_PAIR_LIMIT.  Above that and up to PAIR_LIMIT pairs it is
+closed from the chain: gh's lower bound bounds it below, and the choice
+functions of gh's certificate, when both are d-maps, then of cdis's
+bound it above.  cdis is searched only while that bracket is open, and
+the local search (greedy starting maps, pointwise descent, a private
+seed) only if it stays open, until the lower bound.
 """
 
 from __future__ import annotations
@@ -899,10 +906,10 @@ class ChainReport:
     dcorrespondence_distance read it.  The reports rest on at most one run
     each of the plain searches _plain_gh and _plain_cdis, and share
     witnesses down the chain.  gh and cdis read nothing else when their
-    searches are exact.  An inexact gh reads dis and takes the graphs of
-    its map pair when they score lower (method "chain"); an inexact cdis
+    searches are exact.  An inexact gh reads dis and takes the relation of
+    its map pair when that scores lower (method "chain"); an inexact cdis
     takes gh's search's lower bound when that is higher.  A pair with an
-    empty side is exact from the start and runs no search.  Read order
+    empty or a one-point side is exact from the start and runs no search.  Read order
     never changes a report.  Reading cdis raises ValueError when
     |X|*|Y| > PAIR_LIMIT, and conclusive and chain_holds read it first, so
     they raise before any search.  chain_holds checks both inequalities up

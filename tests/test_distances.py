@@ -37,7 +37,10 @@ one ChainReport running the gh and cdis threshold searches once each,
 refusing above the pair limit before any search when asked whether it
 is conclusive, and sharing witnesses down the chain for inexact reports
 only (on tori 5 v 6 and 5 v 8, where the public functions read the same
-reports, and under a forced node cap), exact gh above the branch and
+reports, and under a forced node cap), every report at the default
+budget bracketing the answer key's exact values, a one-point side
+answered without a search, a capped probe stopping within two lines of
+pairs past its budget, exact gh above the branch and
 bound's size through the uncapped threshold search, dis closed from
 gh's choice maps with no local search and no cdis search, dis above the
 map-pair limit never above the cdis-first order, as a property, and
@@ -53,6 +56,7 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import answer_key
 import numpy as np
 import pytest
 from conftest import small_spaces
@@ -1550,21 +1554,45 @@ def test_dis_above_the_map_pair_limit_never_above_the_cdis_first_order(X, Y):
         assert 0.5 * r.certificate.objective(X.zz, Y.zz) == r.value
 
 
-def test_chain_report_shares_witnesses_on_tori():
+@pytest.fixture(scope="module")
+def key_chains():
+    """ChainReport at the default budget of each answer-key pair, by name, its reads shared by the tests."""
+    return {name: ChainReport(X, Y) for name, X, Y in answer_key.pairs()}
+
+
+def test_chain_report_shares_witnesses_on_tori(key_chains):
     # at the default budget gh's threshold search stops at its first
     # certificate on these pairs (0.3650 and 0.3679 on their own); the
     # graphs of dis's map pair are a better one.  The public functions,
     # each on a pair of its own, read the same reports
-    T5 = DirectedMetricSpace.from_space(flat_torus_grid(GridSpec(k=5)))
     for k, value in ((6, 0.1787), (8, 0.2679)):
-        Y = DirectedMetricSpace.from_space(flat_torus_grid(GridSpec(k=k)))
-        chain = ChainReport(T5, Y)
+        chain = key_chains[f"torus-5-{k}"]
+        T5, Y = chain.X, chain.Y
         assert chain.gh.method == "chain" and chain.gh.value == pytest.approx(value, abs=5e-5)
         assert chain.gh.value == chain.dis.value == 0.5 * distortion_relation(chain.gh.certificate.pairs, T5.zz, Y.zz)
         assert chain.gh.value <= chain.dis.value + DEFAULT_TOL and chain.dis.value <= chain.cdis.value + DEFAULT_TOL
         gh, dis, cdis = gh_distance(T5, Y), distortion_distance(T5, Y), dcorrespondence_distance(T5, Y)
         assert (gh, dis, cdis) == (chain.gh, chain.dis, chain.cdis)
         assert gh.value <= dis.value <= cdis.value
+
+
+def test_every_report_brackets_the_answer_key(key_chains):
+    # tests/data/answer_key.json holds the exact values of six tori, the
+    # square grids 4 v 6 and the two-arm interval against its reversal,
+    # proved by the uncapped searches of tests/answer_key.py.  At the
+    # default budget every report's lower bound is at most the key and its
+    # value at least the key, and an exact report equals it (to 1e-12)
+    key = answer_key.load()
+    assert key.keys() == key_chains.keys()
+    exact = 0
+    for name, chain in key_chains.items():
+        for kind, want in key[name].items():
+            r, want = getattr(chain, kind), float(want)
+            assert r.lower <= want + 1e-12 and want <= r.value + 1e-12, (name, r, want)
+            if r.exact:
+                assert answer_key.agree(r.value, want), (name, r, want)
+                exact += 1
+    assert exact >= 4  # gh and cdis of the square grids and the two-arm interval
 
 
 def test_chain_report_shares_witnesses_only_for_inexact_reports(monkeypatch):
