@@ -759,8 +759,8 @@ def _correspondences(dX, dY, types, cand):
     Pair (x, y) is bit x * |Y| + y; cand, an |X| x |Y| mask or its ravel, is
     the root's live set.  types are (typesX, typesY) from _reach_types.
     """
-    nY = dY.shape[0]
-    rows, cols = _lines(dX.shape[0], nY)
+    nX, nY = dX.shape[0], dY.shape[0]
+    rows, cols = _lines(nX, nY)
 
     def rule(p, t):
         x, y = divmod(p, nY)
@@ -769,7 +769,7 @@ def _correspondences(dX, dY, types, cand):
             ok &= types[0][x][:, None] == types[1][y]
         return (rows[x], cols[y]), _bits(ok)
 
-    return rows + cols, _bits(cand), rule, lambda cover: Correspondence(dX.shape[0], nY, tuple(divmod(p, nY) for p in cover))
+    return rows + cols, _bits(cand), rule, lambda cover: Correspondence(nX, nY, tuple(divmod(p, nY) for p in cover))
 
 
 def _map_pairs(X: DirectedMetricSpace, Y: DirectedMetricSpace):
@@ -872,8 +872,9 @@ def _threshold_search(dX, dY, decide, floor: float, node_limit: float):
         mid = (lo + hi) // 2 if best is not None else hi - 1
         cover, spent = decide(T[mid], left)
         left -= spent
-        if cover is not None:  # a MapPair scores as its relation
-            best, hi = cover, int(np.searchsorted(T, distortion_relation(getattr(cover, "relation", cover).pairs, dX, dY)))
+        if cover is not None:
+            pairs = getattr(cover, "relation", cover).pairs  # a MapPair scores as its relation
+            best, hi = cover, int(np.searchsorted(T, distortion_relation(pairs, dX, dY)))
         elif left >= 0:
             lo = mid + 1
     return float(T[lo]), float(T[hi]), best
@@ -909,8 +910,8 @@ class ChainReport:
     searches are exact.  An inexact gh reads dis and takes the relation of
     its map pair when that scores lower (method "chain"); an inexact cdis
     takes gh's search's lower bound when that is higher.  A pair with an
-    empty or a one-point side is exact from the start and runs no search.  Read order
-    never changes a report.  Reading cdis raises ValueError when
+    empty or a one-point side is exact from the start and runs no search.
+    Read order never changes a report.  Reading cdis raises ValueError when
     |X|*|Y| > PAIR_LIMIT, and conclusive and chain_holds read it first, so
     they raise before any search.  chain_holds checks both inequalities up
     to DEFAULT_TOL.  conclusive is False when any of the three reports

@@ -72,6 +72,7 @@ from oracles import (
     slow_map_distortion,
     slow_min_dcorrespondence,
     slow_min_map_pair,
+    slow_pair_objective,
     slow_random_greedy_map,
     subset_cover_distortions,
     table_arc_consistent_candidates,
@@ -1048,12 +1049,16 @@ def test_frozen_pair_where_base_comparison_exceeds_zigzag():
 def test_map_pair_objective_is_the_distortion_of_its_graphs(X, Y, data):
     # the correspondence graph(f) with graph(g) transposed has the same
     # terms as the map-pair objective (f's and g's distortions and the
-    # codistortion, both ways on symmetric zigzag matrices), so gh's
-    # local-search certificate scores to the same float
+    # codistortion, both ways on symmetric zigzag matrices), so the
+    # objective, the distortion of that relation, equals the loop oracle
+    # of the three terms to the bit, one-point and disconnected sides
+    # included, and gh's local-search certificate scores to the same float
     f = data.draw(st.lists(st.integers(0, Y.n - 1), min_size=X.n, max_size=X.n))
     g = data.draw(st.lists(st.integers(0, X.n - 1), min_size=Y.n, max_size=Y.n))
     pairs = {(x, f[x]) for x in range(X.n)} | {(g[y], y) for y in range(Y.n)}
-    assert distortion_relation(sorted(pairs), X.zz, Y.zz) == MapPair(tuple(f), tuple(g)).objective(X.zz, Y.zz)
+    pair = MapPair(tuple(f), tuple(g))
+    assert pair.relation.pairs == tuple(sorted(pairs))
+    assert distortion_relation(sorted(pairs), X.zz, Y.zz) == pair.objective(X.zz, Y.zz) == slow_pair_objective(f, g, X.zz, Y.zz)
 
 
 def test_local_search_without_a_finite_map_pair_reports_inf(monkeypatch):
