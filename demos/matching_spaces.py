@@ -15,9 +15,7 @@ from dirmetric import (
     ChainReport,
     DirectedMetricSpace,
     FiniteDSpace,
-    VertexMap,
     distortion_distance,
-    is_disometry,
     random_space,
 )
 
@@ -34,8 +32,7 @@ Y = DirectedMetricSpace.from_space(FiniteDSpace(base=base, edges=edges))
 
 rep = distortion_distance(X, Y)
 print(f"distortion distance after relabeling: {rep.value}  (exact={rep.exact})")
-fwd = VertexMap(source=X, target=Y, images=rep.certificate.forward)
-print("certificate is a d-isometry:", is_disometry(fwd))
+print("certificate is a d-isometry:", rep.certificate.is_disometry(X, Y))
 print("forward map :", rep.certificate.forward)
 print("backward map:", rep.certificate.backward)
 

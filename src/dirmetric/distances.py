@@ -175,38 +175,6 @@ def _pair_indices(pairs, nX: int, nY: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class VertexMap:
-    """A vertex map between analyzed spaces, f(x) = images[x]."""
-
-    source: DirectedMetricSpace
-    target: DirectedMetricSpace
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        images = _point_indices(self.images, self.target.n, self.source.n)
-        object.__setattr__(self, "images", tuple(images.tolist()))
-
-    @cached_property
-    def is_dmap(self) -> bool:
-        """True when every source edge lands in target reachability."""
-        space = self.source.space
-        im = np.asarray(self.images, dtype=int)
-        return bool(self.target.reach[im[space.src], im[space.dst]].all())
-
-    @cached_property
-    def distortion(self) -> float:
-        """Distortion with respect to the zigzag metrics."""
-        return map_distortion(self.images, self.source.zz, self.target.zz)
-
-
-def codistortion(f: VertexMap, g: VertexMap) -> float:
-    """Coupling defect of two opposite maps; rejects mismatched spaces."""
-    if f.source is not g.target or f.target is not g.source:
-        raise ValueError("codistortion needs maps between the same two spaces, in opposite directions")
-    return pair_codistortion(f.images, g.images, f.source.zz, f.target.zz)
-
-
-@dataclass(frozen=True)
 class Correspondence:
     """A relation covering both point sets, as index pairs."""
 
@@ -235,11 +203,13 @@ class Correspondence:
 
 @dataclass(frozen=True)
 class MapPair:
-    """Certificate for the map-pair distance: images of f: X -> Y and of g: Y -> X.
+    """The one map type, the map-pair distance's certificate: images of f: X -> Y and of g: Y -> X.
 
     It scores as its relation, graph(f) with graph(g) transposed, whose
     distortion holds f's and g's distortions and the codistortion (both
-    ways, which agree on symmetric zigzag matrices).
+    ways, which agree on symmetric zigzag matrices).  Each map's images
+    index the other map's points; is_dmap_pair and is_disometry also
+    check each map's length and range against the two spaces.
     """
 
     forward: tuple[int, ...]
@@ -260,7 +230,20 @@ class MapPair:
         return distortion_relation(self.relation.pairs, dX, dY) if self.forward else 0.0
 
     def is_dmap_pair(self, X: DirectedMetricSpace, Y: DirectedMetricSpace) -> bool:
-        return VertexMap(X, Y, self.forward).is_dmap and VertexMap(Y, X, self.backward).is_dmap
+        """True when f and g send every edge of their source into the target's reach.
+
+        Raises ValueError unless f has an image in Y for each point of X, and g one in X for each of Y.
+        """
+        f, g = _point_indices(self.forward, Y.n, X.n), _point_indices(self.backward, X.n, Y.n)
+        return bool(Y.reach[f[X.space.src], f[X.space.dst]].all() and X.reach[g[Y.space.src], g[Y.space.dst]].all())
+
+    def is_disometry(self, X: DirectedMetricSpace, Y: DirectedMetricSpace) -> bool:
+        """True when f and g are mutually inverse d-maps preserving zigzag distances to DEFAULT_TOL.
+
+        f is then a d-isometry, and g its inverse, so X and Y are indistinguishable as directed metric spaces.
+        """
+        inverse = X.n == Y.n and all(self.backward[y] == x for x, y in enumerate(self.forward))  # g f = id: g = f^-1
+        return self.is_dmap_pair(X, Y) and inverse and map_distortion(self.forward, X.zz, Y.zz) <= DEFAULT_TOL
 
 
 @dataclass(frozen=True)
@@ -883,20 +866,6 @@ def _threshold_search(dX, dY, decide, floor: float, node_limit: float):
 def _bits(mask: np.ndarray) -> int:
     """A bool array as an int whose bit i is mask[i]."""
     return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
-
-
-def is_disometry(f: VertexMap) -> bool:
-    """Bijective direction-respecting map preserving zigzag distances.
-
-    Requires the inverse to respect direction as well, so the two spaces
-    are indistinguishable as directed metric spaces.
-    """
-    n, images = f.source.n, np.asarray(f.images, dtype=int)
-    if f.target.n != n or np.unique(images).size != n or not f.is_dmap:
-        return False
-    inv = np.empty(n, dtype=int)
-    inv[images] = np.arange(n)
-    return VertexMap(source=f.target, target=f.source, images=inv).is_dmap and f.distortion <= DEFAULT_TOL
 
 
 @dataclass(frozen=True)

@@ -30,13 +30,13 @@ import numpy as np
 from .distances import (
     DEFAULT_BUDGET,
     ChainReport,
+    MapPair,
     SearchBudget,
-    VertexMap,
-    codistortion,
     distortion_distance,
     gh_distance,
     hausdorff,
-    is_disometry,
+    map_distortion,
+    pair_codistortion,
 )
 from .extended import INFINITY, ext_abs_diff
 from .gallery import (
@@ -300,12 +300,8 @@ def check_disometry_detection(seed: int, budget: SearchBudget):
         r = distortion_distance(X, Y, budget)
         if not (r.exact and r.value == 0.0):
             return False, {"error": "relabelled pair not at distance 0", "value": r.value, "n": n}
-        f = np.asarray(r.certificate.forward)
-        g = np.asarray(r.certificate.backward)
-        if not ((g[f] == np.arange(n)).all() and (f[g] == np.arange(n)).all()):
-            return False, {"error": "certificate maps not mutually inverse"}
-        if not is_disometry(VertexMap(source=X, target=Y, images=tuple(int(v) for v in f))):
-            return False, {"error": "certificate fails the d-isometry test"}
+        if not r.certificate.is_disometry(X, Y):
+            return False, {"error": "certificate maps are no d-isometry and its inverse"}
     for _ in range(20):
         n = int(rng.integers(2, 5))
         s = random_space(rng, n, connected=True)
@@ -362,15 +358,8 @@ def check_source_sink(seed: int, budget: SearchBudget):
     n = 2 * k + 1
     f = tuple([0] * k + [i - k for i in range(k, n)])
     gm = tuple([i + k for i in range(0, k + 1)] + [n - 1] * k)
-    F = VertexMap(source=X, target=Xr, images=f)
-    G = VertexMap(source=Xr, target=X, images=gm)
-    fold_ok = (
-        F.is_dmap
-        and G.is_dmap
-        and abs(F.distortion - 1.0) <= DEFAULT_TOL
-        and abs(G.distortion - 1.0) <= DEFAULT_TOL
-        and abs(codistortion(F, G) - 1.0) <= DEFAULT_TOL
-    )
+    fold = [map_distortion(f, X.zz, Xr.zz), map_distortion(gm, Xr.zz, X.zz), pair_codistortion(f, gm, X.zz, Xr.zz)]
+    fold_ok = MapPair(f, gm).is_dmap_pair(X, Xr) and all(abs(v - 1.0) <= DEFAULT_TOL for v in fold)
     passed = dis_ok and cdis_ok and gh_ok and fold_ok
     return passed, {
         "dis_value": dd.value,
@@ -379,7 +368,7 @@ def check_source_sink(seed: int, budget: SearchBudget):
         "cdis_exact": cd.exact,
         "cdis_method": cd.method,
         "gh_k2": g2.value,
-        "fold_distortions": [F.distortion, G.distortion, codistortion(F, G)],
+        "fold_distortions": fold,
     }
 
 

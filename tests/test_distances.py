@@ -89,8 +89,6 @@ from dirmetric import (
     GridSpec,
     MapPair,
     SearchBudget,
-    VertexMap,
-    codistortion,
     compute_zigzag,
     dcorrespondence_distance,
     directed_interval,
@@ -102,7 +100,6 @@ from dirmetric import (
     gh_distance,
     hausdorff,
     hollow_square,
-    is_disometry,
     load_space,
     map_distortion,
     metric_ball,
@@ -210,7 +207,7 @@ _ZZ5, _ZZ3 = _INTERVAL.zz, DirectedMetricSpace.from_space(directed_interval(2)).
     [
         lambda: hausdorff(_ZZ5, [0.7], [4]),  # used to read point 0
         lambda: hausdorff(_ZZ5, [True], [4]),  # used to read point 1
-        lambda: VertexMap(_INTERVAL, _INTERVAL, (0.9, 1, 2, 3, 4)),  # used to store image 0
+        lambda: MapPair((0.9, 1, 2, 3, 4), (0, 1, 2, 3, 4)),  # a float image
         lambda: Correspondence(2, 2, ((0.5, 1), (1, 0))),  # used to store (0, 1)
         lambda: map_distortion([0], _ZZ5, _ZZ3),  # one image broadcast over five points
         lambda: map_distortion([0, 1, 2, 3, -1], _ZZ5, _ZZ5),  # -1 read the last point
@@ -291,8 +288,7 @@ def test_constant_maps_are_always_dmaps():
     X = DirectedMetricSpace.from_space(source_sink_interval(k))
     Xr = DirectedMetricSpace.from_space(reverse(source_sink_interval(k)))
     for y in range(Xr.n):
-        f = VertexMap(source=X, target=Xr, images=(y,) * X.n)
-        assert f.is_dmap
+        assert MapPair((y,) * X.n, (0,) * Xr.n).is_dmap_pair(X, Xr)
 
 
 def test_identity_between_reversals_is_not_a_dmap():
@@ -300,7 +296,8 @@ def test_identity_between_reversals_is_not_a_dmap():
     X = DirectedMetricSpace.from_space(source_sink_interval(k))
     Xr = DirectedMetricSpace.from_space(reverse(source_sink_interval(k)))
     ident = tuple(range(X.n))
-    assert not VertexMap(source=X, target=Xr, images=ident).is_dmap
+    assert MapPair((0,) * X.n, (0,) * Xr.n).is_dmap_pair(X, Xr)  # only f changes below
+    assert not MapPair(ident, (0,) * Xr.n).is_dmap_pair(X, Xr)
 
 
 def test_fold_map_pair_distortions():
@@ -310,19 +307,20 @@ def test_fold_map_pair_distortions():
     Xr = DirectedMetricSpace.from_space(reverse(source_sink_interval(k)))
     f = tuple([0] * k + [i - k for i in range(k, n)])
     g = tuple([i + k for i in range(0, k + 1)] + [n - 1] * k)
-    F = VertexMap(source=X, target=Xr, images=f)
-    G = VertexMap(source=Xr, target=X, images=g)
-    assert F.is_dmap and G.is_dmap
-    assert F.distortion == pytest.approx(1.0)
-    assert G.distortion == pytest.approx(1.0)
-    assert codistortion(F, G) == pytest.approx(1.0)
+    assert MapPair(f, g).is_dmap_pair(X, Xr)
+    assert map_distortion(f, X.zz, Xr.zz) == pytest.approx(1.0)
+    assert map_distortion(g, Xr.zz, X.zz) == pytest.approx(1.0)
+    assert pair_codistortion(f, g, X.zz, Xr.zz) == pytest.approx(1.0)
 
 
-def test_codistortion_requires_matching_spaces():
-    F = VertexMap(source=SHORT, target=LONG, images=(0, 1))
-    H = VertexMap(source=SHORT, target=LONG, images=(0, 1))
-    with pytest.raises(ValueError):
-        codistortion(F, H)
+def test_dmap_pair_test_requires_one_image_per_point_of_each_space():
+    # each pair is a valid MapPair whose images all lie in range of SHORT's
+    # and PATH's points, so only the count of one map can be wrong
+    assert MapPair((0, 1), (0,) * 5).is_dmap_pair(SHORT, PATH)
+    for pair, (X, Y) in ((MapPair((0, 1, 0), (0, 0)), (SHORT, SHORT)), (MapPair((0, 0), (0, 1, 1)), (SHORT, SHORT)),
+                         (MapPair((0,) * 5, (0, 1)), (SHORT, PATH)), (MapPair((0, 1), (0,) * 4), (SHORT, PATH))):
+        with pytest.raises(ValueError, match="one image per source point"):
+            pair.is_dmap_pair(X, Y)
 
 
 # ---------------------------------------------------------------------------
@@ -499,15 +497,14 @@ def test_exhaustive_dis_equals_brute_force_over_dmap_pairs():
             cert = decide(T[j], INFINITY)[0]
             assert (cert is not None) == (j == k), (i, j, k)
             if cert is not None:
-                assert VertexMap(X, Y, cert.forward).is_dmap and VertexMap(Y, X, cert.backward).is_dmap
+                assert cert.is_dmap_pair(X, Y)
                 assert cert.objective(X.zz, Y.zz) <= T[j]
         r = ChainReport(X, Y).dis
         assert (r.value, r.lower, r.exact, r.method) == (0.5 * slow, 0.5 * slow, True, "exhaustive"), (i, r, slow)
         if r.certificate is None:
             assert math.isinf(slow)
         else:
-            f, g = r.certificate.forward, r.certificate.backward
-            assert VertexMap(X, Y, f).is_dmap and VertexMap(Y, X, g).is_dmap
+            assert r.certificate.is_dmap_pair(X, Y)
             assert 0.5 * r.certificate.objective(X.zz, Y.zz) == r.value
         outcomes["finite" if math.isfinite(slow) else "infinite"] += 1
         outcomes["one point"] += 1 in (X.n, Y.n)
@@ -537,8 +534,7 @@ def test_chain_holds_and_certificates_rescore_property(X, Y):
     if gh.certificate is not None:
         assert 0.5 * distortion_relation(gh.certificate.pairs, X.zz, Y.zz) == gh.value
     if dis.certificate is not None:
-        assert VertexMap(X, Y, dis.certificate.forward).is_dmap
-        assert VertexMap(Y, X, dis.certificate.backward).is_dmap
+        assert dis.certificate.is_dmap_pair(X, Y)
         assert 0.5 * dis.certificate.objective(X.zz, Y.zz) == dis.value
     if cdis.certificate is not None:
         assert cdis.certificate.is_dcorrespondence(X.reach, Y.reach)
@@ -845,8 +841,7 @@ def test_chain_holds_above_the_caps():
             assert gh.value <= dis.value + DEFAULT_TOL and dis.value <= cdis.value + DEFAULT_TOL
         if dis.method == "chain" and dis.certificate is not None:
             chained += 1
-            assert VertexMap(X, Y, dis.certificate.forward).is_dmap
-            assert VertexMap(Y, X, dis.certificate.backward).is_dmap
+            assert dis.certificate.is_dmap_pair(X, Y)
             assert 0.5 * dis.certificate.objective(X.zz, Y.zz) == dis.value
     assert chained >= 8
 
@@ -967,9 +962,7 @@ def test_two_arm_interval_map_distance_half():
     r = distortion_distance(X, Xr)
     assert r.method == "exhaustive"
     assert r.value == pytest.approx(0.5)
-    f = VertexMap(source=X, target=Xr, images=r.certificate.forward)
-    g = VertexMap(source=Xr, target=X, images=r.certificate.backward)
-    assert f.is_dmap and g.is_dmap
+    assert r.certificate.is_dmap_pair(X, Xr)
     assert r.certificate.objective(X.zz, Xr.zz) == pytest.approx(2.0 * r.value)
 
 
@@ -1000,16 +993,19 @@ def test_relabelled_space_is_disometric():
     Y = DirectedMetricSpace.from_space(relabelled)
     r = distortion_distance(X, Y)
     assert r.exact and r.value == 0.0
-    f = VertexMap(source=X, target=Y, images=r.certificate.forward)
-    assert is_disometry(f)
+    assert r.certificate.is_disometry(X, Y)
 
 
 def test_is_disometry_rejects_non_bijections_and_distorters():
-    f = VertexMap(source=SHORT, target=LONG, images=(0, 0))
-    assert not is_disometry(f)
-    g = VertexMap(source=SHORT, target=LONG, images=(0, 1))
-    assert g.is_dmap
-    assert not is_disometry(g)
+    assert MapPair((0, 1), (0, 1)).is_disometry(SHORT, SHORT)
+    assert not MapPair((0, 0), (0, 1)).is_disometry(SHORT, LONG)  # f is no bijection
+    assert MapPair((0, 0), (0, 0)).is_dmap_pair(SHORT, SHORT)
+    assert not MapPair((0, 1), (0, 0)).is_disometry(SHORT, SHORT)  # f is one, g not its inverse
+    distorting = MapPair((0, 1), (0, 1))
+    assert distorting.is_dmap_pair(SHORT, LONG)
+    assert not distorting.is_disometry(SHORT, LONG)
+    with pytest.raises(ValueError, match="one image per source point"):
+        MapPair((0, 1), (0, 1)).is_disometry(SHORT, PATH)
 
 
 def test_inflating_edges_moves_the_distance():
@@ -1521,8 +1517,7 @@ def test_dis_closes_from_gh_maps_without_the_local_search(monkeypatch):
         r = distortion_distance(X, Y)
         assert (r.value, r.lower, r.exact, r.method) == (value, value, True, "chain")
         assert gh_distance(X, Y).lower == value
-        f, g = r.certificate.forward, r.certificate.backward
-        assert VertexMap(X, Y, f).is_dmap and VertexMap(Y, X, g).is_dmap
+        assert r.certificate.is_dmap_pair(X, Y)
         assert 0.5 * r.certificate.objective(X.zz, Y.zz) == value
 
 
@@ -1554,8 +1549,7 @@ def test_dis_above_the_map_pair_limit_never_above_the_cdis_first_order(X, Y):
     if r.certificate is None:
         assert r.value == INFINITY
     else:
-        f, g = r.certificate.forward, r.certificate.backward
-        assert VertexMap(X, Y, f).is_dmap and VertexMap(Y, X, g).is_dmap
+        assert r.certificate.is_dmap_pair(X, Y)
         assert 0.5 * r.certificate.objective(X.zz, Y.zz) == r.value
 
 

@@ -25,7 +25,6 @@ from dirmetric import (
     INFINITY,
     DirectedMetricSpace,
     FiniteDSpace,
-    VertexMap,
     compute_reachability,
     compute_zigzag,
     disjoint_union,
@@ -503,9 +502,6 @@ def test_spaces_and_maps_compare_and_hash_by_identity():
     assert a == a and a != b and len({a, b, a}) == 2
     A, B = DirectedMetricSpace.from_space(a), DirectedMetricSpace.from_space(a)
     assert A == A and A != B and len({A, B, A}) == 2
-    f = VertexMap(A, A, (0, 1, 2, 3))
-    assert f == VertexMap(A, A, [0, 1, 2, 3]) and hash(f) == hash(VertexMap(A, A, (0, 1, 2, 3)))
-    assert f != VertexMap(A, B, (0, 1, 2, 3)) and f != VertexMap(A, A, (0, 0, 2, 3))
 
 
 def test_reversal_keeps_zigzag_bitwise():
