@@ -20,6 +20,9 @@ A direction-respecting vertex map (d-map) sends every edge of the source
 into the reachability relation of the target.  Constant maps always
 qualify, but the map-pair distance is inf unless both spaces have equally
 many weak components, e.g. for a disconnected space against a connected one.
+MapPair, the images of f and g, is the one map type: it checks that both
+are d-maps (is_dmap_pair) and that f is a d-isometry with inverse g
+(is_disometry).
 
 Search strategy.  Each distance is the least distortion of a relation, so
 one threshold search serves all three.  It bisects a sorted threshold
@@ -57,18 +60,18 @@ ChainReport is the only route to a distance: each public function reads
 one report of ChainReport(X, Y, budget).  It computes each report on
 first read and shares witnesses down the chain, so the three keep its
 order even when a search stops early.  An inexact gh_distance thus also
-runs dis's search, and an inexact dcorrespondence_distance gh's.  A pair
-with a one-point side runs no search: its one correspondence relates all
-pairs and its d-map pairs are constant, so gh = dis = half the other
-side's diameter, and cdis equals them when each point of the other side
-reaches every other, inf otherwise.  dis runs the threshold search
-uncapped while |Y|^|X| * |X|^|Y|, which bounds its search tree's leaves,
-is at most MAP_PAIR_LIMIT.  Above that and up to PAIR_LIMIT pairs it is
-closed from the chain: gh's lower bound bounds it below, and the choice
-functions of gh's certificate, when both are d-maps, then of cdis's
-bound it above.  cdis is searched only while that bracket is open, and
-the local search (greedy starting maps, pointwise descent, a private
-seed) only if it stays open, until the lower bound.
+runs dis's search, and an inexact dcorrespondence_distance gh's and
+dis's.  A pair with a one-point side runs no search: its one
+correspondence relates all pairs and its d-map pairs are constant, so
+gh = dis = half the other side's diameter, and cdis equals them when each
+point of the other side reaches every other, inf otherwise.  dis runs
+the threshold search uncapped while |Y|^|X| * |X|^|Y|, which bounds its
+search tree's leaves, is at most MAP_PAIR_LIMIT.  Above that and up to
+PAIR_LIMIT pairs it is closed from the chain: gh's lower bound bounds it
+below, and the choice functions of gh's certificate, when both are
+d-maps, then of cdis's bound it above.  cdis is searched only while that
+bracket is open, and the local search (greedy starting maps, pointwise
+descent, a private seed) only if it stays open, until the lower bound.
 """
 
 from __future__ import annotations
@@ -878,7 +881,10 @@ class ChainReport:
     witnesses down the chain.  gh and cdis read nothing else when their
     searches are exact.  An inexact gh reads dis and takes the relation of
     its map pair when that scores lower (method "chain"); an inexact cdis
-    takes gh's search's lower bound when that is higher.  A pair with an
+    reads gh and takes its certificate when that is a d-correspondence and
+    scores lower (method "chain"), and gh's search's lower bound when that
+    is higher.  dis has already scored that certificate's choice maps, or
+    gh took the relation of dis's, so the order holds.  A pair with an
     empty or a one-point side is exact from the start and runs no search.
     Read order never changes a report.  Reading cdis raises ValueError when
     |X|*|Y| > PAIR_LIMIT, and conclusive and chain_holds read it first, so
@@ -947,9 +953,14 @@ class ChainReport:
     @cached_property
     def cdis(self) -> DistanceReport:
         cdis = self._cdis_search
-        if cdis.exact or self._gh_search.lower <= cdis.lower:
+        if cdis.exact:
             return cdis
-        return _bracket("cdis", cdis.value, self._gh_search.lower, cdis.certificate, cdis.method)
+        gh, lower = self.gh, self._gh_search.lower
+        if gh.value < cdis.value and gh.certificate.is_dcorrespondence(self.X.reach, self.Y.reach):
+            return _bracket("cdis", gh.value, max(cdis.lower, lower), gh.certificate, "chain")
+        if lower <= cdis.lower:
+            return cdis
+        return _bracket("cdis", cdis.value, lower, cdis.certificate, cdis.method)
 
     @property
     def conclusive(self) -> bool:

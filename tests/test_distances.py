@@ -542,9 +542,9 @@ def test_chain_holds_and_certificates_rescore_property(X, Y):
 
 
 def test_capped_cdis_search_reports_an_honest_bracket(monkeypatch):
-    # a node cap far too small to finish: the report keeps its proven
-    # lower bound below a certificate that re-scores and is a
-    # d-correspondence
+    # a node cap far too small to finish: the search's report, and the
+    # chain's, which is no higher, keep a proven lower bound below a
+    # certificate that re-scores and is a d-correspondence
     monkeypatch.setattr(distances, "NODE_LIMIT", 25)
     rng = np.random.default_rng(83)
     capped = 0
@@ -552,11 +552,15 @@ def test_capped_cdis_search_reports_an_honest_bracket(monkeypatch):
         s = random_space(rng, n)
         X = DirectedMetricSpace.from_space(s)
         Y, _ = stretched_copy(rng, s)
-        r = dcorrespondence_distance(X, Y)
-        assert r.lower <= r.value and r.method == "branch-and-bound"
-        assert r.certificate.is_dcorrespondence(X.reach, Y.reach)
-        assert 0.5 * distortion_relation(r.certificate.pairs, X.zz, Y.zz) == r.value
-        capped += not r.exact
+        own = distances._plain_cdis(X, Y, SearchBudget())
+        assert own.method == "branch-and-bound"
+        capped += not own.exact
+        chain = dcorrespondence_distance(X, Y)
+        assert chain.value <= own.value and own.lower <= chain.lower
+        for r in (own, chain):
+            assert r.lower <= r.value
+            assert r.certificate.is_dcorrespondence(X.reach, Y.reach)
+            assert 0.5 * distortion_relation(r.certificate.pairs, X.zz, Y.zz) == r.value
     assert capped >= 3
 
 
@@ -1560,15 +1564,19 @@ def key_chains():
 
 
 def test_chain_report_shares_witnesses_on_tori(key_chains):
-    # at the default budget gh's threshold search stops at its first
-    # certificate on these pairs (0.3650 and 0.3679 on their own); the
-    # graphs of dis's map pair are a better one.  The public functions,
-    # each on a pair of its own, read the same reports
+    # at the default budget gh's and cdis's threshold searches stop at
+    # their first certificates on these pairs (0.3650 and 0.3679 on their
+    # own); the graphs of dis's map pair are a better one, and on a torus
+    # every correspondence is a d-correspondence, so cdis takes it from gh.
+    # The public functions, each on a pair of its own, read the same reports
     for k, value in ((6, 0.1787), (8, 0.2679)):
         chain = key_chains[f"torus-5-{k}"]
         T5, Y = chain.X, chain.Y
         assert chain.gh.method == "chain" and chain.gh.value == pytest.approx(value, abs=5e-5)
         assert chain.gh.value == chain.dis.value == 0.5 * distortion_relation(chain.gh.certificate.pairs, T5.zz, Y.zz)
+        assert (chain.cdis.method, chain.cdis.certificate) == ("chain", chain.gh.certificate)
+        assert (chain.cdis.value, chain.cdis.lower) == (chain.gh.value, chain.gh.lower)
+        assert chain.cdis.certificate.is_dcorrespondence(T5.reach, Y.reach)
         assert chain.gh.value <= chain.dis.value + DEFAULT_TOL and chain.dis.value <= chain.cdis.value + DEFAULT_TOL
         gh, dis, cdis = gh_distance(T5, Y), distortion_distance(T5, Y), dcorrespondence_distance(T5, Y)
         assert (gh, dis, cdis) == (chain.gh, chain.dis, chain.cdis)
@@ -1597,16 +1605,19 @@ def test_every_report_brackets_the_answer_key(key_chains):
 def test_chain_report_shares_witnesses_only_for_inexact_reports(monkeypatch):
     # NODE_LIMIT at 3 stops the threshold searches early.  At the default
     # budget an inexact gh takes dis's map pair where that scores lower;
-    # with gh exact by branch and bound, an inexact cdis takes gh's higher
-    # lower bound; against a gh that proves nothing (inf over 0) cdis keeps
-    # its own.  Always gh <= dis <= cdis, every certificate re-scores to
-    # its value, and a report its search left exact stays as it is
+    # an inexact cdis takes gh's certificate where that is a
+    # d-correspondence scoring lower (26 pairs here, on each of which its
+    # own search found none), and gh's search's lower bound where that is
+    # higher (4 pairs); against a gh that proves nothing (inf over 0) cdis
+    # keeps its own.  Always gh <= dis <= cdis, every certificate
+    # re-scores to its value, and a report its search left exact stays as
+    # it is
     monkeypatch.setattr(distances, "NODE_LIMIT", 3)
     def blank(X, Y, budget):
         return DistanceReport("gh", INFINITY, False, 0.0)
 
     rng = np.random.default_rng(96)
-    shared = {"gh": 0, "cdis": 0}
+    shared = {"gh": 0, "cdis lower": 0, "cdis certificate": 0}
     plain_gh = distances._plain_gh
     runs = ((SearchBudget(), plain_gh), (SearchBudget(exhaustive_gh=25), plain_gh), (SearchBudget(), blank))
     for budget, gh_search in runs:
@@ -1629,12 +1640,21 @@ def test_chain_report_shares_witnesses_only_for_inexact_reports(monkeypatch):
             else:
                 assert (gh.value, gh.lower, gh.method) == (dis.value, own_gh.lower, "chain")
                 shared["gh"] += 1
-            if own_cdis.exact or own_gh.lower <= own_cdis.lower:
+            if cdis.certificate is not None:
+                assert cdis.certificate.is_dcorrespondence(X.reach, Y.reach)
+            lower = max(own_cdis.lower, own_gh.lower)
+            if own_cdis.exact:
+                assert cdis == own_cdis
+            elif gh.value < own_cdis.value and gh.certificate.is_dcorrespondence(X.reach, Y.reach):
+                assert (cdis.value, cdis.certificate, cdis.method) == (gh.value, gh.certificate, "chain")
+                assert cdis.lower == (gh.value if cdis.exact else lower) and lower <= gh.value + 1e-12
+                shared["cdis certificate"] += 1
+            elif own_gh.lower <= own_cdis.lower:
                 assert cdis == own_cdis
             else:
                 assert (cdis.value, cdis.certificate) == (own_cdis.value, own_cdis.certificate)
                 assert cdis.lower == own_gh.lower
-                shared["cdis"] += 1
+            shared["cdis lower"] += not own_cdis.exact and own_gh.lower > own_cdis.lower
     assert min(shared.values()) >= 3
 
 
