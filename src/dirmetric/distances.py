@@ -20,9 +20,7 @@ A direction-respecting vertex map (d-map) sends every edge of the source
 into the reachability relation of the target.  Constant maps always
 qualify, but the map-pair distance is inf unless both spaces have equally
 many weak components, e.g. for a disconnected space against a connected one.
-MapPair, the images of f and g, is the one map type: it checks that both
-are d-maps (is_dmap_pair) and that f is a d-isometry with inverse g
-(is_disometry).
+MapPair, the one map type, tests d-map pairs and d-isometries.
 
 Search strategy.  Each distance is the least distortion of a relation, so
 one threshold search serves all three.  It bisects a sorted threshold
@@ -210,9 +208,8 @@ class MapPair:
 
     It scores as its relation, graph(f) with graph(g) transposed, whose
     distortion holds f's and g's distortions and the codistortion (both
-    ways, which agree on symmetric zigzag matrices).  Each map's images
-    index the other map's points; is_dmap_pair and is_disometry also
-    check each map's length and range against the two spaces.
+    ways, which agree on symmetric zigzag matrices).  Its tests of X and Y
+    check each map's length and range against them.
     """
 
     forward: tuple[int, ...]
@@ -233,17 +230,14 @@ class MapPair:
         return distortion_relation(self.relation.pairs, dX, dY) if self.forward else 0.0
 
     def is_dmap_pair(self, X: DirectedMetricSpace, Y: DirectedMetricSpace) -> bool:
-        """True when f and g send every edge of their source into the target's reach.
-
-        Raises ValueError unless f has an image in Y for each point of X, and g one in X for each of Y.
-        """
+        """True when f and g send every edge of their source into the target's reach: both are d-maps."""
         f, g = _point_indices(self.forward, Y.n, X.n), _point_indices(self.backward, X.n, Y.n)
         return bool(Y.reach[f[X.space.src], f[X.space.dst]].all() and X.reach[g[Y.space.src], g[Y.space.dst]].all())
 
     def is_disometry(self, X: DirectedMetricSpace, Y: DirectedMetricSpace) -> bool:
         """True when f and g are mutually inverse d-maps preserving zigzag distances to DEFAULT_TOL.
 
-        f is then a d-isometry, and g its inverse, so X and Y are indistinguishable as directed metric spaces.
+        f is then a d-isometry and g its inverse: X and Y are indistinguishable as directed metric spaces.
         """
         inverse = X.n == Y.n and all(self.backward[y] == x for x, y in enumerate(self.forward))  # g f = id: g = f^-1
         return self.is_dmap_pair(X, Y) and inverse and map_distortion(self.forward, X.zz, Y.zz) <= DEFAULT_TOL

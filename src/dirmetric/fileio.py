@@ -20,9 +20,11 @@ Report JSON is canonical: keys sorted, two-space indent, non-finite
 floats replaced by the strings "inf" / "-inf" / "nan", numpy scalars
 unwrapped.  Identical inputs therefore produce byte-identical reports.
 
-Byte contract: ``dump_report(obj)`` equals
-``json.dumps(jsonable(obj), sort_keys=True, indent=2) + "\n"``, and space
-files are ``dump_report(space_to_doc(space))``.  CSV float cells are
+Byte contract: ``dump_report(obj)`` equals ``json.dumps(plain,
+sort_keys=True, indent=2) + "\n"``, plain being obj with dataclasses as
+dicts, keys as strings, tuples and arrays as lists and scalars as above
+(the test oracle ``slow_dump_report``); other types raise TypeError.
+Space files are ``dump_report(space_to_doc(space))``.  CSV float cells are
 ``repr(float)`` (so "inf" and "-inf"), integer and 0/1 cells ``str(int)``.
 The writers format each distinct value of an array once (cell by cell when
 most are distinct), with the same bytes, and the base-matrix reader takes a
@@ -203,45 +205,15 @@ def matrix_to_csv(matrix: np.ndarray, labels) -> str:
 # canonical report JSON
 
 
-def jsonable(obj: Any) -> Any:
-    """Recursively convert to plain JSON values; floats stay floats except
-    non-finite ones, which become the strings "inf" / "-inf" / "nan"."""
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return jsonable(asdict(obj))
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        if obj.dtype.kind in "biu" or (obj.dtype.kind == "f" and np.isfinite(obj).all()):
-            return obj.tolist()
-        return jsonable(obj.tolist())  # a 0-d array's tolist() is a scalar
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        v = float(obj)
-        if math.isnan(v):
-            return "nan"
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return v
-    if obj is None or isinstance(obj, str):
-        return obj
-    raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
-
-
 _PLAIN = {str, int, float, bool, type(None)}
 
 
 def _encode(obj: Any, pad: str) -> str:
-    """``json.dumps(jsonable(obj), sort_keys=True, indent=2)`` at depth ``pad``.
+    """The report text of ``obj`` at depth ``pad``, as the module docstring says.
 
     The indenting encoder is pure Python, so each list of scalars goes to
     the C encoder in one call, with the indent folded into its item
-    separator.  allow_nan=False makes a non-finite float raise, and such
-    lists, like those holding numpy scalars, pass through jsonable first.
+    separator; any other list is encoded one item at a time.
     """
     if is_dataclass(obj) and not isinstance(obj, type):
         obj = asdict(obj)
@@ -255,7 +227,7 @@ def _encode(obj: Any, pad: str) -> str:
                 body = rows if isinstance(rows[0], str) else [lay_out(r, inner) for r in rows]
                 return "[\n" + inner + (",\n" + inner).join(body) + "\n" + pad + "]"
             return lay_out(cells.tolist(), pad)
-        obj = jsonable(obj)
+        obj = obj.tolist()  # a 0-d array's tolist() is a scalar
     inner = pad + "  "
     sep = ",\n" + inner
     if isinstance(obj, dict):
@@ -267,15 +239,20 @@ def _encode(obj: Any, pad: str) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        if all(t in _PLAIN or issubclass(t, np.generic) for t in set(map(type, obj))):
-            try:
-                body = json.dumps(obj, separators=(sep, ": "), allow_nan=False)[1:-1]
-            except (TypeError, ValueError):
-                body = json.dumps(jsonable(obj), separators=(sep, ": "))[1:-1]
-        else:
+        try:  # a list of scalars in one call, unless it holds a non-finite float or a numpy integer
+            if not all(t in _PLAIN or issubclass(t, np.generic) for t in set(map(type, obj))):
+                raise TypeError("not a list of scalars")
+            body = json.dumps(obj, separators=(sep, ": "), allow_nan=False)[1:-1]
+        except (TypeError, ValueError):
             body = sep.join(_encode(v, inner) for v in obj)
         return "[\n" + inner + body + "\n" + pad + "]"
-    return json.dumps(jsonable(obj))
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return '"nan"' if math.isnan(obj) else '"inf"' if obj > 0 else '"-inf"'
+    if obj is None or isinstance(obj, (str, int, float)):  # bool is an int
+        return json.dumps(obj)
+    raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
 
 
 def dump_report(obj: Any) -> str:

@@ -34,7 +34,7 @@ from dirmetric import (
     save_space,
 )
 from dirmetric import spaces
-from dirmetric.fileio import _base_in, _cell_text, doc_to_space, jsonable, space_to_doc
+from dirmetric.fileio import _base_in, _cell_text, doc_to_space, space_to_doc
 
 TWO = FiniteDSpace(base=[[0.0, 1.0], [1.0, 0.0]], edges=((0, 1, 1.5),))
 
@@ -176,7 +176,7 @@ def test_load_space_matches_the_json_module_reference(tmp_path, make):
 
 
 def test_space_doc_uses_inf_strings():
-    doc = jsonable(space_to_doc(disjoint_union(TWO, TWO)))
+    doc = json.loads(dump_report(space_to_doc(disjoint_union(TWO, TWO))))
     assert doc["base"][0][2] == "inf"
     assert doc["base"][0][1] == 1.0
 
@@ -263,14 +263,15 @@ def test_space_text_matches_the_cell_reference():
 
 
 def test_jsonable_handles_numpy_and_infinities():
-    out = jsonable({
+    doc = {
         "arr": np.array([1.0, INFINITY]),
         "neg": -INFINITY,
         "i": np.int64(3),
         "b": np.bool_(True),
         "nested": ({"v": np.float64(0.5)},),
-    })
-    assert out == {"arr": [1.0, "inf"], "neg": "-inf", "i": 3, "b": True, "nested": [{"v": 0.5}]}
+    }
+    want = {"arr": [1.0, "inf"], "neg": "-inf", "i": 3, "b": True, "nested": [{"v": 0.5}]}
+    assert json.loads(dump_report(doc)) == slow_jsonable(doc) == want
 
 
 def test_zero_dimensional_arrays_are_scalars():
@@ -279,8 +280,11 @@ def test_zero_dimensional_arrays_are_scalars():
 
 
 def test_jsonable_rejects_unknown_types():
-    with pytest.raises(TypeError):
-        jsonable({"x": object()})
+    for doc in ({"x": object()}, [1, object()], [np.complex128(1j)], np.array([1j]), {"x": [[1.0, INFINITY, {1}]]}):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            dump_report(doc)
+        with pytest.raises(TypeError, match="cannot serialize"):
+            slow_jsonable(doc)
 
 
 def test_dump_report_is_canonical():
@@ -334,4 +338,4 @@ DOCS = st.recursive(
 @given(DOCS)
 def test_dump_report_matches_indenting_encoder(doc):
     assert dump_report(doc) == slow_dump_report(doc)
-    assert json.dumps(jsonable(doc), sort_keys=True) == json.dumps(slow_jsonable(doc), sort_keys=True)
+    assert json.loads(dump_report(doc)) == slow_jsonable(doc)
