@@ -1003,8 +1003,9 @@ def test_relabelled_space_is_disometric():
 def test_is_disometry_rejects_non_bijections_and_distorters():
     assert MapPair((0, 1), (0, 1)).is_disometry(SHORT, SHORT)
     assert not MapPair((0, 0), (0, 1)).is_disometry(SHORT, LONG)  # f is no bijection
-    assert MapPair((0, 0), (0, 0)).is_dmap_pair(SHORT, SHORT)
-    assert not MapPair((0, 1), (0, 0)).is_disometry(SHORT, SHORT)  # f is one, g not its inverse
+    non_inverse = MapPair((0, 1), (0, 0))  # f is a d-isometry, g a d-map but not its inverse
+    assert non_inverse.is_dmap_pair(SHORT, SHORT)
+    assert not non_inverse.is_disometry(SHORT, SHORT)
     distorting = MapPair((0, 1), (0, 1))
     assert distorting.is_dmap_pair(SHORT, LONG)
     assert not distorting.is_disometry(SHORT, LONG)
