@@ -24,7 +24,8 @@ MapPair, the one map type, tests d-map pairs and d-isometries.
 
 Search strategy.  Each distance is the least distortion of a relation, so
 one threshold search serves all three.  It bisects a sorted threshold
-list, largest finite first, and asks decide(t, budget) of each threshold
+list, largest finite first, until the proven lower threshold and the
+certificate's meet to 2e-12, and asks decide(t, budget) of each threshold
 t: a depth-first search for pairs meeting every line, every two fitting
 under t, branching on the uncovered line with the fewest live pairs and
 forward-checking each choice.  It finds a cover (a certificate), proves t
@@ -52,7 +53,9 @@ BNB_PAIRS pairs within its exhaustive cap, the threshold search
 map-pair local search with the direction rule off.  Above their
 exhaustive caps the gh and cdis searches stop after NODE_LIMIT nodes,
 one cap shared by all the probes of a call, and report the best
-certificate and the proven lower bound, exact only if they meet.
+certificate and the proven lower bound.  DistanceReport alone decides
+what a report claims: exact when value and lower bound meet to 1e-12,
+and no certificate for an infinite value.
 
 ChainReport is the only route to a distance: each public function reads
 one report of ChainReport(X, Y, budget).  It computes each report on
@@ -74,7 +77,7 @@ descent, a private seed) only if it stays open, until the lower bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -245,21 +248,28 @@ class MapPair:
 
 @dataclass(frozen=True)
 class DistanceReport:
-    """Outcome of a distance computation.
+    """Outcome of a distance computation, the one place that decides what it claims.
 
-    value       : the distance (upper bound unless exact)
-    exact       : the search provably attained the optimum
-    lower       : best proven lower bound (equals value when exact)
-    certificate : Correspondence or MapPair attaining value, when one exists
+    value       : the distance, an upper bound
+    exact       : not given but derived: value and lower meet to 1e-12
+    lower       : proven lower bound, read as value when exact
+    certificate : Correspondence or MapPair attaining a finite value; none is kept for inf
     method      : how the value was obtained
     """
 
     kind: str
     value: float
-    exact: bool
+    exact: bool = field(init=False)
     lower: float
     certificate: object = None
     method: str = ""
+
+    def __post_init__(self):
+        object.__setattr__(self, "exact", self.value <= self.lower + 1e-12)
+        if self.exact:
+            object.__setattr__(self, "lower", self.value)
+        if self.value == INFINITY:
+            object.__setattr__(self, "certificate", None)
 
 
 # ---------------------------------------------------------------------------
@@ -601,13 +611,12 @@ def _local_search_map_pair(X: DirectedMetricSpace, Y: DirectedMetricSpace, dmaps
     obj = np.maximum(obj, np.maximum(_batch_map_distortion(dX, dY, F)[:, None], _batch_map_distortion(dY, dX, G)))
     scored = sorted((v, i // len(G), i % len(G)) for i, v in enumerate(obj.ravel().tolist()))
     polish = min(len(scored), max(6, _RESTARTS // 4))
+    best_val, fi, gi = scored[0]
+    best = MapPair(tuple(F[fi].tolist()), tuple(G[gi].tolist()))
     if (nX * nY) * max(nX, nY) ** 2 > 500_000_000:
-        # pointwise descent would be too slow; report the best pool pair
-        val0, fi, gi = scored[0]
-        return val0, MapPair(tuple(F[fi].tolist()), tuple(G[gi].tolist()))
+        return best_val, best  # pointwise descent would be too slow: the best pool pair
 
-    best_val, best = INFINITY, None
-    for val0, fi, gi in scored[:polish]:
+    for _, fi, gi in scored[:polish]:
         if best_val <= floor:
             break
         val, f, g = _descend(F[fi].copy(), G[gi].copy(), dX, dY, nbX, nbY, reachX, reachY)
@@ -626,30 +635,20 @@ def gh_distance(X: DirectedMetricSpace, Y: DirectedMetricSpace, budget: SearchBu
 
 
 def _plain_gh(X: DirectedMetricSpace, Y: DirectedMetricSpace, budget: SearchBudget) -> DistanceReport:
-    """gh's own search on a non-empty pair, as the module docstring says; ChainReport runs it.
-
-    Past the branch and bound, a report is exact only if its value meets its proven lower bound.
-    """
+    """gh's own search on a non-empty pair, as the module docstring says; ChainReport runs it."""
     dX, dY = X.zz, Y.zz
     nX, nY = X.n, Y.n
     exhaustive = nX * nY <= budget.exhaustive_gh
     if exhaustive and nX * nY <= BNB_PAIRS:
         val, pairs = _bnb_correspondence(dX, dY)
         cert = Correspondence(nX, nY, tuple(pairs)) if pairs is not None else None
-        return DistanceReport("gh", 0.5 * val, True, 0.5 * val, cert, "branch-and-bound")
+        return DistanceReport("gh", 0.5 * val, 0.5 * val, cert, "branch-and-bound")
     if nX * nY <= PAIR_LIMIT:
         setting = _correspondences(dX, dY, None, np.ones((nX, nY), dtype=bool))
         return _threshold_report("gh", dX, dY, setting, INFINITY if exhaustive else NODE_LIMIT, "branch-and-bound")
     lower = _value_gap_lower(dX, dY)
     val, pair = _local_search_map_pair(X, Y, False, lower)
-    cert = pair.relation if pair is not None else None  # None: no map pair of finite objective
-    return _bracket("gh", 0.5 * val, 0.5 * lower, cert, "local-search")
-
-
-def _bracket(kind: str, value: float, lower: float, cert, method: str) -> DistanceReport:
-    """A report of value over the proven lower bound, exact once they meet (to 1e-12)."""
-    exact = value <= lower + 1e-12
-    return DistanceReport(kind, value, exact, value if exact else lower, cert, method)
+    return DistanceReport("gh", 0.5 * val, 0.5 * lower, pair.relation, "local-search")
 
 
 def distortion_distance(
@@ -694,8 +693,8 @@ def dcorrespondence_distance(
 def _plain_cdis(X: DirectedMetricSpace, Y: DirectedMetricSpace, budget: SearchBudget) -> DistanceReport:
     """cdis's own search on a non-empty pair; ChainReport runs it.
 
-    INFINITY with exact=True when constraint propagation or exhausted
-    search proves that no d-correspondence of finite distortion exists.
+    INFINITY over an infinite lower bound, so exact, when constraint propagation or
+    exhausted search proves that no d-correspondence of finite distortion exists.
     No node cap up to budget.exhaustive_cdis pairs, NODE_LIMIT nodes above
     it.  Raises ValueError when |X|*|Y| > PAIR_LIMIT.
     """
@@ -705,7 +704,7 @@ def _plain_cdis(X: DirectedMetricSpace, Y: DirectedMetricSpace, budget: SearchBu
     types = (_reach_types(X.reach), _reach_types(Y.reach))
     cand = _arc_consistent_candidates(*types)
     if not (cand.any(axis=1).all() and cand.any(axis=0).all()):
-        return DistanceReport("cdis", INFINITY, True, INFINITY, None, "propagation")
+        return DistanceReport("cdis", INFINITY, INFINITY, None, "propagation")
     limit = INFINITY if nX * nY <= budget.exhaustive_cdis else NODE_LIMIT
     return _threshold_report("cdis", X.zz, Y.zz, _correspondences(X.zz, Y.zz, types, cand), limit, "branch-and-bound")
 
@@ -713,7 +712,7 @@ def _plain_cdis(X: DirectedMetricSpace, Y: DirectedMetricSpace, budget: SearchBu
 def _threshold_report(kind: str, dX, dY, setting, node_limit: float, method: str) -> DistanceReport:
     """_threshold_search over a setting of _cover_search, from the value-gap bound, as a report."""
     lower, val, cert = _threshold_search(dX, dY, _cover_search(*setting), _value_gap_lower(dX, dY), node_limit)
-    return DistanceReport(kind, 0.5 * val, lower == val, 0.5 * lower, cert, method)
+    return DistanceReport(kind, 0.5 * val, 0.5 * lower, cert, method)
 
 
 def _thresholds(dX: np.ndarray, dY: np.ndarray) -> np.ndarray:
@@ -841,14 +840,14 @@ def _threshold_search(dX, dY, decide, floor: float, node_limit: float):
 
     floor is a proven lower bound.  Returns (lower, value, certificate) in
     distortion units; value is inf and certificate None when none of finite
-    distortion was found, and lower == value unless the probes together
-    needed more than node_limit search nodes (inf: no cap).
+    distortion was found.  It bisects until value <= lower + 2e-12, exact to
+    DistanceReport, or its probes need more than node_limit nodes (inf: no cap).
     """
     T = _thresholds(dX, dY)
     # T[lo] <= optimum <= T[hi]; the largest finite value goes first, for
     # an early certificate or a proof that none of finite distortion exists
     lo, hi, best, left = int(np.searchsorted(T, floor)), T.size - 1, None, node_limit
-    while lo < hi and left >= 0:
+    while T[hi] > T[lo] + 2e-12 and left >= 0:
         mid = (lo + hi) // 2 if best is not None else hi - 1
         cover, spent = decide(T[mid], left)
         left -= spent
@@ -878,13 +877,14 @@ class ChainReport:
     reads gh and takes its certificate when that is a d-correspondence and
     scores lower (method "chain"), and gh's search's lower bound when that
     is higher.  dis has already scored that certificate's choice maps, or
-    gh took the relation of dis's, so the order holds.  A pair with an
-    empty or a one-point side is exact from the start and runs no search.
+    gh took the relation of dis's, so the order holds.  A shared report is
+    built by DistanceReport, as a search's is.  A pair with an empty or a
+    one-point side is exact from the start and runs no search.
     Read order never changes a report.  Reading cdis raises ValueError when
     |X|*|Y| > PAIR_LIMIT, and conclusive and chain_holds read it first, so
     they raise before any search.  chain_holds checks both inequalities up
     to DEFAULT_TOL.  conclusive is False when any of the three reports
-    came back inexact; nothing is judged then.
+    came back inexact; chain_holds then judges nothing and returns None.
     """
 
     X: DirectedMetricSpace
@@ -896,7 +896,7 @@ class ChainReport:
         if nX == 0 or nY == 0:  # 0 between two empty spaces, inf against an empty one
             v = 0.0 if nX == nY else INFINITY
             for kind, cert in (("gh", Correspondence(0, 0, ())), ("dis", MapPair((), ())), ("cdis", Correspondence(0, 0, ()))):
-                object.__setattr__(self, kind, DistanceReport(kind, v, True, v, cert if v == 0 else None, "empty"))
+                object.__setattr__(self, kind, DistanceReport(kind, v, v, cert, "empty"))
         elif 1 in (nX, nY):  # the one correspondence relates all pairs, and f and g are constant
             Z = self.Y if nX == 1 else self.X
             v = 0.5 * float(Z.zz.max())  # inf when Z is disconnected
@@ -905,7 +905,7 @@ class ChainReport:
                        ("cdis", every, "branch-and-bound") if Z.reach.all() else ("cdis", None, "propagation"))
             for kind, cert, method in reports:
                 w = v if cert is not None else INFINITY  # cdis is inf unless each point of Z reaches every other
-                object.__setattr__(self, kind, DistanceReport(kind, w, True, w, cert if w < INFINITY else None, method))
+                object.__setattr__(self, kind, DistanceReport(kind, w, w, cert, method))
 
     @cached_property
     def _gh_search(self) -> DistanceReport:
@@ -920,7 +920,7 @@ class ChainReport:
         gh = self._gh_search
         if gh.exact or self.dis.value >= gh.value:
             return gh
-        return _bracket("gh", self.dis.value, gh.lower, self.dis.certificate.relation, "chain")
+        return DistanceReport("gh", self.dis.value, gh.lower, self.dis.certificate.relation, "chain")
 
     @cached_property
     def dis(self) -> DistanceReport:
@@ -935,14 +935,14 @@ class ChainReport:
                 v, p = _choice_map_pair(X, Y, getattr(self, search).certificate)
                 if v < val or pair is None:
                     val, pair = v, p
-                if 0.5 * val <= lower + 1e-12:
-                    return _bracket("dis", 0.5 * val, lower, pair, "chain")
+                if (chained := DistanceReport("dis", 0.5 * val, lower, pair, "chain")).exact:
+                    return chained
         else:
             lower = 0.5 * _value_gap_lower(X.zz, Y.zz)
         v, p = _local_search_map_pair(X, Y, True, 2 * lower)
         if v < val:
             val, pair = v, p
-        return _bracket("dis", 0.5 * val, lower, pair, "local-search")
+        return DistanceReport("dis", 0.5 * val, lower, pair, "local-search")
 
     @cached_property
     def cdis(self) -> DistanceReport:
@@ -951,10 +951,8 @@ class ChainReport:
             return cdis
         gh, lower = self.gh, self._gh_search.lower
         if gh.value < cdis.value and gh.certificate.is_dcorrespondence(self.X.reach, self.Y.reach):
-            return _bracket("cdis", gh.value, max(cdis.lower, lower), gh.certificate, "chain")
-        if lower <= cdis.lower:
-            return cdis
-        return _bracket("cdis", cdis.value, lower, cdis.certificate, cdis.method)
+            return DistanceReport("cdis", gh.value, max(cdis.lower, lower), gh.certificate, "chain")
+        return DistanceReport("cdis", cdis.value, max(cdis.lower, lower), cdis.certificate, cdis.method)
 
     @property
     def conclusive(self) -> bool:

@@ -392,8 +392,9 @@ def full_table_threshold_correspondence(dX, dY, compat, cand, T, floor, node_lim
     restricted to cand are held whole, and threshold t's constraint table
     is compat & (costs <= t).  compat must be a table here; pass an
     all-true one for gh.  T is the sorted threshold list, ending in inf,
-    that the bisection walks.  Recursive, so for small inputs only.
-    Returns (lower, value, pairs) like the library.
+    that the bisection walks, until its bracket meets to 2e-12, as in the
+    library.  Recursive, so for small inputs only.  Returns (lower, value,
+    pairs) like the library.
     """
     nY = dY.shape[0]
     P = np.flatnonzero(cand)
@@ -427,7 +428,7 @@ def full_table_threshold_correspondence(dX, dY, compat, cand, T, floor, node_lim
         return False
 
     lo, hi, best = int(np.searchsorted(T, floor)), T.size - 1, None
-    while lo < hi:
+    while T[hi] > T[lo] + 2e-12:  # the library's stop: a bracket met to rounding
         mid = (lo + hi) // 2 if best is not None else hi - 1
         A = compat & (C <= T[mid])
         chosen.clear()

@@ -43,6 +43,7 @@ from dirmetric import (
     MapPair,
     DirectedMetricSpace,
     DistanceReport,
+    directed_interval,
     disjoint_union,
     distortion_relation,
     flat_torus_grid,
@@ -356,6 +357,21 @@ def test_dist_gh_and_dis_above_a_thousand_points_exit_0(capsys, tmp_path):
         assert rep["value"] == rep["lower"] == 0.16617790811339223
 
 
+def test_dist_gh_of_an_infinite_value_prints_no_certificate(capsys, tmp_path):
+    # two 75-point intervals side by side against the 150-point interval:
+    # gh is inf, found by the map-pair local search above the pair limit,
+    # and the report prints neither a certificate nor its recheck
+    fx, fy = tmp_path / "two.json", tmp_path / "one.json"
+    save_space(disjoint_union(directed_interval(74), directed_interval(74)), str(fx))
+    save_space(directed_interval(149), str(fy))
+    code, out, err = run(capsys, "dist", "gh", str(fx), str(fy))
+    assert code == 0, err
+    rep = json.loads(out)
+    assert (rep["value"], rep["exact"], rep["method"]) == ("inf", True, "local-search")
+    assert rep["certificate"] is None and rep["certificate_check"] is None
+    assert '"certificate": null' in out and '"certificate_check": null' in out
+
+
 def test_exact_dist_gh_with_a_large_cap_exits_0(capsys, tmp_path):
     # 36 x 36 = 1296 point pairs within a cap of 5000: past the branch and
     # bound's size, which recurses once per pair, the exact search is the
@@ -394,12 +410,12 @@ def test_certificate_of_the_wrong_shape_does_not_recheck():
     ident = tuple(range(X.n))
     same = Correspondence(X.n, X.n, tuple(zip(ident, ident)))
     # both spaces share their zigzag metric, so every shape scores 0
-    dis = DistanceReport("dis", 0.0, True, 0.0, MapPair(ident, ident), "exhaustive")
+    dis = DistanceReport("dis", 0.0, 0.0, MapPair(ident, ident), "exhaustive")
     assert math.isnan(_certificate_value(dis, X, Xr))
-    assert math.isnan(_certificate_value(DistanceReport("cdis", 0.0, True, 0.0, same), X, Xr))
-    assert _certificate_value(DistanceReport("gh", 0.0, True, 0.0, same), X, Xr) == 0.0
+    assert math.isnan(_certificate_value(DistanceReport("cdis", 0.0, 0.0, same), X, Xr))
+    assert _certificate_value(DistanceReport("gh", 0.0, 0.0, same), X, Xr) == 0.0
     uncovered = Correspondence(X.n, X.n, same.pairs[1:])
-    assert math.isnan(_certificate_value(DistanceReport("gh", 0.0, True, 0.0, uncovered), X, Xr))
+    assert math.isnan(_certificate_value(DistanceReport("gh", 0.0, 0.0, uncovered), X, Xr))
 
 
 def test_dist_gh_certificate_reevaluates_from_file(capsys, tmp_path):

@@ -93,6 +93,7 @@ from dirmetric import (
     dcorrespondence_distance,
     directed_interval,
     directed_square_grid,
+    disjoint_union,
     distortion_distance,
     distortion_relation,
     ext_abs_diff,
@@ -1611,14 +1612,14 @@ def test_chain_report_shares_witnesses_only_for_inexact_reports(monkeypatch):
     # own search found none), and gh's search's lower bound where that is
     # higher (4 pairs); against a gh that proves nothing (inf over 0) cdis
     # keeps its own.  Always gh <= dis <= cdis, every certificate
-    # re-scores to its value, and a report its search left exact stays as
-    # it is
+    # re-scores to its value, a report its search left exact stays as it
+    # is, and chain_holds judges nothing (None) once a report is inexact
     monkeypatch.setattr(distances, "NODE_LIMIT", 3)
     def blank(X, Y, budget):
-        return DistanceReport("gh", INFINITY, False, 0.0)
+        return DistanceReport("gh", INFINITY, 0.0)
 
     rng = np.random.default_rng(96)
-    shared = {"gh": 0, "cdis lower": 0, "cdis certificate": 0}
+    shared = {"gh": 0, "cdis lower": 0, "cdis certificate": 0, "inconclusive": 0}
     plain_gh = distances._plain_gh
     runs = ((SearchBudget(), plain_gh), (SearchBudget(exhaustive_gh=25), plain_gh), (SearchBudget(), blank))
     for budget, gh_search in runs:
@@ -1630,6 +1631,8 @@ def test_chain_report_shares_witnesses_only_for_inexact_reports(monkeypatch):
             chain = ChainReport(X, Y, budget)
             gh, dis, cdis = chain.gh, chain.dis, chain.cdis
             assert gh.value <= dis.value + DEFAULT_TOL and dis.value <= cdis.value + DEFAULT_TOL
+            assert chain.chain_holds is (True if chain.conclusive else None)
+            shared["inconclusive"] += not chain.conclusive
             for r in (gh, cdis):
                 if r.certificate is not None:
                     assert 0.5 * distortion_relation(r.certificate.pairs, X.zz, Y.zz) == r.value
@@ -1692,3 +1695,69 @@ def test_separate_chain_reports_keep_the_order_when_searches_stop_early(monkeypa
             for read in (lambda: ChainReport(X, Y).cdis, lambda: dcorrespondence_distance(X, Y)):
                 with pytest.raises(ValueError, match="point pairs"):
                     read()
+
+
+@pytest.fixture(scope="module")
+def two_intervals_v_one():
+    """Two 75-point intervals side by side against the 150-point interval, and their gh and dis.
+
+    22,500 point pairs, above PAIR_LIMIT, so gh runs the map-pair local
+    search, whose descent is skipped at this size, and no node or pair cap
+    below it changes these reports.  Every correspondence relates a pair at
+    inf to one at a finite distance, so both distances are inf.
+    """
+    X = DirectedMetricSpace.from_space(disjoint_union(directed_interval(74), directed_interval(74)))
+    Y = DirectedMetricSpace.from_space(directed_interval(149))
+    chain = ChainReport(X, Y)
+    return X, Y, chain.gh, chain.dis
+
+
+def test_an_infinite_report_above_the_pair_limit_keeps_no_certificate(two_intervals_v_one):
+    # gh's local search ends on its best pool pair, whose objective is inf:
+    # the report keeps none of its relation, as dis keeps no map pair
+    X, Y, gh, dis = two_intervals_v_one
+    assert X.n * Y.n > distances.PAIR_LIMIT
+    assert (gh.value, gh.exact, gh.certificate, gh.method) == (INFINITY, True, None, "local-search")
+    assert (dis.value, dis.exact, dis.certificate) == (INFINITY, True, None)
+
+
+@pytest.mark.parametrize("limit", [("NODE_LIMIT", 3), ("NODE_LIMIT", 25), ("PAIR_LIMIT", 0)], ids="{0[0]}={0[1]}".format)
+def test_every_report_claims_exactly_its_bracket(monkeypatch, limit, two_intervals_v_one):
+    # one rule decides what a report claims: exact when value and lower
+    # bound meet to 1e-12, an exact report's lower bound reads as its
+    # value, and an infinite value keeps no certificate.  Every gh, dis and
+    # cdis report on the 150-point pair and on 24 seeded pairs of 3 to 7
+    # points, every third disconnected, under forced node and pair caps
+    monkeypatch.setattr(distances, *limit)
+    reports = list(two_intervals_v_one[2:])
+    rng = np.random.default_rng(97)
+    for i in range(24):
+        X, Y = (DirectedMetricSpace.from_space(random_space(rng, int(rng.integers(3, 8)), connected=i % 3 != 2)) for _ in "XY")
+        chain = ChainReport(X, Y)
+        reports += [chain.gh, chain.dis] + ([chain.cdis] if X.n * Y.n <= distances.PAIR_LIMIT else [])
+    for r in reports:
+        assert r.exact == (r.value <= r.lower + 1e-12), r
+        assert r.lower == r.value or not r.exact, r
+        assert r.certificate is None or r.value < INFINITY, r
+    assert sum(r.value == INFINITY for r in reports) >= 10
+    assert sum(not r.exact for r in reports) >= (0 if limit == ("PAIR_LIMIT", 0) else 5)
+
+
+def test_capped_cdis_takes_only_the_gh_search_lower_bound(monkeypatch):
+    # the 70th of these seeded pairs, 4 x 4: under a 3-node cap cdis's own
+    # search finds no certificate over a lower bound of 0.1855, gh is exact
+    # at 0.2198 with a certificate that is no d-correspondence, so cdis
+    # keeps its own inf and takes gh's search's higher lower bound alone,
+    # and the chain is inconclusive
+    monkeypatch.setattr(distances, "NODE_LIMIT", 3)
+    rng = np.random.default_rng(7)
+    for _ in range(70):
+        nx, ny = rng.integers(4, 8), rng.integers(4, 8)
+        X, Y = (DirectedMetricSpace.from_space(random_space(rng, int(n), connected=rng.random() < 0.8)) for n in (nx, ny))
+    assert (X.n, Y.n) == (4, 4)
+    chain = ChainReport(X, Y)
+    own, gh = distances._plain_cdis(X, Y, SearchBudget()), chain.gh
+    assert (own.value, own.exact, round(own.lower, 4)) == (INFINITY, False, 0.1855)
+    assert gh.exact and round(gh.value, 4) == 0.2198 and not gh.certificate.is_dcorrespondence(X.reach, Y.reach)
+    assert chain.cdis == DistanceReport("cdis", INFINITY, gh.lower, None, own.method)
+    assert not chain.cdis.exact and not chain.conclusive and chain.chain_holds is None
